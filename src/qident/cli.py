@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from .identities import (
+    NEGATIVE_CONTROL_EXPONENT,
     RELATION_KINDS,
     RELATION_STATEMENTS,
     IdentityBuildError,
@@ -137,23 +138,28 @@ def _print_reports(config: CliConfig, reports: List[VerificationReport]) -> None
 
 
 def cmd_verify(config: CliConfig, target: str, use_oracle: bool) -> int:
-    if target == "all":
-        reports = verify_all(config.order)
-    elif target in RELATION_KINDS:
-        order = min(config.order, config.oracle_limit) if use_oracle else config.order
-        reports = [verify_relation(target, order, use_oracle=use_oracle)]
-    else:
-        case = negative_control() if target == "negative-control" else find_case(target)
-        if case is None:
-            valid = [c.id for c in registry()] + list(RELATION_KINDS) + ["negative-control", "all"]
-            return _fail(
-                f"unknown identity {target!r}; valid targets: {', '.join(valid)}"
-            )
-        try:
+    if target == "negative-control" and config.order < NEGATIVE_CONTROL_EXPONENT:
+        return _fail(
+            f"negative-control perturbs q^{NEGATIVE_CONTROL_EXPONENT} and can only "
+            f"fail at --order >= {NEGATIVE_CONTROL_EXPONENT} (got {config.order})"
+        )
+    try:
+        if target == "all":
+            reports = verify_all(config.order)
+        elif target in RELATION_KINDS:
+            order = min(config.order, config.oracle_limit) if use_oracle else config.order
+            reports = [verify_relation(target, order, use_oracle=use_oracle)]
+        else:
+            case = negative_control() if target == "negative-control" else find_case(target)
+            if case is None:
+                valid = [c.id for c in registry()] + list(RELATION_KINDS) + ["negative-control", "all"]
+                return _fail(
+                    f"unknown identity {target!r}; valid targets: {', '.join(valid)}"
+                )
             reports = [verify(case, config.order)]
-        except IdentityBuildError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    except IdentityBuildError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     _print_reports(config, reports)
     return 0 if all(r.passed for r in reports) else 1
 

@@ -12,8 +12,9 @@ replacing the series coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from time import perf_counter
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .partitions import (
     FAMILY_SERIES,
@@ -26,7 +27,17 @@ from .partitions import (
     gf_regular4,
     gf_regular4_min2,
 )
-from .series import QMonomial, TruncatedSeries, poch_infinite
+from .series import (
+    Binomial,
+    QMonomial,
+    TruncatedSeries,
+    binomial_quotient,
+    div_binomial,
+    poch_binomials,
+    poch_infinite,
+    ratio_sum,
+    times_binomials,
+)
 
 Builder = Callable[[int], TruncatedSeries]
 
@@ -91,14 +102,6 @@ class IdentityBuildError(RuntimeError):
 # -- small constructors -----------------------------------------------------
 
 
-def _one_minus_q(e: int, order: int) -> TruncatedSeries:
-    return TruncatedSeries.one(order) - TruncatedSeries.monomial(1, e, order)
-
-
-def _one_plus_q(e: int, order: int) -> TruncatedSeries:
-    return TruncatedSeries.one(order) + TruncatedSeries.monomial(1, e, order)
-
-
 def gf_euler_inf(order: int) -> TruncatedSeries:
     """(q;q)_inf, the Euler product."""
     return poch_infinite(QMonomial(1, 1), 1, order)
@@ -109,73 +112,58 @@ def gf_q4_inf(order: int) -> TruncatedSeries:
     return poch_infinite(QMonomial(1, 4), 4, order)
 
 
+def _times(x: TruncatedSeries, num: Sequence[Binomial] = (), den: Sequence[Binomial] = ()) -> TruncatedSeries:
+    """x times the binomials in num over those in den, updating one copy of x's coefficients."""
+    return TruncatedSeries(times_binomials(list(x.coeffs), num, den), x.order)
+
+
 # -- left-hand-side sum builders ---------------------------------------------
 
 
 def _help_sum(order: int, min_exp, finite_len) -> TruncatedSeries:
     """sum over n of q^min_exp(n) * (q^(4n+4);q^4)_inf * (q;q)_finite_len(n).
 
-    The running finite product gains factors as finite_len grows; the
-    infinite tail is rebuilt per term (cheap: each factor is two-term).
-    Term n contributes nothing below exponent min_exp(n), which is strictly
-    increasing, so the sum stops once min_exp(n) passes the order.
+    From term n to term n+1 the infinite tail loses its first factor
+    1 - q^(4n+4), divided out, and the finite product gains its new factors.
     """
-    total = TruncatedSeries.zero(order)
-    fin = TruncatedSeries.one(order)
-    m = 0
-    n = 0
-    while min_exp(n) <= order:
-        while m < finite_len(n):
-            m += 1
-            fin = fin * _one_minus_q(m, order)
-        tail = poch_infinite(QMonomial(1, 4 * n + 4), 4, order)
-        total = total + (fin * tail).shift(min_exp(n))
-        n += 1
-    return total
+    return ratio_sum(
+        order,
+        min_exp,
+        start=(
+            poch_binomials(QMonomial(1, 4), 4, order)
+            + poch_binomials(QMonomial(1, 1), 1, order, finite_len(0)),
+            (),
+        ),
+        num=lambda n: [(1, m) for m in range(finite_len(n) + 1, finite_len(n + 1) + 1)],
+        den=lambda n: [(1, 4 * n + 4)],
+    )
 
 
 def _qbinomial_lhs(a: Optional[QMonomial], z_exp: int, order: int) -> TruncatedSeries:
     """sum over n of (a;q)_n * q^(n*z_exp) / (q;q)_n, with a = None meaning 0."""
-    total = TruncatedSeries.zero(order)
-    core = TruncatedSeries.one(order)
-    n = 0
-    while n * z_exp <= order:
-        total = total + core.shift(n * z_exp)
-        n += 1
-        if a is not None:
-            core = core * (
-                TruncatedSeries.one(order)
-                - TruncatedSeries.monomial(a.sign, a.exp + n - 1, order)
-            )
-        core = core * _one_minus_q(n, order).invert()
-    return total
+    return ratio_sum(
+        order,
+        lambda n: n * z_exp,
+        start=((), ()),
+        num=lambda n: [] if a is None else [(a.sign, a.exp + n)],
+        den=lambda n: [(1, n + 1)],
+    )
 
 
 def _qbinomial_rhs(a: Optional[QMonomial], z_exp: int, order: int) -> TruncatedSeries:
-    den_inv = poch_infinite(QMonomial(1, z_exp), 1, order).invert()
-    if a is None:
-        return den_inv
-    return poch_infinite(QMonomial(a.sign, a.exp + z_exp), 1, order) * den_inv
+    num = [] if a is None else poch_binomials(QMonomial(a.sign, a.exp + z_exp), 1, order)
+    return binomial_quotient(order, num, poch_binomials(QMonomial(1, z_exp), 1, order))
 
 
 def _asv_lhs(step: int, a: QMonomial, b: QMonomial, order: int) -> TruncatedSeries:
     """sum over n of (a;Q)_n * Q^n / (b;Q)_n with Q = q^step."""
-    total = TruncatedSeries.zero(order)
-    core = TruncatedSeries.one(order)
-    n = 0
-    while step * n <= order:
-        total = total + core.shift(step * n)
-        n += 1
-        e = step * (n - 1)
-        core = core * (
-            TruncatedSeries.one(order)
-            - TruncatedSeries.monomial(a.sign, a.exp + e, order)
-        )
-        core = core * (
-            TruncatedSeries.one(order)
-            - TruncatedSeries.monomial(b.sign, b.exp + e, order)
-        ).invert()
-    return total
+    return ratio_sum(
+        order,
+        lambda n: step * n,
+        start=((), ()),
+        num=lambda n: [(a.sign, a.exp + step * n)],
+        den=lambda n: [(b.sign, b.exp + step * n)],
+    )
 
 
 def _asv_rhs(step: int, a: QMonomial, b: QMonomial, order: int) -> TruncatedSeries:
@@ -189,21 +177,18 @@ def _asv_rhs(step: int, a: QMonomial, b: QMonomial, order: int) -> TruncatedSeri
         raise ValueError(f"need 1 <= b.exp <= step for a series-valued form, got {b}")
     if a.exp < 1:
         raise ValueError(f"need a.exp >= 1, got {a}")
-    pole_exp = a.exp + step - b.exp
-    pole_inv = (
-        TruncatedSeries.one(order)
-        - TruncatedSeries.monomial(a.sign * b.sign, pole_exp, order)
-    ).invert()
-    piece1 = (
-        poch_infinite(a, step, order)
-        * poch_infinite(b, step, order).invert()
-        * pole_inv
-    ).shift(step - b.exp).scale(b.sign)
-    piece2 = (
-        TruncatedSeries.one(order)
-        - TruncatedSeries.monomial(b.sign, step - b.exp, order)
-    ) * pole_inv
-    return piece1 + piece2
+    # Q/b = sb*q^d; over the common pole the numerator is
+    # sb*q^d * (a;Q)_inf/(b;Q)_inf + 1 - sb*q^d.
+    d = step - b.exp
+    ratio = times_binomials(
+        [1] + [0] * order, poch_binomials(a, step, order), poch_binomials(b, step, order)
+    )
+    cs = ([0] * d + [b.sign * c for c in ratio])[: order + 1]
+    cs[0] += 1
+    if d <= order:
+        cs[d] -= b.sign
+    div_binomial(cs, a.sign * b.sign, a.exp + d)
+    return TruncatedSeries(cs, order)
 
 
 # -- the registry -------------------------------------------------------------
@@ -307,10 +292,9 @@ def registry() -> List[IdentityCase]:
             id="help-1",
             description="product-sum evaluation behind the DE1 identity",
             lhs=lambda order: _help_sum(order, lambda n: 2 * n, lambda n: 2 * n),
-            rhs=lambda order: (
-                gf_q4_inf(order).scale(2) - gf_euler_inf(order)
-            )
-            * _one_plus_q(1, order).invert(),
+            rhs=lambda order: _times(
+                gf_q4_inf(order).scale(2) - gf_euler_inf(order), den=[(-1, 1)]
+            ),
             statement=(
                 "sum_{n>=0} q^(2n) (q^(4n+4);q^4)_inf (q;q)_(2n)"
                 " = 2(q^4;q^4)_inf/(1+q) - (q;q)_inf/(1+q)"
@@ -319,7 +303,7 @@ def registry() -> List[IdentityCase]:
         IdentityCase(
             id="main-1",
             description="DE1 generating function against the 4-regular product",
-            lhs=lambda order: _one_plus_q(1, order) * gf_de1(order),
+            lhs=lambda order: _times(gf_de1(order), [(-1, 1)]),
             rhs=lambda order: gf_regular4(order) - 1,
             statement=(
                 "(1+q) sum_{n>=0} (-q^2;q^2)_n q^(2n+1)/(q;q^2)_(n+1)"
@@ -330,11 +314,10 @@ def registry() -> List[IdentityCase]:
             id="help-2",
             description="product-sum evaluation behind the DE2 identity",
             lhs=lambda order: _help_sum(order, lambda n: 2 * n, lambda n: 2 * n + 1),
-            rhs=lambda order: (
-                _one_minus_q(1, order) * gf_q4_inf(order).scale(2)
-                - gf_euler_inf(order)
-            )
-            * _one_plus_q(3, order).invert(),
+            rhs=lambda order: _times(
+                _times(gf_q4_inf(order).scale(2), [(1, 1)]) - gf_euler_inf(order),
+                den=[(-1, 3)],
+            ),
             statement=(
                 "sum_{n>=0} q^(2n) (q^(4n+4);q^4)_inf (q;q)_(2n+1)"
                 " = 2(1-q)(q^4;q^4)_inf/(1+q^3) - (q;q)_inf/(1+q^3)"
@@ -343,7 +326,7 @@ def registry() -> List[IdentityCase]:
         IdentityCase(
             id="main-2",
             description="DE2 generating function against the min-part-2 product",
-            lhs=lambda order: _one_plus_q(3, order) * gf_de2(order),
+            lhs=lambda order: _times(gf_de2(order), [(-1, 3)]),
             rhs=lambda order: gf_regular4_min2(order) - 1,
             statement=(
                 "(1+q^3) sum_{n>=0} (-q^2;q^2)_n q^(4n+2)/(q;q^2)_(n+1)"
@@ -354,11 +337,11 @@ def registry() -> List[IdentityCase]:
             id="help-3",
             description="product-sum evaluation behind the DE3 identity",
             lhs=lambda order: _help_sum(order, lambda n: 4 * n + 1, lambda n: 2 * n),
-            rhs=lambda order: (
+            rhs=lambda order: _times(
                 gf_q4_inf(order).scale(2).shift(2)
-                + _one_minus_q(1, order).shift(1) * gf_euler_inf(order)
-            )
-            * _one_plus_q(3, order).invert(),
+                + _times(gf_euler_inf(order), [(1, 1)]).shift(1),
+                den=[(-1, 3)],
+            ),
             statement=(
                 "sum_{n>=0} q^(4n+1) (q^(4n+4);q^4)_inf (q;q)_(2n)"
                 " = 2q^2(q^4;q^4)_inf/(1+q^3) + q(1-q)(q;q)_inf/(1+q^3)"
@@ -367,7 +350,7 @@ def registry() -> List[IdentityCase]:
         IdentityCase(
             id="main-3",
             description="DE3 generating function against the shifted 4-regular product",
-            lhs=lambda order: _one_plus_q(3, order) * gf_de3(order),
+            lhs=lambda order: _times(gf_de3(order), [(-1, 3)]),
             rhs=lambda order: gf_regular4(order).shift(2)
             - TruncatedSeries.monomial(1, 2, order)
             + TruncatedSeries.monomial(1, 1, order),
@@ -391,7 +374,10 @@ def find_case(case_id: str) -> Optional[IdentityCase]:
     return None
 
 
-def negative_control(exponent: int = 50) -> IdentityCase:
+NEGATIVE_CONTROL_EXPONENT = 50
+
+
+def negative_control(exponent: int = NEGATIVE_CONTROL_EXPONENT) -> IdentityCase:
     """A deliberately broken copy of ped-eq-4regular: q^exponent added on the right.
 
     Verifying it at any order >= exponent must fail with the mismatch at
@@ -434,40 +420,49 @@ def _family_counts(family: str, up_to: int, use_oracle: bool) -> List[int]:
     return list(FAMILY_SERIES[family](up_to).coeffs)
 
 
-def verify_relation(kind: str, order: int, use_oracle: bool = False) -> VerificationReport:
-    """Check one counting relation for every n in its validity range up to order.
-
-    The fast path reads counts off the generating functions; with
-    ``use_oracle`` every count comes from brute-force enumeration instead
-    (only sensible for order <= ~45).  A mismatch reports (n, left, right).
-    """
-    if kind not in RELATION_KINDS:
-        raise ValueError(f"unknown relation {kind!r}; expected one of {RELATION_KINDS}")
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
-    start = perf_counter()
+def _relation_triples(kind: str, order: int, use_oracle: bool) -> Iterator[Tuple[int, int, int]]:
     if kind == "cor1":
         de1 = _family_counts("DE1", order, use_oracle)
         b4 = _family_counts("regular4", order, use_oracle)
-        triples = ((n, de1[n] + de1[n - 1], b4[n]) for n in range(1, order + 1))
+        return ((n, de1[n] + de1[n - 1], b4[n]) for n in range(1, order + 1))
     elif kind == "cor2":
         de2 = _family_counts("DE2", order, use_oracle)
         c4 = _family_counts("regular4min2", order, use_oracle)
-        triples = (
+        return (
             (n, de2[n] + (de2[n - 3] if n >= 3 else 0), c4[n])
             for n in range(1, order + 1)
         )
     elif kind == "cor3":
         de3 = _family_counts("DE3", order + 2, use_oracle)
         b4 = _family_counts("regular4", order, use_oracle)
-        triples = ((n, de3[n + 2] + de3[n - 1], b4[n]) for n in range(2, order + 1))
+        return ((n, de3[n + 2] + de3[n - 1], b4[n]) for n in range(2, order + 1))
     else:  # cor4
         de3 = _family_counts("DE3", order + 2, use_oracle)
         de1 = _family_counts("DE1", order, use_oracle)
-        triples = (
+        return (
             (n, de3[n + 2] + de3[n - 1], de1[n] + de1[n - 1])
             for n in range(2, order + 1)
         )
+
+
+def verify_relation(kind: str, order: int, use_oracle: bool = False) -> VerificationReport:
+    """Check one counting relation for every n in its validity range up to order.
+
+    The fast path reads counts off the generating functions; with
+    ``use_oracle`` every count comes from brute-force enumeration instead
+    (only sensible for order <= ~45).  A mismatch reports (n, left, right).
+    A failing count builder raises :class:`IdentityBuildError`, as in
+    :func:`verify`.
+    """
+    if kind not in RELATION_KINDS:
+        raise ValueError(f"unknown relation {kind!r}; expected one of {RELATION_KINDS}")
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
+    start = perf_counter()
+    try:
+        triples = _relation_triples(kind, order, use_oracle)
+    except Exception as exc:
+        raise IdentityBuildError(kind, str(exc)) from exc
     mismatch = next((t for t in triples if t[1] != t[2]), None)
     elapsed = perf_counter() - start
     status = "pass" if mismatch is None else "fail"
@@ -477,22 +472,22 @@ def verify_relation(kind: str, order: int, use_oracle: bool = False) -> Verifica
 def verify_all(order: int) -> List[VerificationReport]:
     """Verify every registry case plus the four relations; reports sorted by id.
 
-    Per-case builder errors are captured as status-"error" reports rather
-    than aborting the batch.
+    Builder errors, in a case or a relation, are captured as status-"error"
+    reports rather than aborting the batch.
     """
+    checks = [partial(verify, case, order) for case in registry()]
+    checks += [partial(verify_relation, kind, order) for kind in RELATION_KINDS]
     reports = []
-    for case in registry():
+    for check in checks:
         start = perf_counter()
         try:
-            reports.append(verify(case, order))
+            reports.append(check())
         except IdentityBuildError as exc:
             reports.append(
                 VerificationReport(
                     exc.case_id, order, "error", None, perf_counter() - start, str(exc)
                 )
             )
-    for kind in RELATION_KINDS:
-        reports.append(verify_relation(kind, order))
     reports.sort(key=lambda r: r.id)
     return reports
 

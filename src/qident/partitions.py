@@ -27,7 +27,13 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
-from .series import QMonomial, TruncatedSeries, poch_infinite
+from .series import (
+    QMonomial,
+    TruncatedSeries,
+    binomial_quotient,
+    poch_binomials,
+    ratio_sum,
+)
 
 LARGEST_PARITIES = ("any", "odd")
 LARGEST_MULTIPLICITIES = ("any", "at_least_two", "exactly_one")
@@ -178,30 +184,18 @@ def count_oracle(n: int, spec: ConstraintSpec) -> int:
 #
 # Each distinct-even family is a sum over n of
 #     (-q^2;q^2)_n * q^(min exponent) / (q;q^2)_(n + den_extra)
-# and the running quotient is updated with one new factor top and bottom per
-# term, so a term costs one sparse multiply and one sparse inverse.
+# whose term ratio is one binomial over another, so each term costs two
+# in-place binomial updates of the running term.
 
 
 def _distinct_even_sum(order: int, min_exp, den_extra: int) -> TruncatedSeries:
-    total = TruncatedSeries.zero(order)
-    core = TruncatedSeries.one(order)
-    for j in range(den_extra):  # (q;q^2)_den_extra start-up factors
-        core = core * _one_minus_q(2 * j + 1, order).invert()
-    n = 0
-    while min_exp(n) <= order:
-        total = total + core.shift(min_exp(n))
-        n += 1
-        core = core * _one_plus_q(2 * n, order)
-        core = core * _one_minus_q(2 * (n + den_extra) - 1, order).invert()
-    return total
-
-
-def _one_minus_q(e: int, order: int) -> TruncatedSeries:
-    return TruncatedSeries.one(order) - TruncatedSeries.monomial(1, e, order)
-
-
-def _one_plus_q(e: int, order: int) -> TruncatedSeries:
-    return TruncatedSeries.one(order) + TruncatedSeries.monomial(1, e, order)
+    return ratio_sum(
+        order,
+        min_exp,
+        start=((), poch_binomials(QMonomial(1, 1), 2, order, den_extra)),
+        num=lambda n: [(-1, 2 * n + 2)],
+        den=lambda n: [(1, 2 * (n + den_extra) + 1)],
+    )
 
 
 def gf_de1(order: int) -> TruncatedSeries:
@@ -221,26 +215,29 @@ def gf_de3(order: int) -> TruncatedSeries:
 
 def gf_ped(order: int) -> TruncatedSeries:
     """(-q^2;q^2)_inf / (q;q^2)_inf: partitions with distinct even parts."""
-
-    num = poch_infinite(QMonomial(-1, 2), 2, order)
-    den = poch_infinite(QMonomial(1, 1), 2, order)
-    return num * den.invert()
+    return binomial_quotient(
+        order,
+        poch_binomials(QMonomial(-1, 2), 2, order),
+        poch_binomials(QMonomial(1, 1), 2, order),
+    )
 
 
 def gf_regular4(order: int) -> TruncatedSeries:
     """(q^4;q^4)_inf / (q;q)_inf: partitions with no part divisible by 4."""
-
-    num = poch_infinite(QMonomial(1, 4), 4, order)
-    den = poch_infinite(QMonomial(1, 1), 1, order)
-    return num * den.invert()
+    return binomial_quotient(
+        order,
+        poch_binomials(QMonomial(1, 4), 4, order),
+        poch_binomials(QMonomial(1, 1), 1, order),
+    )
 
 
 def gf_regular4_min2(order: int) -> TruncatedSeries:
     """(q^4;q^4)_inf / (q^2;q)_inf: 4-regular partitions with parts > 1."""
-
-    num = poch_infinite(QMonomial(1, 4), 4, order)
-    den = poch_infinite(QMonomial(1, 2), 1, order)
-    return num * den.invert()
+    return binomial_quotient(
+        order,
+        poch_binomials(QMonomial(1, 4), 4, order),
+        poch_binomials(QMonomial(1, 2), 1, order),
+    )
 
 
 FAMILY_SERIES = {

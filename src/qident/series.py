@@ -13,7 +13,8 @@ needs and keeps convergence of the truncated infinite product decidable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from itertools import accumulate
+from typing import Callable, Iterable, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,7 @@ class TruncatedSeries:
     def __init__(self, coeffs: Iterable[int], order: Optional[int] = None):
         cs = list(coeffs)
         for c in cs:
-            if not isinstance(c, int):
+            if type(c) is not int:  # exactly int: bool is an int subclass
                 raise TypeError(f"coefficients must be int, got {type(c).__name__}")
         if order is None:
             if not cs:
@@ -256,18 +257,125 @@ class TruncatedSeries:
         return f"<TruncatedSeries {self}>"
 
 
-def make_monomial(sign: int, exp: int, order: int) -> TruncatedSeries:
-    """Module-level alias for :meth:`TruncatedSeries.monomial`."""
-    return TruncatedSeries.monomial(sign, exp, order)
+# -- the binomial kernel ------------------------------------------------------
+#
+# Every product and every sum term in this project is built from binomials
+# 1 - sign*q^e.  Multiplying or dividing a coefficient list by one costs O(N)
+# in place, so a product of up to N binomials costs O(N^2) and never needs a
+# dense multiply or a general inverse.
+
+Binomial = Tuple[int, int]
+"""A pair (sign, e) standing for the factor 1 - sign*q^e."""
 
 
-def _factor(sign: int, e: int, order: int) -> TruncatedSeries:
-    # The generic product factor (1 - sign*q^e).
-    cs = [0] * (order + 1)
-    cs[0] = 1
-    if e <= order:
-        cs[e] -= sign
-    return TruncatedSeries(cs, order)
+def _check_binomial(sign: int, e: int) -> None:
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+    if e < 0:
+        raise ValueError(f"exponent must be nonnegative, got {e}")
+
+
+def _alternating_step(total: int, c: int) -> int:
+    return c - total
+
+
+def mul_binomial(cs: List[int], sign: int, e: int) -> None:
+    """Multiply the coefficient list cs by 1 - sign*q^e in place, modulo q^len(cs).
+
+    Each c[k] loses sign*c[k-e] of the old list, as a descending update
+    would; the slice is read in full before it is written back.
+    """
+    _check_binomial(sign, e)
+    # One comprehension per sign: a multiply by sign per coefficient, here
+    # and in div_binomial, made verify_all(600) about 13% slower (2-core
+    # Xeon VM, Python 3.11).
+    if sign == 1:
+        cs[e:] = [a - b for a, b in zip(cs[e:], cs)]
+    else:
+        cs[e:] = [a + b for a, b in zip(cs[e:], cs)]
+
+
+def div_binomial(cs: List[int], sign: int, e: int) -> None:
+    """Divide the coefficient list cs by 1 - sign*q^e in place, modulo q^len(cs).
+
+    Each c[k] gains sign*c[k-e] of the new list: an ascending update.  The
+    divisor must be a unit, so e = 0 is refused as ``invert`` refuses it.
+    """
+    _check_binomial(sign, e)
+    if e == 0:
+        raise ValueError(f"1 - ({sign})*q^0 = {1 - sign} is not a unit")
+    n = len(cs)
+    if e * e < n:
+        # Few long residue classes mod e, each a running sum (alternating
+        # for sign -1) done in one C-level pass.
+        step = None if sign == 1 else _alternating_step
+        for r in range(e):
+            cs[r::e] = accumulate(cs[r::e], step)
+    elif sign == 1:
+        # Few short blocks of length e, each updated from the one before.
+        for lo in range(e, n, e):
+            cs[lo : lo + e] = [a + b for a, b in zip(cs[lo : lo + e], cs[lo - e : lo])]
+    else:
+        for lo in range(e, n, e):
+            cs[lo : lo + e] = [a - b for a, b in zip(cs[lo : lo + e], cs[lo - e : lo])]
+
+
+def times_binomials(
+    cs: List[int], num: Iterable[Binomial] = (), den: Iterable[Binomial] = ()
+) -> List[int]:
+    """Multiply cs in place by every binomial in num, divide it by every one in den; return cs."""
+    for sign, e in num:
+        mul_binomial(cs, sign, e)
+    for sign, e in den:
+        div_binomial(cs, sign, e)
+    return cs
+
+
+def binomial_quotient(
+    order: int, num: Iterable[Binomial] = (), den: Iterable[Binomial] = ()
+) -> TruncatedSeries:
+    """The product of the binomials in num over the product of those in den."""
+    return TruncatedSeries(times_binomials([1] + [0] * order, num, den), order)
+
+
+def poch_binomials(
+    a: QMonomial, step: int, order: int, count: Optional[int] = None
+) -> List[Binomial]:
+    """The factors 1 - a*q^(step*j), j < count, of (a; q^step)_count.
+
+    Factors with exponent above the order are 1 modulo q^(order+1) and are
+    left out; count None stands for the infinite product.
+    """
+    stop = order + 1 if count is None else min(order + 1, a.exp + step * count)
+    return [(a.sign, e) for e in range(a.exp, stop, step)]
+
+
+def ratio_sum(
+    order: int,
+    exp: Callable[[int], int],
+    start: Tuple[Iterable[Binomial], Iterable[Binomial]],
+    num: Callable[[int], Iterable[Binomial]],
+    den: Callable[[int], Iterable[Binomial]],
+) -> TruncatedSeries:
+    """sum_{n>=0} q^exp(n) * T_n modulo q^(order+1), one running list for T_n.
+
+    T_0 is the binomials start[0] over start[1], and
+    T_(n+1) = T_n * prod num(n) / prod den(n).  exp must be strictly
+    increasing: the sum stops at the first exp(n) above the order, and T_n is
+    only kept to the order the shift q^exp(n) leaves room for.
+    """
+    total = [0] * (order + 1)
+    term = times_binomials([1] + [0] * order, *start)
+    n, e = 0, exp(0)
+    while e <= order:
+        total[e:] = [a + b for a, b in zip(total[e:], term)]
+        e_next = exp(n + 1)
+        if e_next > order:
+            break
+        del term[order + 1 - e_next :]
+        times_binomials(term, num(n), den(n))
+        n, e = n + 1, e_next
+    return TruncatedSeries(total, order)
 
 
 def poch_finite(a: QMonomial, step: int, n: int, order: int) -> TruncatedSeries:
@@ -280,13 +388,7 @@ def poch_finite(a: QMonomial, step: int, n: int, order: int) -> TruncatedSeries:
         raise ValueError(f"step must be >= 1, got {step}")
     if n < 0:
         raise ValueError(f"factor count must be nonnegative, got {n}")
-    result = TruncatedSeries.one(order)
-    for j in range(n):
-        e = a.exp + step * j
-        if e > order:
-            break  # exponents only grow; all remaining factors are 1
-        result = result * _factor(a.sign, e, order)
-    return result
+    return binomial_quotient(order, poch_binomials(a, step, order, n))
 
 
 def poch_infinite(a: QMonomial, step: int, order: int) -> TruncatedSeries:
@@ -303,9 +405,4 @@ def poch_infinite(a: QMonomial, step: int, order: int) -> TruncatedSeries:
         raise ValueError(
             f"infinite product needs a monomial with exponent >= 1, got {a}"
         )
-    result = TruncatedSeries.one(order)
-    j = 0
-    while a.exp + step * j <= order:
-        result = result * _factor(a.sign, a.exp + step * j, order)
-        j += 1
-    return result
+    return binomial_quotient(order, poch_binomials(a, step, order))

@@ -136,6 +136,20 @@ def test_verify_negative_control_machine(capsys):
     assert fields[2] == "fail" and fields[3] == "50"
 
 
+@pytest.mark.parametrize("order", ["10", "49"])
+def test_verify_negative_control_refuses_orders_below_perturbation(capsys, order):
+    code, out, err = run(capsys, "verify", "negative-control", "--order", order)
+    assert code == 2 and out == ""
+    assert "q^50" in err and "--order >= 50" in err
+
+
+def test_verify_negative_control_fails_at_order_50(capsys):
+    code, out, _ = run(capsys, "verify", "negative-control", "--order", "50", "--machine")
+    assert code == 1
+    fields = out.strip().split(",")
+    assert fields[:4] == ["negative-control", "50", "fail", "50"]
+
+
 def test_verify_unknown_id(capsys):
     code, _, err = run(capsys, "verify", "bogus-id")
     assert code == 2

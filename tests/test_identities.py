@@ -1,5 +1,6 @@
 import pytest
 
+from qident import identities
 from qident.identities import (
     RELATION_KINDS,
     IdentityBuildError,
@@ -16,12 +17,11 @@ from qident.identities import (
 )
 from qident.partitions import (
     FAMILY_SPECS,
-    _distinct_even_sum,
     count_oracle,
     gf_de3,
     gf_regular4,
 )
-from qident.series import QMonomial, TruncatedSeries, poch_infinite
+from qident.series import QMonomial, TruncatedSeries, poch_infinite, ratio_sum
 
 NAMED_IDS = {
     "ped-eq-4regular",
@@ -124,6 +124,20 @@ def test_verify_propagates_builder_failures_with_id():
     assert "broken-case" in str(info.value)
 
 
+def test_relation_builder_failure_becomes_error_report(monkeypatch):
+    def broken(order):
+        raise RuntimeError("family build failed")
+
+    monkeypatch.setattr(identities, "FAMILY_SERIES", dict(identities.FAMILY_SERIES, DE2=broken))
+    with pytest.raises(IdentityBuildError) as info:
+        verify_relation("cor2", 20)
+    assert info.value.case_id == "cor2"
+    reports = {r.id: r for r in verify_all(20)}
+    assert reports["cor2"].status == "error"
+    assert "family build failed" in reports["cor2"].error
+    assert all(r.passed for r in reports.values() if r.id != "cor2")
+
+
 def test_report_field_coupling():
     with pytest.raises(ValueError):
         VerificationReport("x", 5, "pass", (1, 0, 1), 0.0)
@@ -192,7 +206,13 @@ def test_scaled_and_unscaled_de3_forms_agree():
     # The summation with numerator q^(2n+1) is q times the one with q^(2n);
     # both closed forms must therefore match after one shift.
     order = 120
-    low_sum = _distinct_even_sum(order, lambda n: 2 * n, 0)
+    low_sum = ratio_sum(
+        order,
+        lambda n: 2 * n,
+        start=((), ()),
+        num=lambda n: [(-1, 2 * n + 2)],
+        den=lambda n: [(1, 2 * n + 1)],
+    )
     one_plus_q3 = TruncatedSeries.one(order) + TruncatedSeries.monomial(1, 3, order)
     low_lhs = one_plus_q3 * low_sum
     low_rhs = (

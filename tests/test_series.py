@@ -5,7 +5,6 @@ import pytest
 from qident.series import (
     QMonomial,
     TruncatedSeries,
-    make_monomial,
     poch_finite,
     poch_infinite,
 )
@@ -38,16 +37,16 @@ def random_unit_series(rng, max_order=32, span=9):
 
 
 def test_monomial_examples():
-    assert make_monomial(1, 0, 4) == ts(1, 0, 0, 0, 0)
-    assert make_monomial(-1, 2, 4) == ts(0, 0, -1, 0, 0)
-    assert make_monomial(1, 7, 4) == TruncatedSeries.zero(4)
+    assert TruncatedSeries.monomial(1, 0, 4) == ts(1, 0, 0, 0, 0)
+    assert TruncatedSeries.monomial(-1, 2, 4) == ts(0, 0, -1, 0, 0)
+    assert TruncatedSeries.monomial(1, 7, 4) == TruncatedSeries.zero(4)
 
 
 def test_monomial_validation():
     with pytest.raises(ValueError):
-        make_monomial(2, 0, 4)
+        TruncatedSeries.monomial(2, 0, 4)
     with pytest.raises(ValueError):
-        make_monomial(1, -1, 4)
+        TruncatedSeries.monomial(1, -1, 4)
 
 
 def test_constructor_pads_and_truncates():
@@ -55,6 +54,8 @@ def test_constructor_pads_and_truncates():
     assert TruncatedSeries([1, 2, 3, 4], 1).coeffs == (1, 2)
     with pytest.raises(TypeError):
         TruncatedSeries([1.0, 2.0])
+    with pytest.raises(TypeError):
+        TruncatedSeries([True, 2])
     with pytest.raises(ValueError):
         TruncatedSeries([], None)
     with pytest.raises(ValueError):
