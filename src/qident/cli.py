@@ -59,7 +59,11 @@ class CliConfig:
 
     def __post_init__(self):
         if self.order < 0:
-            raise ValueError("order must be nonnegative")
+            raise ValueError(f"--order must be nonnegative (got {self.order})")
+        if self.oracle_limit < 0:
+            raise ValueError(
+                f"--oracle-limit must be nonnegative (got {self.oracle_limit})"
+            )
         if self.output_mode not in ("human", "machine"):
             raise ValueError("output_mode must be 'human' or 'machine'")
         if self.oracle_limit > self.order:
@@ -271,15 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.order < 0:
-        return _fail(f"--order must be nonnegative (got {args.order})")
-    if args.oracle_limit < 0:
-        return _fail(f"--oracle-limit must be nonnegative (got {args.oracle_limit})")
-    config = CliConfig(
-        order=args.order,
-        oracle_limit=args.oracle_limit,
-        output_mode="machine" if args.machine else "human",
-    )
+    try:
+        config = CliConfig(
+            order=args.order,
+            oracle_limit=args.oracle_limit,
+            output_mode="machine" if args.machine else "human",
+        )
+    except ValueError as exc:
+        return _fail(str(exc))
     if args.command == "count":
         return cmd_count(config, args.family, args.n, args.oracle)
     if args.command == "enumerate":

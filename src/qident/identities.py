@@ -69,6 +69,9 @@ class VerificationReport:
     ``mismatch`` is (exponent, lhs coefficient, rhs coefficient) for the
     smallest disagreeing exponent; it is present exactly when status is
     "fail".  Status "error" means a builder raised before any comparison.
+    ``checked`` counts the coefficients (for a case) or values of n (for a
+    relation) compared, up to and including a mismatch, so a pass with
+    ``checked == 0`` compared nothing.
     """
 
     id: str
@@ -77,6 +80,7 @@ class VerificationReport:
     mismatch: Optional[Tuple[int, int, int]]
     elapsed: float
     error: Optional[str] = None
+    checked: int = 0
 
     def __post_init__(self):
         if self.status not in ("pass", "fail", "error"):
@@ -410,7 +414,8 @@ def verify(case: IdentityCase, order: int) -> VerificationReport:
     mismatch = lhs.first_mismatch(rhs)
     elapsed = perf_counter() - start
     status = "pass" if mismatch is None else "fail"
-    return VerificationReport(case.id, order, status, mismatch, elapsed)
+    checked = order + 1 if mismatch is None else mismatch[0] + 1
+    return VerificationReport(case.id, order, status, mismatch, elapsed, checked=checked)
 
 
 def _family_counts(family: str, up_to: int, use_oracle: bool) -> List[int]:
@@ -449,8 +454,9 @@ def verify_relation(kind: str, order: int, use_oracle: bool = False) -> Verifica
     """Check one counting relation for every n in its validity range up to order.
 
     The fast path reads counts off the generating functions; with
-    ``use_oracle`` every count comes from brute-force enumeration instead
-    (only sensible for order <= ~45).  A mismatch reports (n, left, right).
+    ``use_oracle`` every count comes from brute-force enumeration instead,
+    which counts all six families to n = 50 in about 1.3 s and to n = 60 in
+    about 5 s (2-core box, Python 3.11).  A mismatch reports (n, left, right).
     A failing count builder raises :class:`IdentityBuildError`, as in
     :func:`verify`.
     """
@@ -463,10 +469,15 @@ def verify_relation(kind: str, order: int, use_oracle: bool = False) -> Verifica
         triples = _relation_triples(kind, order, use_oracle)
     except Exception as exc:
         raise IdentityBuildError(kind, str(exc)) from exc
-    mismatch = next((t for t in triples if t[1] != t[2]), None)
+    mismatch, checked = None, 0
+    for triple in triples:
+        checked += 1
+        if triple[1] != triple[2]:
+            mismatch = triple
+            break
     elapsed = perf_counter() - start
     status = "pass" if mismatch is None else "fail"
-    return VerificationReport(kind, order, status, mismatch, elapsed)
+    return VerificationReport(kind, order, status, mismatch, elapsed, checked=checked)
 
 
 def verify_all(order: int) -> List[VerificationReport]:

@@ -5,7 +5,9 @@ enumerator walks part choices recursively and is the ground-truth oracle for
 small n; the ``gf_*`` builders assemble each family's generating function
 term by term out of the series module, never from the closed product forms
 (those closed forms are exactly what the identity registry is asked to
-confirm, so the builders must not assume them).
+confirm, so the builders must not assume them).  Counting walks the
+enumerator's tree without building partitions, so each counted partition is
+still reached by its own path.
 
 Families, keyed as the CLI spells them:
 
@@ -133,51 +135,90 @@ def satisfies(partition: Partition, spec: ConstraintSpec) -> bool:
     return True
 
 
-def _tails(remaining: int, max_part: int, spec: ConstraintSpec) -> Iterator[Tuple[int, ...]]:
-    # Nonincreasing part tuples summing to `remaining` with parts <= max_part,
-    # honoring min_part / regular_modulus / distinct_even.  Descending choice
-    # of the next part yields lexicographically decreasing output.
-    if remaining == 0:
-        yield ()
-        return
-    for k in range(min(remaining, max_part), spec.min_part - 1, -1):
-        if spec.regular_modulus is not None and k % spec.regular_modulus == 0:
-            continue
-        next_max = k - 1 if (spec.distinct_even and k % 2 == 0) else k
-        for rest in _tails(remaining - k, next_max, spec):
-            yield (k,) + rest
-
-
-def enumerate_partitions(n: int, spec: ConstraintSpec) -> List[Partition]:
-    """All partitions of n satisfying spec, lexicographically decreasing."""
-    if n < 0:
-        return []
+def _heads(n: int, spec: ConstraintSpec) -> Iterator[Tuple[Tuple[int, ...], int, int]]:
+    # The largest-part choices for n, largest first: (head, budget, cap) where
+    # head holds the largest part once (or twice, when at least two copies are
+    # required), budget is n minus the head, and cap bounds every later part.
+    # The empty partition is a head of its own; n < 0 yields nothing.
     if n == 0:
-        return [Partition(())] if spec.largest_parity == "any" else []
-    out: List[Partition] = []
+        if spec.largest_parity == "any":
+            yield (), 0, 0
+        return
     for k in range(n, spec.min_part - 1, -1):
         if spec.largest_parity == "odd" and k % 2 == 0:
             continue
         if spec.regular_modulus is not None and k % spec.regular_modulus == 0:
             continue
         if spec.largest_multiplicity == "exactly_one":
-            head, budget, cap = (k,), n - k, k - 1
+            yield (k,), n - k, k - 1
         elif spec.largest_multiplicity == "at_least_two":
-            if 2 * k > n:
-                continue
-            head, budget, cap = (k, k), n - 2 * k, k
+            if 2 * k <= n:
+                yield (k, k), n - 2 * k, k
         else:
             cap = k - 1 if (spec.distinct_even and k % 2 == 0) else k
-            head, budget = (k,), n - k
-        out.extend(Partition(head + tail) for tail in _tails(budget, cap, spec))
-    return out
+            yield (k,), n - k, cap
+
+
+def _run_completes(remaining: int, cap: int, spec: ConstraintSpec) -> bool:
+    # Whether remaining > 0 is exactly a run of the smallest allowed part.
+    lo = spec.min_part
+    return (
+        lo <= cap
+        and remaining % lo == 0
+        and (spec.regular_modulus is None or lo % spec.regular_modulus != 0)
+        and not (spec.distinct_even and lo % 2 == 0 and remaining != lo)
+    )
+
+
+def _tails(remaining: int, cap: int, spec: ConstraintSpec) -> Iterator[Tuple[int, ...]]:
+    # Nonincreasing part tuples summing to `remaining` with parts <= cap,
+    # honoring min_part / regular_modulus / distinct_even.  Descending choice
+    # of the next part yields lexicographically decreasing output; the
+    # smallest part can only close a tail, so its run is taken in one step.
+    if remaining == 0:
+        yield ()
+        return
+    lo = spec.min_part
+    for k in range(min(remaining, cap), lo, -1):
+        if spec.regular_modulus is not None and k % spec.regular_modulus == 0:
+            continue
+        next_cap = k - 1 if (spec.distinct_even and k % 2 == 0) else k
+        for rest in _tails(remaining - k, next_cap, spec):
+            yield (k,) + rest
+    if _run_completes(remaining, cap, spec):
+        yield (lo,) * (remaining // lo)
+
+
+def _count_tails(remaining: int, cap: int, spec: ConstraintSpec) -> int:
+    # The number of tuples _tails(remaining, cap, spec) yields, walking the
+    # same tree without building them.
+    if remaining == 0:
+        return 1
+    total = 0
+    for k in range(min(remaining, cap), spec.min_part, -1):
+        if spec.regular_modulus is not None and k % spec.regular_modulus == 0:
+            continue
+        next_cap = k - 1 if (spec.distinct_even and k % 2 == 0) else k
+        total += _count_tails(remaining - k, next_cap, spec)
+    return total + _run_completes(remaining, cap, spec)
+
+
+def enumerate_partitions(n: int, spec: ConstraintSpec) -> List[Partition]:
+    """All partitions of n satisfying spec, lexicographically decreasing."""
+    return [
+        Partition(head + tail)
+        for head, budget, cap in _heads(n, spec)
+        for tail in _tails(budget, cap, spec)
+    ]
 
 
 def count_oracle(n: int, spec: ConstraintSpec) -> int:
-    """Brute-force count; n < 0 counts nothing (handy for shifted relations)."""
-    if n < 0:
-        return 0
-    return len(enumerate_partitions(n, spec))
+    """Brute-force count; n < 0 counts nothing (handy for shifted relations).
+
+    Every counted partition is reached by its own path through the tree that
+    :func:`enumerate_partitions` walks, but no partition is built.
+    """
+    return sum(_count_tails(budget, cap, spec) for _, budget, cap in _heads(n, spec))
 
 
 # -- generating functions ---------------------------------------------------

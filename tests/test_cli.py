@@ -21,6 +21,15 @@ def test_config_clamps_oracle_limit():
         CliConfig(output_mode="loud")
 
 
+def test_negative_order_and_oracle_limit_are_usage_errors(capsys):
+    with pytest.raises(ValueError):
+        CliConfig(oracle_limit=-1)
+    code, _, err = run(capsys, "count", "DE1", "8", "--order", "-1")
+    assert code == 2 and "--order must be nonnegative (got -1)" in err
+    code, _, err = run(capsys, "count", "DE1", "8", "--oracle-limit", "-1")
+    assert code == 2 and "--oracle-limit must be nonnegative (got -1)" in err
+
+
 # -- count ------------------------------------------------------------------------
 
 

@@ -18,6 +18,7 @@ from qident.identities import (
 from qident.partitions import (
     FAMILY_SPECS,
     count_oracle,
+    gf_de1,
     gf_de3,
     gf_regular4,
 )
@@ -147,6 +148,31 @@ def test_report_field_coupling():
         VerificationReport("x", 5, "error", None, 0.0)  # error text required
     with pytest.raises(ValueError):
         VerificationReport("x", 5, "bogus", None, 0.0)
+
+
+def test_reports_count_what_they_checked():
+    assert verify_relation("cor1", 0).checked == 0
+    assert verify_relation("cor3", 1).checked == 0
+    assert verify_relation("cor1", 40).checked == 40
+    assert verify(find_case("main-1"), 60).checked == 61
+    assert verify(negative_control(), 200).checked == 51
+
+
+def test_failing_relation_counts_up_to_mismatch(monkeypatch):
+    def off_at_5(order):
+        return gf_de1(order) + TruncatedSeries.monomial(1, 5, order)
+
+    monkeypatch.setattr(identities, "FAMILY_SERIES", dict(identities.FAMILY_SERIES, DE1=off_at_5))
+    report = verify_relation("cor1", 20)
+    assert report.status == "fail" and report.mismatch[0] == 5
+    assert report.checked == 5  # n = 1..5
+
+    def broken(order):
+        raise RuntimeError("family build failed")
+
+    monkeypatch.setattr(identities, "FAMILY_SERIES", dict(identities.FAMILY_SERIES, DE1=broken))
+    reports = {r.id: r for r in verify_all(20)}
+    assert reports["cor1"].status == "error" and reports["cor1"].checked == 0
 
 
 @pytest.mark.parametrize("kind", RELATION_KINDS)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -196,6 +197,32 @@ def test_enumeration_matches_filtered_brute_force():
         assert len(set(got)) == len(got)
 
 
+LARGEST_SHAPES = [
+    ("any", "any"),
+    ("odd", "any"),
+    ("odd", "at_least_two"),
+    ("odd", "exactly_one"),
+]
+
+
+@pytest.mark.parametrize("distinct_even", [False, True])
+@pytest.mark.parametrize("parity,mult", LARGEST_SHAPES)
+def test_count_oracle_walk_matches_enumeration(distinct_even, parity, mult):
+    # The grid includes an even smallest part under distinct_even and a
+    # smallest part that the modulus excludes, where the trailing run of the
+    # smallest part must not be taken.  Up to n = 12 both walks are also
+    # checked against filtering every partition with the direct predicate.
+    filtered_to = 12
+    every = [[Partition(t) for t in all_partitions(n)] for n in range(filtered_to + 1)]
+    for modulus, min_part in itertools.product([None, 2, 3, 4, 5, 6], range(1, 6)):
+        spec = ConstraintSpec(distinct_even, parity, mult, modulus, min_part)
+        for n in range(-1, 23):
+            count = count_oracle(n, spec)
+            assert count == len(enumerate_partitions(n, spec)), (spec, n)
+            if 0 <= n <= filtered_to:
+                assert count == sum(satisfies(p, spec) for p in every[n]), (spec, n)
+
+
 def test_enumeration_is_lex_decreasing_and_valid():
     for family, spec in FAMILY_SPECS.items():
         for n in range(0, 22):
@@ -228,6 +255,14 @@ def test_gf_zero_constant_terms():
 
 def test_oracle_series_agreement_to_40():
     order = 40
+    for family, spec in FAMILY_SPECS.items():
+        series = FAMILY_SERIES[family](order)
+        for n in range(order + 1):
+            assert series.coeff(n) == count_oracle(n, spec), (family, n)
+
+
+def test_oracle_series_agreement_to_50():
+    order = 50
     for family, spec in FAMILY_SPECS.items():
         series = FAMILY_SERIES[family](order)
         for n in range(order + 1):
