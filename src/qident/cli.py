@@ -13,6 +13,7 @@ from typing import List, Optional
 
 from .identities import (
     NEGATIVE_CONTROL_EXPONENT,
+    RELATION_FIRST_N,
     RELATION_KINDS,
     RELATION_STATEMENTS,
     IdentityBuildError,
@@ -147,12 +148,19 @@ def cmd_verify(config: CliConfig, target: str, use_oracle: bool) -> int:
             f"negative-control perturbs q^{NEGATIVE_CONTROL_EXPONENT} and can only "
             f"fail at --order >= {NEGATIVE_CONTROL_EXPONENT} (got {config.order})"
         )
+    relation_order = min(config.order, config.oracle_limit) if use_oracle else config.order
+    if target in RELATION_KINDS and relation_order < RELATION_FIRST_N[target]:
+        first = RELATION_FIRST_N[target]
+        limits = "--order and --oracle-limit" if use_oracle else "--order"
+        return _fail(
+            f"{target} holds for n >= {first} and would compare nothing: "
+            f"needs {limits} >= {first} (got {relation_order})"
+        )
     try:
         if target == "all":
             reports = verify_all(config.order)
         elif target in RELATION_KINDS:
-            order = min(config.order, config.oracle_limit) if use_oracle else config.order
-            reports = [verify_relation(target, order, use_oracle=use_oracle)]
+            reports = [verify_relation(target, relation_order, use_oracle=use_oracle)]
         else:
             case = negative_control() if target == "negative-control" else find_case(target)
             if case is None:

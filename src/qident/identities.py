@@ -43,6 +43,9 @@ Builder = Callable[[int], TruncatedSeries]
 
 RELATION_KINDS = ("cor1", "cor2", "cor3", "cor4")
 
+RELATION_FIRST_N = {"cor1": 1, "cor2": 1, "cor3": 2, "cor4": 2}
+"""The smallest n each relation holds for; an order below it compares nothing."""
+
 RELATION_STATEMENTS = {
     "cor1": "DE1(n) + DE1(n-1) = #(4-regular partitions of n), n >= 1",
     "cor2": "DE2(n) + DE2(n-3) = #(4-regular partitions of n, parts > 1), n >= 1",
@@ -184,10 +187,10 @@ def _asv_rhs(step: int, a: QMonomial, b: QMonomial, order: int) -> TruncatedSeri
     # Q/b = sb*q^d; over the common pole the numerator is
     # sb*q^d * (a;Q)_inf/(b;Q)_inf + 1 - sb*q^d.
     d = step - b.exp
-    ratio = times_binomials(
-        [1] + [0] * order, poch_binomials(a, step, order), poch_binomials(b, step, order)
+    ratio = binomial_quotient(
+        order, poch_binomials(a, step, order), poch_binomials(b, step, order)
     )
-    cs = ([0] * d + [b.sign * c for c in ratio])[: order + 1]
+    cs = ([0] * d + [b.sign * c for c in ratio.coeffs])[: order + 1]
     cs[0] += 1
     if d <= order:
         cs[d] -= b.sign
@@ -426,27 +429,28 @@ def _family_counts(family: str, up_to: int, use_oracle: bool) -> List[int]:
 
 
 def _relation_triples(kind: str, order: int, use_oracle: bool) -> Iterator[Tuple[int, int, int]]:
+    ns = range(RELATION_FIRST_N[kind], order + 1)
     if kind == "cor1":
         de1 = _family_counts("DE1", order, use_oracle)
         b4 = _family_counts("regular4", order, use_oracle)
-        return ((n, de1[n] + de1[n - 1], b4[n]) for n in range(1, order + 1))
+        return ((n, de1[n] + de1[n - 1], b4[n]) for n in ns)
     elif kind == "cor2":
         de2 = _family_counts("DE2", order, use_oracle)
         c4 = _family_counts("regular4min2", order, use_oracle)
         return (
             (n, de2[n] + (de2[n - 3] if n >= 3 else 0), c4[n])
-            for n in range(1, order + 1)
+            for n in ns
         )
     elif kind == "cor3":
         de3 = _family_counts("DE3", order + 2, use_oracle)
         b4 = _family_counts("regular4", order, use_oracle)
-        return ((n, de3[n + 2] + de3[n - 1], b4[n]) for n in range(2, order + 1))
+        return ((n, de3[n + 2] + de3[n - 1], b4[n]) for n in ns)
     else:  # cor4
         de3 = _family_counts("DE3", order + 2, use_oracle)
         de1 = _family_counts("DE1", order, use_oracle)
         return (
             (n, de3[n + 2] + de3[n - 1], de1[n] + de1[n - 1])
-            for n in range(2, order + 1)
+            for n in ns
         )
 
 

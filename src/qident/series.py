@@ -12,6 +12,7 @@ needs and keeps convergence of the truncated infinite product decidable.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Iterable, List, Optional, Tuple
@@ -275,6 +276,12 @@ def _check_binomial(sign: int, e: int) -> None:
         raise ValueError(f"exponent must be nonnegative, got {e}")
 
 
+def _check_divisor(sign: int, e: int) -> None:
+    _check_binomial(sign, e)
+    if e == 0:
+        raise ValueError(f"1 - ({sign})*q^0 = {1 - sign} is not a unit")
+
+
 def _alternating_step(total: int, c: int) -> int:
     return c - total
 
@@ -301,9 +308,7 @@ def div_binomial(cs: List[int], sign: int, e: int) -> None:
     Each c[k] gains sign*c[k-e] of the new list: an ascending update.  The
     divisor must be a unit, so e = 0 is refused as ``invert`` refuses it.
     """
-    _check_binomial(sign, e)
-    if e == 0:
-        raise ValueError(f"1 - ({sign})*q^0 = {1 - sign} is not a unit")
+    _check_divisor(sign, e)
     n = len(cs)
     if e * e < n:
         # Few long residue classes mod e, each a running sum (alternating
@@ -334,8 +339,23 @@ def times_binomials(
 def binomial_quotient(
     order: int, num: Iterable[Binomial] = (), den: Iterable[Binomial] = ()
 ) -> TruncatedSeries:
-    """The product of the binomials in num over the product of those in den."""
-    return TruncatedSeries(times_binomials([1] + [0] * order, num, den), order)
+    """The product of the binomials in num over the product of those in den.
+
+    Every binomial is validated first, as ``mul_binomial``/``div_binomial``
+    would; then a binomial in both lists cancels (as often as it appears in
+    both) and only the rest is applied.  So (q^4;q^4)_inf/(q;q)_inf divides
+    by the 3N/4 factors the numerator does not share and multiplies by none.
+    """
+    num, den = Counter(num), Counter(den)
+    for sign, e in num:
+        _check_binomial(sign, e)
+    for sign, e in den:
+        _check_divisor(sign, e)
+    shared = num & den
+    cs = times_binomials(
+        [1] + [0] * order, (num - shared).elements(), (den - shared).elements()
+    )
+    return TruncatedSeries(cs, order)
 
 
 def poch_binomials(
@@ -357,25 +377,35 @@ def ratio_sum(
     num: Callable[[int], Iterable[Binomial]],
     den: Callable[[int], Iterable[Binomial]],
 ) -> TruncatedSeries:
-    """sum_{n>=0} q^exp(n) * T_n modulo q^(order+1), one running list for T_n.
+    """sum_{n>=0} q^exp(n) * T_n modulo q^(order+1), evaluated in Horner form.
 
     T_0 is the binomials start[0] over start[1], and
     T_(n+1) = T_n * prod num(n) / prod den(n).  exp must be strictly
-    increasing: the sum stops at the first exp(n) above the order, and T_n is
-    only kept to the order the shift q^exp(n) leaves room for.
+    increasing; the sum stops at the last exponent e_M = exp(M) <= order.
+    With R_n = prod num(n) / prod den(n) the sum is q^e_0 * T_0 * H_0, where
+
+        H_M = 1,    H_n = 1 + q^(e_(n+1) - e_n) * R_n * H_(n+1),
+
+    so H_n is the tail sum divided by q^e_n * T_n.  Each H_n is kept to
+    length order - e_n + 1, the room its shift leaves; R_n is applied in
+    place to H_(n+1) at that list's own length, and the shift and the 1 are
+    one list concatenation, so no step pays a separate pass to add a term.
     """
-    total = [0] * (order + 1)
-    term = times_binomials([1] + [0] * order, *start)
-    n, e = 0, exp(0)
+    es = []
+    e = exp(0)
     while e <= order:
-        total[e:] = [a + b for a, b in zip(total[e:], term)]
-        e_next = exp(n + 1)
-        if e_next > order:
-            break
-        del term[order + 1 - e_next :]
-        times_binomials(term, num(n), den(n))
-        n, e = n + 1, e_next
-    return TruncatedSeries(total, order)
+        es.append(e)
+        e = exp(len(es))
+    if not es:
+        # Nothing to sum; applying start to an empty list still validates it.
+        times_binomials([], *start)
+        return TruncatedSeries.zero(order)
+    h = [1] + [0] * (order - es[-1])
+    for n in range(len(es) - 2, -1, -1):
+        times_binomials(h, num(n), den(n))
+        h = [1] + [0] * (es[n + 1] - es[n] - 1) + h
+    times_binomials(h, *start)
+    return TruncatedSeries([0] * es[0] + h, order)
 
 
 def poch_finite(a: QMonomial, step: int, n: int, order: int) -> TruncatedSeries:

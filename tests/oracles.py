@@ -70,3 +70,22 @@ def pentagonal_euler_coeffs(order):
                 cs[e] += sign
         k += 1
     return cs
+
+
+def partition_numbers(order):
+    """p(0..order) by Euler's pentagonal recurrence.
+
+    p(n) = sum over k >= 1 of (-1)^(k+1) * (p(n - k(3k-1)/2) + p(n - k(3k+1)/2)),
+    the coefficient identity behind 1/(q;q)_inf = sum p(n) q^n.
+    """
+    p = [1] + [0] * order
+    for n in range(1, order + 1):
+        acc, k = 0, 1
+        while k * (3 * k - 1) // 2 <= n:
+            sign = 1 if k % 2 else -1
+            acc += sign * p[n - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= n:
+                acc += sign * p[n - k * (3 * k + 1) // 2]
+            k += 1
+        p[n] = acc
+    return p

@@ -171,6 +171,27 @@ def test_verify_relation_with_oracle(capsys):
     assert "cor2" in out and "pass" in out
 
 
+@pytest.mark.parametrize(
+    "argv, first",
+    [
+        (["cor1", "--order", "0"], 1),
+        (["cor3", "--order", "1"], 2),
+        (["cor3", "--oracle", "--oracle-limit", "1"], 2),
+    ],
+)
+def test_verify_relation_refuses_empty_range(capsys, argv, first):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert f"n >= {first}" in err and "--order" in err
+    assert f">= {first} (got {first - 1})" in err
+
+
+def test_verify_relation_at_its_first_n(capsys):
+    code, out, _ = run(capsys, "verify", "cor3", "--order", "2", "--machine")
+    assert code == 0
+    assert out.split(",")[:4] == ["cor3", "2", "pass", ""]
+
+
 def test_verify_machine_stable_across_runs(capsys):
     outputs = []
     for _ in range(2):

@@ -1,25 +1,35 @@
 """The binomial kernel against the schoolbook operations, and the builders on it.
 
 ``mul_binomial``/``div_binomial`` must agree with ``TruncatedSeries.__mul__``
-and ``invert()``; ``ratio_sum`` must agree with the sum built term by term
-with dense operations; and every builder must commute with truncation, which
-pins the ``exp(n) <= order`` stop conditions of the sums.
+and ``invert()``; ``binomial_quotient`` must agree with the same binomials
+applied one by one, uncancelled; ``ratio_sum`` must agree with the sum built
+term by term with dense operations; and every builder must commute with
+truncation, which pins the ``exp(n) <= order`` stop conditions of the sums.
+Every builder's output is pinned by recorded digests, and the deep checks
+compare builders against references that use no builder at all.
 """
+
+import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
-from qident.identities import registry
-from qident.partitions import FAMILY_SERIES
+from qident.identities import find_case, registry
+from qident.partitions import FAMILY_SERIES, gf_ped, gf_regular4
 from qident.series import (
     QMonomial,
     TruncatedSeries,
+    binomial_quotient,
     div_binomial,
     mul_binomial,
+    poch_binomials,
     poch_infinite,
     ratio_sum,
+    times_binomials,
 )
 
-from oracles import pentagonal_euler_coeffs
+from oracles import partition_numbers, pentagonal_euler_coeffs
 
 
 def binomial(sign, e, order):
@@ -115,6 +125,94 @@ def test_ratio_sum_matches_dense_sum():
     check()
 
 
+def test_binomial_quotient_matches_uncancelled_product():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # A small pool, so that num and den often share binomials, repeats included;
+    # (-1, 0) multiplies by 2 and may only appear in num.
+    pool = [(1, 1), (-1, 1), (1, 2), (-1, 2), (1, 3), (1, 7)]
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(
+        order=st.integers(0, 12),
+        num=st.lists(st.sampled_from(pool + [(-1, 0)]), max_size=6),
+        den=st.lists(st.sampled_from(pool), max_size=6),
+    )
+    def check(order, num, den):
+        got = binomial_quotient(order, num, den)
+        assert list(got.coeffs) == times_binomials([1] + [0] * order, num, den)
+
+        want = TruncatedSeries.one(order)
+        for sign, e in num:
+            want = want * binomial(sign, e, order)
+        for sign, e in den:
+            want = want * binomial(sign, e, order).invert()
+        assert got == want
+
+    check()
+
+
+def test_binomial_quotient_validates_before_cancelling():
+    with pytest.raises(ValueError):  # 1 - q^0 = 0 is no divisor, shared or not
+        binomial_quotient(5, [(1, 0)], [(1, 0)])
+    with pytest.raises(ValueError):
+        binomial_quotient(5, [(2, 1)], [(2, 1)])
+    with pytest.raises(ValueError):
+        binomial_quotient(5, [(1, -1)], [(1, -1)])
+    with pytest.raises(ValueError):
+        binomial_quotient(5, [(2, 1)])
+    with pytest.raises(ValueError):
+        binomial_quotient(5, (), [(-1, 0)])
+
+
+def test_qbinomial_rhs_cancels_to_the_uncancelled_list():
+    # (q^2;q)_inf / (q;q)_inf: every factor but 1 - q cancels.
+    order = 200
+    num = poch_binomials(QMonomial(1, 2), 1, order)
+    den = poch_binomials(QMonomial(1, 1), 1, order)
+    got = binomial_quotient(order, num, den)
+    assert list(got.coeffs) == times_binomials([1] + [0] * order, num, den)
+    assert got.coeffs == (1,) * (order + 1)
+    assert got == find_case("qbinomial-aq-zq").rhs(order)
+
+
+def test_ratio_sum_with_first_exponent_above_order_is_zero():
+    calls = []
+
+    def exp(n):
+        calls.append(n)
+        return 5 + n
+
+    start = ([(1, 1)], [(1, 2)])
+    got = ratio_sum(3, exp, start, lambda n: [(1, 1)], lambda n: [(1, 2)])
+    assert got == TruncatedSeries.zero(3)
+    assert calls == [0]
+    for bad_start in (((2, 1),), ()), ((), ((1, 0),)):
+        with pytest.raises(ValueError):
+            ratio_sum(3, exp, bad_start, lambda n: (), lambda n: ())
+
+
+def test_ratio_sum_evaluates_each_n_once():
+    seen = {"exp": [], "num": [], "den": []}
+
+    def record(name, value):
+        def f(n):
+            seen[name].append(n)
+            return value(n)
+        return f
+
+    ratio_sum(
+        7,
+        record("exp", lambda n: 2 * n),
+        ((), ()),
+        record("num", lambda n: [(1, n + 1)]),
+        record("den", lambda n: [(-1, n + 1)]),
+    )
+    # exponents 0, 2, 4, 6 are in range and exp(4) = 8 ends the sum
+    assert seen["exp"] == [0, 1, 2, 3, 4]
+    assert sorted(seen["num"]) == sorted(seen["den"]) == [0, 1, 2]
+
+
 COHERENCE_ORDERS = ((40, 0), (40, 1), (40, 2), (40, 3), (40, 7), (123, 40))
 
 
@@ -135,3 +233,47 @@ def test_family_builders_commute_with_truncation(family):
 def test_euler_product_matches_pentagonal_theorem_to_1000():
     euler = poch_infinite(QMonomial(1, 1), 1, 1000)
     assert list(euler.coeffs) == pentagonal_euler_coeffs(1000)
+
+
+def test_regular4_matches_partition_numbers_to_1000():
+    # (q^4;q^4)_inf / (q;q)_inf = (sum p(n) q^n) * (Euler product at q^4)
+    order = 1000
+    p = partition_numbers(order)
+    euler4 = [(4 * j, c) for j, c in enumerate(pentagonal_euler_coeffs(order // 4)) if c]
+    want = [sum(c * p[n - e] for e, c in euler4 if e <= n) for n in range(order + 1)]
+    assert list(gf_regular4(order).coeffs) == want
+
+
+def test_ped_satisfies_andrews_hirschhorn_sellers_congruences():
+    # ped(9n+4) = 0 (mod 4) and ped(9n+7) = 0 (mod 12)
+    ped = gf_ped(400).coeffs
+    assert ped[4] == 4 and ped[7] == 12
+    assert all(ped[k] % 4 == 0 for k in range(4, 401, 9))
+    assert all(ped[k] % 12 == 0 for k in range(7, 401, 9))
+
+
+DIGESTS = json.loads(Path(__file__).with_name("builder_digests.json").read_text())
+
+
+def _builders():
+    for family in sorted(FAMILY_SERIES):
+        yield f"family:{family}", FAMILY_SERIES[family]
+    for case in registry():
+        yield f"{case.id}:lhs", case.lhs
+        yield f"{case.id}:rhs", case.rhs
+
+
+def _digest(build):
+    h = hashlib.sha256()
+    for order in DIGESTS["orders"]:
+        h.update(hashlib.sha256(repr(list(build(order).coeffs)).encode()).digest())
+    return h.hexdigest()
+
+
+def test_builders_match_recorded_digests():
+    # Byte-identity guard: any change to the kernel or a builder that moves a
+    # single coefficient, at any recorded order, changes that builder's digest.
+    recorded = DIGESTS["digests"]
+    got = {name: _digest(build) for name, build in _builders()}
+    assert sorted(got) == sorted(recorded)
+    assert [name for name in recorded if got[name] != recorded[name]] == []
