@@ -143,6 +143,11 @@ def _print_reports(config: CliConfig, reports: List[VerificationReport]) -> None
 
 
 def cmd_verify(config: CliConfig, target: str, use_oracle: bool) -> int:
+    if use_oracle and target not in RELATION_KINDS:
+        return _fail(
+            f"verify {target!r} takes no --oracle: only the counting relations "
+            f"{', '.join(RELATION_KINDS)} can be re-checked by enumeration"
+        )
     if target == "negative-control" and config.order < NEGATIVE_CONTROL_EXPONENT:
         return _fail(
             f"negative-control perturbs q^{NEGATIVE_CONTROL_EXPONENT} and can only "
@@ -271,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--oracle",
         action="store_true",
-        help="for cor1..cor4: use brute-force counts (capped by --oracle-limit)",
+        help="cor1..cor4 only: use brute-force counts (capped by --oracle-limit)",
     )
 
     p = sub.add_parser("table", parents=[common], help="tabulate counts and paired sums up to max_n")

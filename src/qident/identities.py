@@ -12,9 +12,9 @@ replacing the series coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from time import perf_counter
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .partitions import (
     FAMILY_SERIES,
@@ -131,8 +131,17 @@ def _help_sum(order: int, min_exp, finite_len) -> TruncatedSeries:
     """sum over n of q^min_exp(n) * (q^(4n+4);q^4)_inf * (q;q)_finite_len(n).
 
     From term n to term n+1 the infinite tail loses its first factor
-    1 - q^(4n+4), divided out, and the finite product gains its new factors.
+    1 - q^(4n+4), divided out, and the finite product gains its new factors,
+    one of which is 1 - q^(2n+2).  Their quotient is 1/(1 + q^(2n+2)), a
+    difference of squares, so the step applies that and the other new factors.
     """
+
+    def num(n: int) -> List[Binomial]:
+        new = range(finite_len(n) + 1, finite_len(n + 1) + 1)
+        if 2 * n + 2 not in new:
+            raise ValueError(f"step {n} adds (q;q) factors {list(new)}, without 1 - q^{2 * n + 2}")
+        return [(1, m) for m in new if m != 2 * n + 2]
+
     return ratio_sum(
         order,
         min_exp,
@@ -141,8 +150,8 @@ def _help_sum(order: int, min_exp, finite_len) -> TruncatedSeries:
             + poch_binomials(QMonomial(1, 1), 1, order, finite_len(0)),
             (),
         ),
-        num=lambda n: [(1, m) for m in range(finite_len(n) + 1, finite_len(n + 1) + 1)],
-        den=lambda n: [(1, 4 * n + 4)],
+        num=num,
+        den=lambda n: [(-1, 2 * n + 2)],
     )
 
 
@@ -260,8 +269,10 @@ def registry() -> List[IdentityCase]:
         IdentityCase(
             id="ped-eq-4regular",
             description="distinct-even-part count equals the 4-regular count",
-            lhs=gf_ped,
-            rhs=gf_regular4,
+            # Looked up at call time, as in every case: the map find_case
+            # keeps must not pin a builder that a caller has since replaced.
+            lhs=lambda order: gf_ped(order),
+            rhs=lambda order: gf_regular4(order),
             statement="(-q^2;q^2)_inf/(q;q^2)_inf = (q^4;q^4)_inf/(q;q)_inf",
         )
     ]
@@ -374,11 +385,14 @@ def registry_ids() -> List[str]:
     return [case.id for case in registry()]
 
 
+@lru_cache(maxsize=None)
+def _cases_by_id() -> Dict[str, IdentityCase]:
+    """Every registry case by id, built once; it holds definitions, never series."""
+    return {case.id: case for case in registry()}
+
+
 def find_case(case_id: str) -> Optional[IdentityCase]:
-    for case in registry():
-        if case.id == case_id:
-            return case
-    return None
+    return _cases_by_id().get(case_id)
 
 
 NEGATIVE_CONTROL_EXPONENT = 50

@@ -345,6 +345,15 @@ def binomial_quotient(
     would; then a binomial in both lists cancels (as often as it appears in
     both) and only the rest is applied.  So (q^4;q^4)_inf/(q;q)_inf divides
     by the 3N/4 factors the numerator does not share and multiplies by none.
+
+    The rest is applied from the largest exponent down, keeping the list
+    zero at 1..lo-1, where lo is the smallest exponent applied so far.  A
+    factor 1 - s*q^e with e <= lo then changes only coefficient e (by -s)
+    and indices >= lo + e when it multiplies; when it divides, it sets the
+    multiples j*e below lo to s^j, adds s^j to the one in [lo, lo + e) and
+    updates indices >= lo + e.  Either way the index range >= lo + e is
+    ``mul_binomial``/``div_binomial`` on the tail from lo, so a factor above
+    N/2 costs O(1) and (q;q)_inf costs about N^2/4 updates, not N^2/2.
     """
     num, den = Counter(num), Counter(den)
     for sign, e in num:
@@ -352,9 +361,29 @@ def binomial_quotient(
     for sign, e in den:
         _check_divisor(sign, e)
     shared = num & den
-    cs = times_binomials(
-        [1] + [0] * order, (num - shared).elements(), (den - shared).elements()
+    factors = sorted(
+        [(e, sign, False) for sign, e in (num - shared).elements() if e <= order]
+        + [(e, sign, True) for sign, e in (den - shared).elements() if e <= order],
+        reverse=True,
     )
+    cs = [1] + [0] * order
+    lo = order + 1  # cs[1:lo] is zero
+    for e, sign, divide in factors:
+        if e == 0:  # only in num, and last: 1 - sign scales every coefficient
+            mul_binomial(cs, sign, 0)
+            continue
+        if divide:
+            j = -(-lo // e)  # j*e is the first multiple of e at or above lo
+            cs[e : j * e : e] = [sign**i for i in range(1, j)]
+            if j * e <= order:
+                cs[j * e] += sign**j
+        if lo + e <= order:
+            tail = cs[lo:]
+            (div_binomial if divide else mul_binomial)(tail, sign, e)
+            cs[lo:] = tail
+        if not divide:
+            cs[e] -= sign  # after the tail, which reads the old cs[lo] when e == lo
+        lo = e
     return TruncatedSeries(cs, order)
 
 

@@ -172,6 +172,16 @@ def test_verify_relation_with_oracle(capsys):
 
 
 @pytest.mark.parametrize(
+    "target", ["all", "main-1", "ped-eq-4regular", "negative-control", "bogus-id"]
+)
+def test_verify_refuses_oracle_outside_relations(capsys, target):
+    # Only cor1..cor4 have an enumeration backend; the flag must not be a no-op.
+    code, out, err = run(capsys, "verify", target, "--oracle", "--order", "60", "--machine")
+    assert code == 2 and out == ""
+    assert "--oracle" in err and "cor1, cor2, cor3, cor4" in err and repr(target) in err
+
+
+@pytest.mark.parametrize(
     "argv, first",
     [
         (["cor1", "--order", "0"], 1),

@@ -70,6 +70,24 @@ def test_help1_agrees_to_100():
     assert case.lhs(100).first_mismatch(case.rhs(100)) is None
 
 
+def test_help_sum_refuses_a_step_without_its_difference_of_squares_factor():
+    # A step divides by 1 + q^(2n+2) in place of (1 - q^(2n+2))/(1 - q^(4n+4)),
+    # so 1 - q^(2n+2) must be among the (q;q) factors the step adds.
+    with pytest.raises(ValueError, match=r"without 1 - q\^6"):
+        identities._help_sum(6, lambda n: 2 * n, lambda n: 3 * n)
+
+
+def test_find_case_looks_up_one_map_of_definitions(monkeypatch):
+    ids = registry_ids()
+    assert [find_case(case_id).id for case_id in ids] == ids
+    assert find_case("main-1") is find_case("main-1")
+    assert find_case("negative-control") is None and find_case("bogus") is None
+    # The map holds definitions, not builders fixed at its first lookup.
+    monkeypatch.setattr(identities, "gf_ped", lambda order: TruncatedSeries.zero(order))
+    assert find_case("ped-eq-4regular").lhs(5) == TruncatedSeries.zero(5)
+    assert negative_control().lhs(5) == TruncatedSeries.zero(5)
+
+
 def test_forged_case_fails_at_exponent_two():
     forged = IdentityCase(
         id="forged",

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from qident import series
 from qident.identities import find_case, registry
 from qident.partitions import FAMILY_SERIES, gf_ped, gf_regular4
 from qident.series import (
@@ -128,17 +129,27 @@ def test_ratio_sum_matches_dense_sum():
 def test_binomial_quotient_matches_uncancelled_product():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    # A small pool, so that num and den often share binomials, repeats included;
-    # (-1, 0) multiplies by 2 and may only appear in num.
-    pool = [(1, 1), (-1, 1), (1, 2), (-1, 2), (1, 3), (1, 7)]
 
-    @hypothesis.settings(max_examples=300, deadline=None)
-    @hypothesis.given(
-        order=st.integers(0, 12),
-        num=st.lists(st.sampled_from(pool + [(-1, 0)]), max_size=6),
-        den=st.lists(st.sampled_from(pool), max_size=6),
-    )
-    def check(order, num, den):
+    @st.composite
+    def quotients(draw):
+        # A few exponents spread over 1..order+2, so that num and den often
+        # share binomials, and factors above the order, gaps, repeats and
+        # same-exponent pairs of opposite sign all turn up; (1, 0) multiplies
+        # by 0 and (-1, 0) by 2, and both may only appear in num.
+        order = draw(st.one_of(st.sampled_from([0, 1, 2]), st.integers(3, 40)))
+        exps = draw(st.lists(st.integers(1, order + 2), min_size=1, max_size=5))
+        pool = [(sign, e) for sign in (1, -1) for e in exps]
+        num = draw(st.lists(st.sampled_from(pool + [(1, 0), (-1, 0)]), max_size=8))
+        den = draw(st.lists(st.sampled_from(pool), max_size=8))
+        return order, num, den
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(quotients())
+    @hypothesis.example((5, [(1, 5)], [(-1, 5)]))
+    @hypothesis.example((12, [(1, 5), (-1, 2)], [(1, 3), (-1, 3), (-1, 5)]))
+    @hypothesis.example((2, [(-1, 0), (1, 1)], [(1, 2), (1, 4)]))
+    def check(case):
+        order, num, den = case
         got = binomial_quotient(order, num, den)
         assert list(got.coeffs) == times_binomials([1] + [0] * order, num, den)
 
@@ -150,6 +161,33 @@ def test_binomial_quotient_matches_uncancelled_product():
         assert got == want
 
     check()
+
+
+def test_descending_product_updates_a_quarter_of_the_square(monkeypatch):
+    # Each kernel call on a list of length L at exponent e updates max(L - e, 0)
+    # coefficients; applied ascending to the whole list, (q;q)_inf to order 600
+    # costs 600*601/2 = 180,300 of them.
+    updates = 0
+
+    def counting(kernel):
+        def wrapped(cs, sign, e):
+            nonlocal updates
+            updates += max(len(cs) - e, 0)
+            kernel(cs, sign, e)
+
+        return wrapped
+
+    monkeypatch.setattr(series, "mul_binomial", counting(series.mul_binomial))
+    monkeypatch.setattr(series, "div_binomial", counting(series.div_binomial))
+    order = 600
+    euler = poch_binomials(QMonomial(1, 1), 1, order)
+    for num, den, want in (
+        (euler, (), pentagonal_euler_coeffs(order)),
+        ((), euler, partition_numbers(order)),
+    ):
+        updates = 0
+        assert list(binomial_quotient(order, num, den).coeffs) == want
+        assert 0 < updates <= order**2 // 4 + 2 * order
 
 
 def test_binomial_quotient_validates_before_cancelling():
