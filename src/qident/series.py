@@ -18,6 +18,12 @@ from itertools import accumulate
 from typing import Callable, Iterable, List, Optional, Tuple
 
 
+def check_int(name: str, value) -> None:
+    """Raise TypeError unless value is exactly an int (bool is an int subclass)."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be int, got {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class QMonomial:
     """A signed power of q: ``sign * q**exp`` with sign in {+1, -1}."""
@@ -61,6 +67,8 @@ class TruncatedSeries:
             if not cs:
                 raise ValueError("empty coefficient list needs an explicit order")
             order = len(cs) - 1
+        else:
+            check_int("order", order)
         if order < 0:
             raise ValueError(f"order must be nonnegative, got {order}")
         if len(cs) < order + 1:
@@ -135,8 +143,7 @@ class TruncatedSeries:
 
     def scale(self, c: int) -> "TruncatedSeries":
         """Multiply every coefficient by the integer c."""
-        if not isinstance(c, int):
-            raise TypeError("scale factor must be int")
+        check_int("scale factor", c)
         return TruncatedSeries([c * a for a in self.coeffs], self.order)
 
     def shift(self, e: int) -> "TruncatedSeries":

@@ -2,6 +2,7 @@ import pytest
 
 from qident import identities
 from qident.identities import (
+    RELATION_FIRST_N,
     RELATION_KINDS,
     IdentityBuildError,
     IdentityCase,
@@ -203,6 +204,48 @@ def test_relations_hold_via_series_to_200(kind):
 def test_relations_hold_via_oracle_to_40(kind):
     report = verify_relation(kind, 40, use_oracle=True)
     assert report.passed, report.mismatch
+
+
+@pytest.mark.parametrize("kind", RELATION_KINDS)
+def test_oracle_relations_build_no_series(kind, monkeypatch):
+    def refuse(order):
+        raise RuntimeError("an oracle relation built a series")
+
+    monkeypatch.setattr(identities, "FAMILY_SERIES", {f: refuse for f in identities.FAMILY_SERIES})
+    for order in (30, 50):
+        report = verify_relation(kind, order, use_oracle=True)
+        assert report.passed, report.mismatch
+        assert report.checked == order + 1 - RELATION_FIRST_N[kind]
+
+
+def test_verify_refuses_non_int_order_before_building():
+    built = []
+
+    def record(order):
+        built.append(order)
+        return TruncatedSeries.zero(order)
+
+    case = IdentityCase("probe", "records every build", record, record, "0 = 0")
+    for order in (True, 2.0):
+        with pytest.raises(TypeError):
+            verify(case, order)
+    assert built == []
+
+
+def test_verify_relation_refuses_non_int_order_before_building(monkeypatch):
+    built = []
+
+    def record(*args):
+        built.append(args)
+        raise RuntimeError("no build expected")
+
+    monkeypatch.setattr(identities, "FAMILY_SERIES", {f: record for f in identities.FAMILY_SERIES})
+    for kind in RELATION_KINDS:
+        for order in (True, 3.0):
+            for use_oracle in (False, True):
+                with pytest.raises(TypeError):
+                    verify_relation(kind, order, use_oracle=use_oracle)
+    assert built == []
 
 
 def test_relation_examples():

@@ -9,6 +9,7 @@ from qident.partitions import (
     FAMILY_SPECS,
     Partition,
     count_oracle,
+    count_oracle_table,
     enumerate_partitions,
     gf_de1,
     gf_de2,
@@ -211,16 +212,23 @@ def test_count_oracle_walk_matches_enumeration(distinct_even, parity, mult):
     # The grid includes an even smallest part under distinct_even and a
     # smallest part that the modulus excludes, where the trailing run of the
     # smallest part must not be taken.  Up to n = 12 both walks are also
-    # checked against filtering every partition with the direct predicate.
+    # checked against filtering every partition with the direct predicate,
+    # and the one-walk table against the per-n counts.
     filtered_to = 12
     every = [[Partition(t) for t in all_partitions(n)] for n in range(filtered_to + 1)]
     for modulus, min_part in itertools.product([None, 2, 3, 4, 5, 6], range(1, 6)):
         spec = ConstraintSpec(distinct_even, parity, mult, modulus, min_part)
+        counts = []
         for n in range(-1, 23):
             count = count_oracle(n, spec)
             assert count == len(enumerate_partitions(n, spec)), (spec, n)
             if 0 <= n <= filtered_to:
                 assert count == sum(satisfies(p, spec) for p in every[n]), (spec, n)
+            if n >= 0:
+                counts.append(count)
+        assert count_oracle_table(22, spec) == counts, spec
+        for up_to in range(-1, 4):
+            assert count_oracle_table(up_to, spec) == counts[: up_to + 1], (spec, up_to)
 
 
 def test_enumeration_is_lex_decreasing_and_valid():
@@ -267,6 +275,19 @@ def test_oracle_series_agreement_to_50():
         series = FAMILY_SERIES[family](order)
         for n in range(order + 1):
             assert series.coeff(n) == count_oracle(n, spec), (family, n)
+        assert count_oracle_table(order, spec) == list(series.coeffs), family
+
+
+def test_count_oracle_refuses_non_int_n():
+    for n in (True, 3.0):
+        with pytest.raises(TypeError):
+            count_oracle(n, FAMILY_SPECS["DE1"])
+
+
+def test_count_oracle_table_refuses_non_int_up_to():
+    for up_to in (True, 3.0):
+        with pytest.raises(TypeError):
+            count_oracle_table(up_to, FAMILY_SPECS["DE1"])
 
 
 def test_ped_equals_regular4_to_200():

@@ -62,6 +62,12 @@ def test_constructor_pads_and_truncates():
         TruncatedSeries([1], -1)
 
 
+def test_constructor_refuses_non_int_order():
+    for order in (True, False, 2.0):
+        with pytest.raises(TypeError):
+            TruncatedSeries([1, 2], order)
+
+
 def test_immutable():
     s = ts(1, 2, 3)
     with pytest.raises(AttributeError):
@@ -85,6 +91,12 @@ def test_int_operands():
 
 def test_scale():
     assert ts(1, 1, 1).scale(-3) == ts(-3, -3, -3)
+
+
+def test_scale_refuses_non_int_factor():
+    for c in (True, 2.0):
+        with pytest.raises(TypeError):
+            ts(1, 1).scale(c)
 
 
 def test_shift():
