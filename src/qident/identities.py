@@ -476,8 +476,8 @@ def verify_relation(kind: str, order: int, use_oracle: bool = False) -> Verifica
     The fast path reads counts off the generating functions; with
     ``use_oracle`` every count comes from brute-force enumeration instead,
     one :func:`count_oracle_table` walk per family, which checks all four
-    relations to n = 50 in about 0.34 s and counts all six families to
-    n = 60 in about 1.3 s (2-core box, Python 3.11).  A mismatch reports
+    relations to n = 50 in about 0.18 s and counts all six families to
+    n = 60 in about 0.5 s (2-core box, Python 3.11).  A mismatch reports
     (n, left, right).
     A failing count builder raises :class:`IdentityBuildError`, as in
     :func:`verify`.

@@ -8,16 +8,22 @@ term by term out of the series module, never from the closed product forms
 confirm, so the builders must not assume them).
 
 Two walks count the enumerator's tree without building partitions, and each
-counted partition is still reached by its own path, with no memo:
+counted partition is still reached by its own path, with no memo.  Both read
+a plan built once per call, so a node does only list lookups: the allowed
+parts above the smallest part lo, largest first; the cap each part leaves
+for the parts after it; and, for every m, where the parts <= m start.
 
-- :func:`count_oracle` counts the leaves for one n, taking the trailing run
-  of the smallest part in one step.  It is the faster walk for a single n.
+- :func:`count_oracle` counts the leaves for one n.  A node with r left and
+  parts capped at c adds its leaf children in place, without a call: the
+  run of lo alone, the part r alone, and the part r - lo closed by one lo.
+  It descends only into parts k <= r - lo - 1, the ones that leave more
+  than lo.  It is the faster walk for a single n: the six families at
+  n = 50 take 0.03 s, against 0.13 s as tables.
 - :func:`count_oracle_table` counts every n up to a bound in one walk: each
   node is a partition of its running sum.  It visits every partition of
-  every m <= n, so for the six families at n = 40 it takes 1.4 times as long
-  as one ``count_oracle(40, spec)`` each, but it is about five times faster
-  than calling ``count_oracle`` for each n = 0..50 (0.30 s against 1.4 s on a
-  2-core box, Python 3.11), which is what a count sequence needs.
+  every m <= n, but that is still the faster way to a count sequence: the
+  six families for n = 0..50 take 0.13 s, against 0.21 s as
+  ``count_oracle`` calls for each n (2-core box, Python 3.11).
 
 Families, keyed as the CLI spells them:
 
@@ -37,7 +43,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from .series import (
     QMonomial,
@@ -60,6 +66,7 @@ class Partition:
 
     def __post_init__(self):
         for i, p in enumerate(self.parts):
+            check_int("part", p)
             if p < 1:
                 raise ValueError(f"parts must be positive, got {p}")
             if i and self.parts[i - 1] < p:
@@ -100,8 +107,11 @@ class ConstraintSpec:
             raise ValueError(
                 "largest_multiplicity constraints require largest_parity='odd'"
             )
-        if self.regular_modulus is not None and self.regular_modulus < 2:
-            raise ValueError("regular_modulus must be >= 2")
+        if self.regular_modulus is not None:
+            check_int("regular_modulus", self.regular_modulus)
+            if self.regular_modulus < 2:
+                raise ValueError("regular_modulus must be >= 2")
+        check_int("min_part", self.min_part)
         if self.min_part < 1:
             raise ValueError("min_part must be >= 1")
 
@@ -170,18 +180,37 @@ def _heads(n: int, spec: ConstraintSpec) -> Iterator[Tuple[Tuple[int, ...], int,
             yield (k,), n - k, cap
 
 
-def _run_completes(remaining: int, cap: int, spec: ConstraintSpec) -> bool:
-    # Whether remaining > 0 is exactly a run of the smallest allowed part.
-    lo = spec.min_part
-    return (
-        lo <= cap
-        and remaining % lo == 0
-        and (spec.regular_modulus is None or lo % spec.regular_modulus != 0)
-        and not (spec.distinct_even and lo % 2 == 0 and remaining != lo)
-    )
+class _Plan(NamedTuple):
+    # What a node of the part tree looks up, for parts and sums up to n.
+    lo: int  # the smallest allowed part size, spec.min_part
+    parts: List[int]  # allowed parts above lo, largest first
+    next_cap: List[int]  # next_cap[k] bounds the parts after a part k
+    first: List[int]  # first[m]: index in parts of the largest part <= m
+    is_part: List[bool]  # is_part[k]: whether k is in parts
+    lo_runs: int  # how many copies of lo may close a tail
 
 
-def _tails(remaining: int, cap: int, spec: ConstraintSpec) -> Iterator[Tuple[int, ...]]:
+def _plan(n: int, spec: ConstraintSpec) -> _Plan:
+    lo, modulus = spec.min_part, spec.regular_modulus
+    size = max(n, 0) + 1
+    is_part = [k > lo and (modulus is None or k % modulus != 0) for k in range(size)]
+    parts = [k for k in range(size - 1, lo, -1) if is_part[k]]
+    next_cap = [k - 1 if spec.distinct_even and k % 2 == 0 else k for k in range(size)]
+    first, i = [], len(parts)
+    for m in range(size):
+        while i and parts[i - 1] <= m:
+            i -= 1
+        first.append(i)
+    if modulus is not None and lo % modulus == 0:
+        lo_runs = 0
+    elif spec.distinct_even and lo % 2 == 0:
+        lo_runs = 1
+    else:
+        lo_runs = size
+    return _Plan(lo, parts, next_cap, first, is_part, lo_runs)
+
+
+def _tails(remaining: int, cap: int, plan: _Plan) -> Iterator[Tuple[int, ...]]:
     # Nonincreasing part tuples summing to `remaining` with parts <= cap,
     # honoring min_part / regular_modulus / distinct_even.  Descending choice
     # of the next part yields lexicographically decreasing output; the
@@ -189,37 +218,24 @@ def _tails(remaining: int, cap: int, spec: ConstraintSpec) -> Iterator[Tuple[int
     if remaining == 0:
         yield ()
         return
-    lo = spec.min_part
-    for k in range(min(remaining, cap), lo, -1):
-        if spec.regular_modulus is not None and k % spec.regular_modulus == 0:
-            continue
-        next_cap = k - 1 if (spec.distinct_even and k % 2 == 0) else k
-        for rest in _tails(remaining - k, next_cap, spec):
-            yield (k,) + rest
-    if _run_completes(remaining, cap, spec):
+    lo, parts, next_cap, first, _, lo_runs = plan
+    top = min(remaining, cap)
+    if top > lo:
+        for k in parts[first[top]:]:
+            for rest in _tails(remaining - k, next_cap[k], plan):
+                yield (k,) + rest
+    if lo <= cap and remaining % lo == 0 and remaining // lo <= lo_runs:
         yield (lo,) * (remaining // lo)
-
-
-def _count_tails(remaining: int, cap: int, spec: ConstraintSpec) -> int:
-    # The number of tuples _tails(remaining, cap, spec) yields, walking the
-    # same tree without building them.
-    if remaining == 0:
-        return 1
-    total = 0
-    for k in range(min(remaining, cap), spec.min_part, -1):
-        if spec.regular_modulus is not None and k % spec.regular_modulus == 0:
-            continue
-        next_cap = k - 1 if (spec.distinct_even and k % 2 == 0) else k
-        total += _count_tails(remaining - k, next_cap, spec)
-    return total + _run_completes(remaining, cap, spec)
 
 
 def enumerate_partitions(n: int, spec: ConstraintSpec) -> List[Partition]:
     """All partitions of n satisfying spec, lexicographically decreasing."""
+    check_int("n", n)
+    plan = _plan(n, spec)
     return [
         Partition(head + tail)
         for head, budget, cap in _heads(n, spec)
-        for tail in _tails(budget, cap, spec)
+        for tail in _tails(budget, cap, plan)
     ]
 
 
@@ -227,10 +243,39 @@ def count_oracle(n: int, spec: ConstraintSpec) -> int:
     """Brute-force count; n < 0 counts nothing (handy for shifted relations).
 
     Every counted partition is reached by its own path through the tree that
-    :func:`enumerate_partitions` walks, but no partition is built.
+    :func:`enumerate_partitions` walks, but no partition is built.  A node
+    adds its leaf children (the run of the smallest part lo alone, the rest
+    as one part, the rest less one lo closed by that lo) without a call and
+    recurses only into parts that leave more than lo.  Each family at
+    n = 40 takes about 1 ms (2-core box, Python 3.11).
     """
     check_int("n", n)
-    return sum(_count_tails(budget, cap, spec) for _, budget, cap in _heads(n, spec))
+    lo, parts, next_cap, first, is_part, lo_runs = _plan(n, spec)
+    # Whether r is a leaf child of a node with r left: as a run of lo alone
+    # (when lo <= the node's cap), and as the part r - lo closed by one lo
+    # (when r - lo <= the cap).
+    run = [r % lo == 0 and r // lo <= lo_runs for r in range(len(is_part))]
+    closed = [lo_runs > 0 and r > lo and is_part[r - lo] for r in range(len(is_part))]
+
+    def tails(r: int, c: int) -> int:
+        # The tails of a node with r > 0 left and parts <= c: its leaf
+        # children are added here, and only parts k <= r - lo - 1, whose
+        # nodes have more than lo left, are descended into.
+        total = run[r] if lo <= c else 0
+        if r <= c:
+            total += is_part[r]
+        m = r - lo
+        if m <= c:
+            total += closed[r]
+            m -= 1
+        else:
+            m = c
+        if m > lo:
+            for k in parts[first[m]:]:
+                total += tails(r - k, next_cap[k])
+        return total
+
+    return sum(tails(budget, cap) if budget else 1 for _, budget, cap in _heads(n, spec))
 
 
 def count_oracle_table(up_to: int, spec: ConstraintSpec) -> List[int]:
@@ -239,29 +284,27 @@ def count_oracle_table(up_to: int, spec: ConstraintSpec) -> List[int]:
     The walk starts from the largest-part choices for up_to and the empty
     partition.  Every node is a partition of its running sum and adds 1 to
     that sum's count; its children append a part above the smallest allowed
-    one, pruned as :func:`count_oracle` prunes, and each run of the smallest
-    part is added one copy at a time.  So every partition of every n up to
-    up_to is still reached by its own path, with no memo.
+    one, read from the same plan as :func:`count_oracle`, and each run of the
+    smallest part is added one copy at a time.  So every partition of every
+    n up to up_to is still reached by its own path, with no memo.  The six
+    families to n = 50 take about 0.13 s (2-core box, Python 3.11).
     """
     check_int("up_to", up_to)
     if up_to < 0:
         return []
     counts = [0] * (up_to + 1)
-    lo, modulus, distinct_even = spec.min_part, spec.regular_modulus, spec.distinct_even
-    # The _run_completes conditions: whether the smallest part may close a
-    # tail at all, and whether it may appear more than once.
-    lo_allowed = modulus is None or lo % modulus != 0
-    lo_repeats = not (distinct_even and lo % 2 == 0)
+    lo, parts, next_cap, first, _, lo_runs = _plan(up_to, spec)
 
     def walk(total: int, cap: int) -> None:
         counts[total] += 1
-        for k in range(min(up_to - total, cap), lo, -1):
-            if modulus is not None and k % modulus == 0:
-                continue
-            walk(total + k, k - 1 if (distinct_even and k % 2 == 0) else k)
-        if lo <= cap and lo_allowed:
-            last = up_to if lo_repeats else min(total + lo, up_to)
-            for run_total in range(total + lo, last + 1, lo):
+        m = up_to - total
+        if cap < m:
+            m = cap
+        if m > lo:
+            for k in parts[first[m]:]:
+                walk(total + k, next_cap[k])
+        if lo <= cap:
+            for run_total in range(total + lo, min(total + lo * lo_runs, up_to) + 1, lo):
                 counts[run_total] += 1
 
     heads = list(_heads(up_to, spec))

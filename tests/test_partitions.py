@@ -231,6 +231,22 @@ def test_count_oracle_walk_matches_enumeration(distinct_even, parity, mult):
             assert count_oracle_table(up_to, spec) == counts[: up_to + 1], (spec, up_to)
 
 
+@pytest.mark.parametrize("distinct_even", [False, True])
+@pytest.mark.parametrize("parity,mult", LARGEST_SHAPES)
+def test_both_walks_match_filtered_partitions_to_16(distinct_even, parity, mult):
+    # Every partition of n <= 16, unpruned, filtered by the direct predicate:
+    # covers the leaf children that count_oracle tallies without descending
+    # (the run of the smallest part, the remainder as one part, the remainder
+    # less one smallest part closed by it) and the plan's modulus filter.
+    up_to = 16
+    every = [[Partition(t) for t in all_partitions(n)] for n in range(up_to + 1)]
+    for modulus, min_part in itertools.product([None, 2, 3, 4, 5, 6], range(1, 6)):
+        spec = ConstraintSpec(distinct_even, parity, mult, modulus, min_part)
+        want = [sum(satisfies(p, spec) for p in every[n]) for n in range(up_to + 1)]
+        assert [count_oracle(n, spec) for n in range(up_to + 1)] == want, spec
+        assert count_oracle_table(up_to, spec) == want, spec
+
+
 def test_enumeration_is_lex_decreasing_and_valid():
     for family, spec in FAMILY_SPECS.items():
         for n in range(0, 22):
@@ -288,6 +304,30 @@ def test_count_oracle_table_refuses_non_int_up_to():
     for up_to in (True, 3.0):
         with pytest.raises(TypeError):
             count_oracle_table(up_to, FAMILY_SPECS["DE1"])
+
+
+def test_enumerate_partitions_refuses_non_int_n():
+    for n in (True, 3.0):
+        with pytest.raises(TypeError):
+            enumerate_partitions(n, FAMILY_SPECS["ped"])
+
+
+def test_constraint_spec_refuses_non_int_fields():
+    for kwargs in (
+        {"min_part": True},
+        {"min_part": 1.5},
+        {"min_part": 2.0},
+        {"regular_modulus": 4.0},
+        {"regular_modulus": True},
+    ):
+        with pytest.raises(TypeError):
+            ConstraintSpec(**kwargs)
+
+
+def test_partition_refuses_non_int_parts():
+    for parts in ((4, True), (2.0,), (3, 1.0)):
+        with pytest.raises(TypeError):
+            Partition(parts)
 
 
 def test_ped_equals_regular4_to_200():
