@@ -15,39 +15,30 @@ from .identities import (
     NEGATIVE_CONTROL_EXPONENT,
     RELATION_FIRST_N,
     RELATION_KINDS,
-    RELATION_STATEMENTS,
+    RELATIONS,
     IdentityBuildError,
     VerificationReport,
+    family_counts,
     find_case,
     negative_control,
     registry,
     report_record,
+    side_values,
     verify,
     verify_all,
     verify_relation,
 )
-from .partitions import (
-    FAMILY_SERIES,
-    FAMILY_SPECS,
-    count_oracle,
-    enumerate_partitions,
-    gf_de1,
-    gf_de2,
-    gf_de3,
-    gf_regular4,
-    gf_regular4_min2,
-)
+from .partitions import FAMILY_SERIES, FAMILY_SPECS, count_oracle, enumerate_partitions
 
-TABLE_HEADER = (
-    "n",
-    "DE1",
-    "DE2",
-    "DE3",
-    "b4",
-    "c4",
-    "DE1(n)+DE1(n-1)",
-    "DE3(n+2)+DE3(n-1)",
-)
+_TABLE_FAMILIES = (("DE1", "DE1"), ("DE2", "DE2"), ("DE3", "DE3"), ("b4", "regular4"), ("c4", "regular4min2"))
+TABLE_COLUMNS = [(label, ((family, 0),)) for label, family in _TABLE_FAMILIES] + [
+    # the cor1 and cor3 left sides, headed by their own terms, e.g. DE3(n+2)+DE3(n-1)
+    ("+".join(f"{f}(n{s:+d})" if s else f"{f}(n)" for f, s in terms), terms)
+    for terms in (RELATIONS["cor1"].lhs, RELATIONS["cor3"].lhs)
+]
+"""Each table column after n: its header and the (family, shift) terms it sums."""
+
+TABLE_HEADER = ("n",) + tuple(label for label, _ in TABLE_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -184,16 +175,9 @@ def cmd_verify(config: CliConfig, target: str, use_oracle: bool) -> int:
 def cmd_table(config: CliConfig, max_n: int) -> int:
     if not 0 <= max_n <= config.order:
         return _fail(f"max_n must satisfy 0 <= max_n <= {config.order} (got {max_n})")
-    de1 = gf_de1(max_n).coeffs
-    de2 = gf_de2(max_n).coeffs
-    de3 = gf_de3(max_n + 2).coeffs
-    b4 = gf_regular4(max_n).coeffs
-    c4 = gf_regular4_min2(max_n).coeffs
-    rows = []
-    for n in range(max_n + 1):
-        de1_pair = de1[n] + (de1[n - 1] if n >= 1 else 0)
-        de3_pair = de3[n + 2] + (de3[n - 1] if n >= 1 else 0)
-        rows.append((n, de1[n], de2[n], de3[n], b4[n], c4[n], de1_pair, de3_pair))
+    counts = family_counts([term for _, terms in TABLE_COLUMNS for term in terms], max_n)
+    columns = [side_values(terms, counts, max_n) for _, terms in TABLE_COLUMNS]
+    rows = list(zip(range(max_n + 1), *columns))
     if config.machine:
         print(",".join(TABLE_HEADER))
         for row in rows:
@@ -211,7 +195,7 @@ def cmd_table(config: CliConfig, max_n: int) -> int:
 
 def cmd_list_identities(config: CliConfig) -> int:
     cases = registry()
-    extras = [(kind, RELATION_STATEMENTS[kind]) for kind in RELATION_KINDS]
+    extras = [(kind, relation.statement) for kind, relation in RELATIONS.items()]
     extras.append(("negative-control", negative_control().description))
     if config.machine:
         for case in cases:

@@ -6,7 +6,10 @@ is coefficient-by-coefficient integer comparison, so a pass is a mechanical
 proof of agreement up to that order.  The counting relations (``cor1`` ..
 ``cor4``), which follow from the main identities, are checked the same way
 but over count sequences, with an optional brute-force enumeration backend
-replacing the series coefficients.
+replacing the series coefficients.  Each relation is declared once, in
+:data:`RELATIONS`, as two sums of shifted family counts that
+:func:`family_counts` and :func:`side_values` evaluate, for ``verify_relation``
+and for the pair columns of ``qident table``.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from time import perf_counter
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .partitions import (  # count_oracle stays a name here: perfbench/tracing.py wraps it
     FAMILY_SERIES,
@@ -43,17 +46,34 @@ from .series import (
 
 Builder = Callable[[int], TruncatedSeries]
 
-RELATION_KINDS = ("cor1", "cor2", "cor3", "cor4")
+Term = Tuple[str, int]  # (family, shift): that family's count at n + shift, 0 when n + shift < 0
 
-RELATION_FIRST_N = {"cor1": 1, "cor2": 1, "cor3": 2, "cor4": 2}
-"""The smallest n each relation holds for; an order below it compares nothing."""
 
-RELATION_STATEMENTS = {
-    "cor1": "DE1(n) + DE1(n-1) = #(4-regular partitions of n), n >= 1",
-    "cor2": "DE2(n) + DE2(n-3) = #(4-regular partitions of n, parts > 1), n >= 1",
-    "cor3": "DE3(n+2) + DE3(n-1) = #(4-regular partitions of n), n >= 2",
-    "cor4": "DE3(n+2) + DE3(n-1) = DE1(n) + DE1(n-1), n >= 2",
+class Relation(NamedTuple):
+    """For every n >= first_n the lhs terms sum to the rhs terms."""
+
+    first_n: int
+    lhs: Tuple[Term, ...]
+    rhs: Tuple[Term, ...]
+    statement: str
+
+
+_DE1_PAIR, _DE3_PAIR = (("DE1", 0), ("DE1", -1)), (("DE3", 2), ("DE3", -1))
+
+RELATIONS = {
+    "cor1": Relation(1, _DE1_PAIR, (("regular4", 0),),
+                     "DE1(n) + DE1(n-1) = #(4-regular partitions of n), n >= 1"),
+    "cor2": Relation(1, (("DE2", 0), ("DE2", -3)), (("regular4min2", 0),),
+                     "DE2(n) + DE2(n-3) = #(4-regular partitions of n, parts > 1), n >= 1"),
+    "cor3": Relation(2, _DE3_PAIR, (("regular4", 0),),
+                     "DE3(n+2) + DE3(n-1) = #(4-regular partitions of n), n >= 2"),
+    "cor4": Relation(2, _DE3_PAIR, _DE1_PAIR, "DE3(n+2) + DE3(n-1) = DE1(n) + DE1(n-1), n >= 2"),
 }
+
+RELATION_KINDS = tuple(RELATIONS)
+
+RELATION_FIRST_N = {kind: r.first_n for kind, r in RELATIONS.items()}
+"""The smallest n each relation holds for; an order below it compares nothing."""
 
 
 @dataclass(frozen=True)
@@ -438,36 +458,24 @@ def verify(case: IdentityCase, order: int) -> VerificationReport:
     return VerificationReport(case.id, order, status, mismatch, elapsed, checked=checked)
 
 
-def _family_counts(family: str, up_to: int, use_oracle: bool) -> List[int]:
+def family_counts(terms: Sequence[Term], order: int, use_oracle: bool = False) -> Dict[str, Sequence[int]]:
+    """Each family the terms name, counted once for n = 0..order + its largest shift,
+    from its generating function or, with ``use_oracle``, one count_oracle_table walk."""
+    reach: Dict[str, int] = {}
+    for family, shift in terms:
+        reach[family] = max(reach.get(family, 0), shift)
     if use_oracle:
-        return count_oracle_table(up_to, FAMILY_SPECS[family])
-    return list(FAMILY_SERIES[family](up_to).coeffs)
+        return {f: count_oracle_table(order + s, FAMILY_SPECS[f]) for f, s in reach.items()}
+    return {f: FAMILY_SERIES[f](order + s).coeffs for f, s in reach.items()}
 
 
-def _relation_triples(kind: str, order: int, use_oracle: bool) -> Iterator[Tuple[int, int, int]]:
-    ns = range(RELATION_FIRST_N[kind], order + 1)
-    if kind == "cor1":
-        de1 = _family_counts("DE1", order, use_oracle)
-        b4 = _family_counts("regular4", order, use_oracle)
-        return ((n, de1[n] + de1[n - 1], b4[n]) for n in ns)
-    elif kind == "cor2":
-        de2 = _family_counts("DE2", order, use_oracle)
-        c4 = _family_counts("regular4min2", order, use_oracle)
-        return (
-            (n, de2[n] + (de2[n - 3] if n >= 3 else 0), c4[n])
-            for n in ns
-        )
-    elif kind == "cor3":
-        de3 = _family_counts("DE3", order + 2, use_oracle)
-        b4 = _family_counts("regular4", order, use_oracle)
-        return ((n, de3[n + 2] + de3[n - 1], b4[n]) for n in ns)
-    else:  # cor4
-        de3 = _family_counts("DE3", order + 2, use_oracle)
-        de1 = _family_counts("DE1", order, use_oracle)
-        return (
-            (n, de3[n + 2] + de3[n - 1], de1[n] + de1[n - 1])
-            for n in ns
-        )
+def side_values(terms: Sequence[Term], counts: Dict[str, Sequence[int]], order: int) -> List[int]:
+    """The sum of the terms at each n = 0..order, read from :func:`family_counts`."""
+    columns = [
+        counts[f][s : order + 1 + s] if s >= 0 else ([0] * -s + list(counts[f]))[: order + 1]
+        for f, s in terms
+    ]
+    return [sum(values) for values in zip(*columns)]
 
 
 def verify_relation(kind: str, order: int, use_oracle: bool = False) -> VerificationReport:
@@ -478,7 +486,7 @@ def verify_relation(kind: str, order: int, use_oracle: bool = False) -> Verifica
     one :func:`count_oracle_table` walk per family, which checks all four
     relations to n = 50 in about 0.18 s and counts all six families to
     n = 60 in about 0.5 s (2-core box, Python 3.11).  A mismatch reports
-    (n, left, right).
+    (n, left, right).  Both sides and the first n come from :data:`RELATIONS`.
     A failing count builder raises :class:`IdentityBuildError`, as in
     :func:`verify`.
     """
@@ -488,15 +496,17 @@ def verify_relation(kind: str, order: int, use_oracle: bool = False) -> Verifica
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     start = perf_counter()
+    first_n, lhs, rhs, _ = RELATIONS[kind]
     try:
-        triples = _relation_triples(kind, order, use_oracle)
+        counts = family_counts(lhs + rhs, order, use_oracle)
+        left, right = side_values(lhs, counts, order), side_values(rhs, counts, order)
     except Exception as exc:
         raise IdentityBuildError(kind, str(exc)) from exc
     mismatch, checked = None, 0
-    for triple in triples:
+    for n in range(first_n, order + 1):
         checked += 1
-        if triple[1] != triple[2]:
-            mismatch = triple
+        if left[n] != right[n]:
+            mismatch = (n, left[n], right[n])
             break
     elapsed = perf_counter() - start
     status = "pass" if mismatch is None else "fail"

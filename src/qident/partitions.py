@@ -97,6 +97,8 @@ class ConstraintSpec:
     min_part: int = 1
 
     def __post_init__(self):
+        if type(self.distinct_even) is not bool:
+            raise TypeError(f"distinct_even must be bool, got {type(self.distinct_even).__name__}")
         if self.largest_parity not in LARGEST_PARITIES:
             raise ValueError(f"largest_parity must be one of {LARGEST_PARITIES}")
         if self.largest_multiplicity not in LARGEST_MULTIPLICITIES:

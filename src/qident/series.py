@@ -32,6 +32,8 @@ class QMonomial:
     exp: int
 
     def __post_init__(self):
+        check_int("sign", self.sign)
+        check_int("exponent", self.exp)
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
         if self.exp < 0:
@@ -94,10 +96,8 @@ class TruncatedSeries:
     @classmethod
     def monomial(cls, sign: int, exp: int, order: int) -> "TruncatedSeries":
         """The series sign * q^exp; the zero series if exp exceeds order."""
-        if sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-        if exp < 0:
-            raise ValueError(f"exponent must be nonnegative, got {exp}")
+        QMonomial(sign, exp)  # the sign and exponent checks of a product parameter
+        check_int("order", order)
         cs = [0] * (order + 1)
         if exp <= order:
             cs[exp] = sign
@@ -148,6 +148,7 @@ class TruncatedSeries:
 
     def shift(self, e: int) -> "TruncatedSeries":
         """Multiply by q^e: coefficient of q^k moves to q^(k+e)."""
+        check_int("shift exponent", e)
         if e < 0:
             raise ValueError(f"shift exponent must be nonnegative, got {e}")
         if e > self.order:
@@ -203,6 +204,7 @@ class TruncatedSeries:
 
     def coeff(self, k: int) -> int:
         """The exact coefficient of q^k, for 0 <= k <= order."""
+        check_int("exponent", k)
         if not 0 <= k <= self.order:
             raise IndexError(f"exponent {k} outside known range 0..{self.order}")
         return self.coeffs[k]

@@ -1,6 +1,7 @@
 import pytest
 
 from qident.cli import CliConfig, main
+from qident.partitions import FAMILY_SPECS, count_oracle
 
 
 def run(capsys, *argv):
@@ -243,6 +244,23 @@ def test_table_human(capsys):
         ("n", "DE1", "DE2", "DE3", "b4", "c4", "DE1(n)+DE1(n-1)", "DE3(n+2)+DE3(n-1)")
     )
     assert len(lines) == 6
+
+
+def test_table_machine_rows_match_brute_force(capsys):
+    code, out, _ = run(capsys, "table", "40", "--machine")
+    assert code == 0
+    header, *lines = out.strip().split("\n")
+    assert header == "n,DE1,DE2,DE3,b4,c4,DE1(n)+DE1(n-1),DE3(n+2)+DE3(n-1)"
+    assert len(lines) == 41
+
+    def c(family, n):  # the n - 1 terms vanish at n = 0
+        return count_oracle(n, FAMILY_SPECS[family]) if n >= 0 else 0
+
+    for n, line in enumerate(lines):
+        de1, de2, de3, b4, c4 = (c(f, n) for f in ("DE1", "DE2", "DE3", "regular4", "regular4min2"))
+        de1_pair = de1 + c("DE1", n - 1)
+        de3_pair = c("DE3", n + 2) + c("DE3", n - 1)
+        assert line == ",".join(map(str, (n, de1, de2, de3, b4, c4, de1_pair, de3_pair))), n
 
 
 def test_table_above_order(capsys):

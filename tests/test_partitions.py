@@ -324,6 +324,13 @@ def test_constraint_spec_refuses_non_int_fields():
             ConstraintSpec(**kwargs)
 
 
+def test_constraint_spec_refuses_non_bool_distinct_even():
+    for value in ("no", 1, 0, None):
+        with pytest.raises(TypeError, match="distinct_even must be bool"):
+            ConstraintSpec(distinct_even=value)
+    assert count_oracle(6, ConstraintSpec(distinct_even=False)) == 11
+
+
 def test_partition_refuses_non_int_parts():
     for parts in ((4, True), (2.0,), (3, 1.0)):
         with pytest.raises(TypeError):

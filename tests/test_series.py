@@ -68,6 +68,32 @@ def test_constructor_refuses_non_int_order():
             TruncatedSeries([1, 2], order)
 
 
+def test_qmonomial_refuses_non_int_fields():
+    for sign, exp in ((1, 2.0), (True, 2), (1, True), (1.0, 2)):
+        with pytest.raises(TypeError, match="must be int"):
+            QMonomial(sign, exp)
+
+
+def test_monomial_refuses_non_int_arguments():
+    for args in ((1, 2, 3.0), (1, 2.0, 3), (True, 2, 3), (1, True, 3), (1, 2, True)):
+        with pytest.raises(TypeError, match="must be int"):
+            TruncatedSeries.monomial(*args)
+
+
+def test_shift_refuses_non_int_exponent():
+    for e in (True, 1.0):
+        with pytest.raises(TypeError, match="must be int"):
+            ts(1, 2, 3).shift(e)
+
+
+def test_coeff_refuses_non_int_exponent():
+    for k in (True, 1.0):
+        with pytest.raises(TypeError, match="must be int"):
+            ts(1, 2, 3).coeff(k)
+        with pytest.raises(TypeError, match="must be int"):
+            ts(1, 2, 3)[k]
+
+
 def test_immutable():
     s = ts(1, 2, 3)
     with pytest.raises(AttributeError):
