@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
+from operator import add, sub
 from typing import Callable, Iterable, List, Optional, Tuple
 
 
@@ -272,21 +273,26 @@ class TruncatedSeries:
 # Every product and every sum term in this project is built from binomials
 # 1 - sign*q^e.  Multiplying or dividing a coefficient list by one costs O(N)
 # in place, so a product of up to N binomials costs O(N^2) and never needs a
-# dense multiply or a general inverse.
+# dense multiply or a general inverse.  Each kernel call takes a suffix start
+# lo and works on cs[lo:] as if it were a list of its own, modulo
+# q^(len(cs) - lo), leaving cs[:lo] alone; so a quotient or a Horner sum is
+# built in one list, without copying a tail out and back.
 
 Binomial = Tuple[int, int]
 """A pair (sign, e) standing for the factor 1 - sign*q^e."""
 
 
-def _check_binomial(sign: int, e: int) -> None:
+def _check_binomial(sign: int, e: int, lo: int = 0) -> None:
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     if e < 0:
         raise ValueError(f"exponent must be nonnegative, got {e}")
+    if lo < 0:
+        raise ValueError(f"suffix start must be nonnegative, got {lo}")
 
 
-def _check_divisor(sign: int, e: int) -> None:
-    _check_binomial(sign, e)
+def _check_divisor(sign: int, e: int, lo: int = 0) -> None:
+    _check_binomial(sign, e, lo)
     if e == 0:
         raise ValueError(f"1 - ({sign})*q^0 = {1 - sign} is not a unit")
 
@@ -295,53 +301,56 @@ def _alternating_step(total: int, c: int) -> int:
     return c - total
 
 
-def mul_binomial(cs: List[int], sign: int, e: int) -> None:
-    """Multiply the coefficient list cs by 1 - sign*q^e in place, modulo q^len(cs).
+def mul_binomial(cs: List[int], sign: int, e: int, lo: int = 0) -> None:
+    """Multiply the suffix cs[lo:] by 1 - sign*q^e in place, modulo q^(len(cs) - lo).
 
-    Each c[k] loses sign*c[k-e] of the old list, as a descending update
-    would; the slice is read in full before it is written back.
+    Each c[k], k >= lo + e, loses sign*c[k-e] of the old list, as a
+    descending update would; the slice is read in full before it is written
+    back.  cs[:lo] is left as it is.
     """
-    _check_binomial(sign, e)
+    _check_binomial(sign, e, lo)
     # One comprehension per sign: a multiply by sign per coefficient, here
     # and in div_binomial, made verify_all(600) about 13% slower (2-core
     # Xeon VM, Python 3.11).
     if sign == 1:
-        cs[e:] = [a - b for a, b in zip(cs[e:], cs)]
+        cs[lo + e:] = [a - b for a, b in zip(cs[lo + e:], islice(cs, lo, None))]
     else:
-        cs[e:] = [a + b for a, b in zip(cs[e:], cs)]
+        cs[lo + e:] = [a + b for a, b in zip(cs[lo + e:], islice(cs, lo, None))]
 
 
-def div_binomial(cs: List[int], sign: int, e: int) -> None:
-    """Divide the coefficient list cs by 1 - sign*q^e in place, modulo q^len(cs).
+def div_binomial(cs: List[int], sign: int, e: int, lo: int = 0) -> None:
+    """Divide the suffix cs[lo:] by 1 - sign*q^e in place, modulo q^(len(cs) - lo).
 
-    Each c[k] gains sign*c[k-e] of the new list: an ascending update.  The
-    divisor must be a unit, so e = 0 is refused as ``invert`` refuses it.
+    Each c[k], k >= lo + e, gains sign*c[k-e] of the new list: an ascending
+    update.  cs[:lo] is left as it is.  The divisor must be a unit, so
+    e = 0 is refused as ``invert`` refuses it.
     """
-    _check_divisor(sign, e)
-    n = len(cs)
+    _check_divisor(sign, e, lo)
+    n = len(cs) - lo
     if e * e < n:
         # Few long residue classes mod e, each a running sum (alternating
         # for sign -1) done in one C-level pass.
         step = None if sign == 1 else _alternating_step
-        for r in range(e):
+        for r in range(lo, lo + e):
             cs[r::e] = accumulate(cs[r::e], step)
-    elif sign == 1:
-        # Few short blocks of length e, each updated from the one before.
-        for lo in range(e, n, e):
-            cs[lo : lo + e] = [a + b for a, b in zip(cs[lo : lo + e], cs[lo - e : lo])]
-    else:
-        for lo in range(e, n, e):
-            cs[lo : lo + e] = [a - b for a, b in zip(cs[lo : lo + e], cs[lo - e : lo])]
+    elif e < n:
+        # Many short residue classes: one C-level pass instead of a Python
+        # loop over about n/e blocks.  out grows by one new coefficient per
+        # item, and map reads the new coefficient e places back from out
+        # itself, which stays e items ahead of the read.
+        out = cs[lo : lo + e]
+        out.extend(map(add if sign == 1 else sub, islice(cs, lo + e, None), out))
+        cs[lo:] = out
 
 
 def times_binomials(
-    cs: List[int], num: Iterable[Binomial] = (), den: Iterable[Binomial] = ()
+    cs: List[int], num: Iterable[Binomial] = (), den: Iterable[Binomial] = (), lo: int = 0
 ) -> List[int]:
-    """Multiply cs in place by every binomial in num, divide it by every one in den; return cs."""
+    """Multiply cs[lo:] in place by every binomial in num, divide it by every one in den; return cs."""
     for sign, e in num:
-        mul_binomial(cs, sign, e)
+        mul_binomial(cs, sign, e, lo)
     for sign, e in den:
-        div_binomial(cs, sign, e)
+        div_binomial(cs, sign, e, lo)
     return cs
 
 
@@ -361,8 +370,8 @@ def binomial_quotient(
     and indices >= lo + e when it multiplies; when it divides, it sets the
     multiples j*e below lo to s^j, adds s^j to the one in [lo, lo + e) and
     updates indices >= lo + e.  Either way the index range >= lo + e is
-    ``mul_binomial``/``div_binomial`` on the tail from lo, so a factor above
-    N/2 costs O(1) and (q;q)_inf costs about N^2/4 updates, not N^2/2.
+    ``mul_binomial``/``div_binomial`` on the suffix from lo, so a factor
+    above N/2 costs O(1) and (q;q)_inf costs about N^2/4 updates, not N^2/2.
     """
     num, den = Counter(num), Counter(den)
     for sign, e in num:
@@ -387,11 +396,9 @@ def binomial_quotient(
             if j * e <= order:
                 cs[j * e] += sign**j
         if lo + e <= order:
-            tail = cs[lo:]
-            (div_binomial if divide else mul_binomial)(tail, sign, e)
-            cs[lo:] = tail
+            (div_binomial if divide else mul_binomial)(cs, sign, e, lo)
         if not divide:
-            cs[e] -= sign  # after the tail, which reads the old cs[lo] when e == lo
+            cs[e] -= sign  # after the suffix update, which reads the old cs[lo] when e == lo
         lo = e
     return TruncatedSeries(cs, order)
 
@@ -424,10 +431,11 @@ def ratio_sum(
 
         H_M = 1,    H_n = 1 + q^(e_(n+1) - e_n) * R_n * H_(n+1),
 
-    so H_n is the tail sum divided by q^e_n * T_n.  Each H_n is kept to
-    length order - e_n + 1, the room its shift leaves; R_n is applied in
-    place to H_(n+1) at that list's own length, and the shift and the 1 are
-    one list concatenation, so no step pays a separate pass to add a term.
+    so H_n is the tail sum divided by q^e_n * T_n.  The whole sum lives in
+    one list of length order + 1, with H_n in cs[e_n:], the room its shift
+    leaves: R_n is applied in place to H_(n+1) = cs[e_(n+1):], and the shift
+    and the 1 are the write cs[e_n] = 1 (cs[e_n + 1:e_(n+1)] is still zero),
+    so no step pays a separate pass, a copy or a concatenation to add a term.
     """
     es = []
     e = exp(0)
@@ -438,12 +446,13 @@ def ratio_sum(
         # Nothing to sum; applying start to an empty list still validates it.
         times_binomials([], *start)
         return TruncatedSeries.zero(order)
-    h = [1] + [0] * (order - es[-1])
+    cs = [0] * (order + 1)
+    cs[es[-1]] = 1
     for n in range(len(es) - 2, -1, -1):
-        times_binomials(h, num(n), den(n))
-        h = [1] + [0] * (es[n + 1] - es[n] - 1) + h
-    times_binomials(h, *start)
-    return TruncatedSeries([0] * es[0] + h, order)
+        times_binomials(cs, num(n), den(n), es[n + 1])
+        cs[es[n]] = 1
+    times_binomials(cs, *start, es[0])
+    return TruncatedSeries(cs, order)
 
 
 def poch_finite(a: QMonomial, step: int, n: int, order: int) -> TruncatedSeries:
@@ -452,6 +461,8 @@ def poch_finite(a: QMonomial, step: int, n: int, order: int) -> TruncatedSeries:
     With step s this is the Pochhammer symbol (a; q^s)_n.  The empty product
     (n = 0) is 1.
     """
+    check_int("step", step)
+    check_int("factor count", n)
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
     if n < 0:
@@ -467,6 +478,7 @@ def poch_infinite(a: QMonomial, step: int, order: int) -> TruncatedSeries:
     passes the order, and the result agrees with the true infinite product
     modulo q^(order+1).
     """
+    check_int("step", step)
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
     if a.exp < 1:

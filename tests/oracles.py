@@ -89,3 +89,27 @@ def partition_numbers(order):
             k += 1
         p[n] = acc
     return p
+
+
+def divisor_sum_product(num, den, order):
+    """Coefficients a(0..order) of prod(1 - s*q^e over num) / prod(1 - s*q^e over den).
+
+    Binomials are (sign, e) pairs with e >= 1.  With F = prod (1 - s_i q^e_i)^c_i
+    (c_i = 1 in num, -1 in den), the logarithmic derivative gives
+    n*a(n) = -sum_{k=1..n} b(k)*a(n-k), b(k) = sum c_i*e_i*s_i^(k/e_i) over
+    e_i | k; the n = 0 coefficient is 1.  Every division by n is checked to
+    be exact, so a wrong b(k) shows as a failed assertion, not a rounded value.
+    """
+    b = [0] * (order + 1)
+    for c, factors in ((1, num), (-1, den)):
+        for sign, e in factors:
+            assert e >= 1 and sign in (1, -1), (sign, e)
+            for k in range(e, order + 1, e):
+                b[k] += c * e * sign ** (k // e)
+    a = [1] + [0] * order
+    for n in range(1, order + 1):
+        total = -sum(b[k] * a[n - k] for k in range(1, n + 1))
+        quotient, remainder = divmod(total, n)
+        assert remainder == 0, (n, total)
+        a[n] = quotient
+    return a

@@ -1,10 +1,11 @@
 """The binomial kernel against the schoolbook operations, and the builders on it.
 
 ``mul_binomial``/``div_binomial`` must agree with ``TruncatedSeries.__mul__``
-and ``invert()``; ``binomial_quotient`` must agree with the same binomials
-applied one by one, uncancelled; ``ratio_sum`` must agree with the sum built
-term by term with dense operations; and every builder must commute with
-truncation, which pins the ``exp(n) <= order`` stop conditions of the sums.
+and ``invert()``, on a whole list and on a suffix of one;
+``binomial_quotient`` must agree with the same binomials applied one by one,
+uncancelled; ``ratio_sum`` must agree with the sum built term by term with
+dense operations; and every builder must commute with truncation, which pins
+the ``exp(n) <= order`` stop conditions of the sums.
 Every builder's output is pinned by recorded digests, and the deep checks
 compare builders against references that use no builder at all.
 """
@@ -16,8 +17,8 @@ from pathlib import Path
 import pytest
 
 from qident import series
-from qident.identities import find_case, registry
-from qident.partitions import FAMILY_SERIES, gf_ped, gf_regular4
+from qident.identities import find_case, gf_euler_inf, gf_q4_inf, registry
+from qident.partitions import FAMILY_SERIES, gf_de1, gf_ped, gf_regular4, gf_regular4_min2
 from qident.series import (
     QMonomial,
     TruncatedSeries,
@@ -30,7 +31,7 @@ from qident.series import (
     times_binomials,
 )
 
-from oracles import partition_numbers, pentagonal_euler_coeffs
+from oracles import divisor_sum_product, partition_numbers, pentagonal_euler_coeffs
 
 
 def binomial(sign, e, order):
@@ -72,12 +73,64 @@ def test_binomial_kernel_matches_schoolbook():
     check()
 
 
+def test_kernel_suffix_form_matches_whole_list_call():
+    # The kernel on cs[lo:] must leave cs[:lo] alone and act on the suffix
+    # exactly as a whole-list call on a copy of it does, and as the
+    # schoolbook product does, across both division paths (e*e < L and
+    # e*e >= L, L = len(cs) - lo) and the boundaries between them.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def calls(draw):
+        order = draw(st.integers(0, 80))
+        cs = draw(st.lists(st.integers(-50, 50), min_size=order + 1, max_size=order + 1))
+        lo = draw(st.integers(0, len(cs)))
+        e = draw(st.integers(0, len(cs) + 2))
+        return cs, lo, e, draw(st.sampled_from([1, -1]))
+
+    # With 14 coefficients, lo = 4 leaves L = 10 and lo = 5 leaves L = 9.
+    cs = list(range(1, 15))
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(calls())
+    @hypothesis.example((cs, 4, 3, 1))  # e*e == L - 1
+    @hypothesis.example((cs, 4, 3, -1))
+    @hypothesis.example((cs, 5, 3, 1))  # e*e == L
+    @hypothesis.example((cs, 5, 3, -1))
+    @hypothesis.example((cs, 5, 8, 1))  # e == L - 1
+    @hypothesis.example((cs, 5, 8, -1))
+    @hypothesis.example((cs, 5, 9, 1))  # e == L
+    @hypothesis.example((cs, 5, 9, -1))
+    def check(call):
+        coeffs, lo, e, sign = call
+        suffix = coeffs[lo:]
+        x = TruncatedSeries(suffix, len(suffix) - 1) if suffix else None
+        factor = binomial(sign, e, len(suffix) - 1) if suffix else None
+        kernels = [(mul_binomial, lambda: x * factor)]
+        if e:
+            kernels.append((div_binomial, lambda: x * factor.invert()))
+        for kernel, schoolbook in kernels:
+            cs = list(coeffs)
+            kernel(cs, sign, e, lo)
+            whole = list(suffix)
+            kernel(whole, sign, e)
+            assert cs[:lo] == coeffs[:lo]
+            assert cs[lo:] == whole
+            if suffix:
+                assert whole == list(schoolbook().coeffs)
+
+    check()
+
+
 def test_kernel_rejects_bad_binomials():
     for kernel in (mul_binomial, div_binomial):
         with pytest.raises(ValueError):
             kernel([1, 2, 3], 2, 1)
         with pytest.raises(ValueError):
             kernel([1, 2, 3], 1, -1)
+        with pytest.raises(ValueError):
+            kernel([1, 2, 3], 1, 1, -1)
 
 
 def test_ratio_sum_matches_dense_sum():
@@ -164,16 +217,18 @@ def test_binomial_quotient_matches_uncancelled_product():
 
 
 def test_descending_product_updates_a_quarter_of_the_square(monkeypatch):
-    # Each kernel call on a list of length L at exponent e updates max(L - e, 0)
-    # coefficients; applied ascending to the whole list, (q;q)_inf to order 600
-    # costs 600*601/2 = 180,300 of them.
+    # Each kernel call on the suffix cs[lo:] at exponent e updates
+    # max(len(cs) - lo - e, 0) coefficients; applied ascending to the whole
+    # list, (q;q)_inf to order 600 costs 600*601/2 = 180,300 of them.  The
+    # Horner sum of gf_de1 stays under the same bound only while each step
+    # works on the window its shift leaves, not on the whole list.
     updates = 0
 
     def counting(kernel):
-        def wrapped(cs, sign, e):
+        def wrapped(cs, sign, e, lo=0):
             nonlocal updates
-            updates += max(len(cs) - e, 0)
-            kernel(cs, sign, e)
+            updates += max(len(cs) - lo - e, 0)
+            kernel(cs, sign, e, lo)
 
         return wrapped
 
@@ -188,6 +243,9 @@ def test_descending_product_updates_a_quarter_of_the_square(monkeypatch):
         updates = 0
         assert list(binomial_quotient(order, num, den).coeffs) == want
         assert 0 < updates <= order**2 // 4 + 2 * order
+    updates = 0
+    gf_de1(order)
+    assert 0 < updates <= order**2 // 4 + 2 * order
 
 
 def test_binomial_quotient_validates_before_cancelling():
@@ -280,6 +338,52 @@ def test_regular4_matches_partition_numbers_to_1000():
     euler4 = [(4 * j, c) for j, c in enumerate(pentagonal_euler_coeffs(order // 4)) if c]
     want = [sum(c * p[n - e] for e, c in euler4 if e <= n) for n in range(order + 1)]
     assert list(gf_regular4(order).coeffs) == want
+
+
+def _run(sign, first, step, order):
+    """The binomials 1 - sign*q^e for e = first, first + step, ... <= order."""
+    return [(sign, e) for e in range(first, order + 1, step)]
+
+
+DEEP_PRODUCTS = {
+    "ped": (gf_ped, lambda n: (_run(-1, 2, 2, n), _run(1, 1, 2, n))),
+    "regular4": (gf_regular4, lambda n: (_run(1, 4, 4, n), _run(1, 1, 1, n))),
+    "regular4_min2": (gf_regular4_min2, lambda n: (_run(1, 4, 4, n), _run(1, 2, 1, n))),
+    "euler_inf": (gf_euler_inf, lambda n: (_run(1, 1, 1, n), [])),
+    "q4_inf": (gf_q4_inf, lambda n: (_run(1, 4, 4, n), [])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_PRODUCTS))
+def test_products_match_divisor_sum_recurrence_to_1000(name):
+    build, binomials = DEEP_PRODUCTS[name]
+    order = 1000
+    assert list(build(order).coeffs) == divisor_sum_product(*binomials(order), order)
+
+
+# The q-binomial cases' a parameters, by the token in their ids, as (sign, exponent).
+QBINOMIAL_A = {"a0": None, "aq": (1, 1), "amq": (-1, 1), "aq2": (1, 2), "amq2": (-1, 2), "aq3": (1, 3)}
+
+
+def _qbinomial_id(a_token, z_exp):
+    return f"qbinomial-{a_token}-zq{z_exp if z_exp > 1 else ''}"
+
+
+@pytest.mark.parametrize("a_token", sorted(QBINOMIAL_A))
+@pytest.mark.parametrize("z_exp", (1, 2, 3))
+def test_qbinomial_rhs_matches_divisor_sum_recurrence_to_400(a_token, z_exp):
+    # (az;q)_inf / (z;q)_inf with z = q^z_exp
+    order = 400
+    a = QBINOMIAL_A[a_token]
+    num = [] if a is None else _run(a[0], a[1] + z_exp, 1, order)
+    case = find_case(_qbinomial_id(a_token, z_exp))
+    want = divisor_sum_product(num, _run(1, z_exp, 1, order), order)
+    assert list(case.rhs(order).coeffs) == want
+
+
+def test_every_qbinomial_case_has_a_recurrence_check():
+    ids = {case.id for case in registry() if case.id.startswith("qbinomial-")}
+    assert ids == {_qbinomial_id(a, z) for a in QBINOMIAL_A for z in (1, 2, 3)}
 
 
 def test_ped_satisfies_andrews_hirschhorn_sellers_congruences():

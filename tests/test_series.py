@@ -94,6 +94,17 @@ def test_coeff_refuses_non_int_exponent():
             ts(1, 2, 3)[k]
 
 
+def test_poch_refuses_non_int_step_or_count():
+    a = QMonomial(1, 1)
+    for bad in (True, 1.0):
+        with pytest.raises(TypeError, match="must be int"):
+            poch_finite(a, bad, 2, 3)
+        with pytest.raises(TypeError, match="must be int"):
+            poch_finite(a, 1, bad, 3)
+        with pytest.raises(TypeError, match="must be int"):
+            poch_infinite(a, bad, 3)
+
+
 def test_immutable():
     s = ts(1, 2, 3)
     with pytest.raises(AttributeError):
