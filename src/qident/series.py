@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import islice
 from operator import add, sub
 from typing import Callable, Iterable, List, Optional, Tuple
 
@@ -271,18 +271,24 @@ class TruncatedSeries:
 # -- the binomial kernel ------------------------------------------------------
 #
 # Every product and every sum term in this project is built from binomials
-# 1 - sign*q^e.  Multiplying or dividing a coefficient list by one costs O(N)
-# in place, so a product of up to N binomials costs O(N^2) and never needs a
-# dense multiply or a general inverse.  Each kernel call takes a suffix start
-# lo and works on cs[lo:] as if it were a list of its own, modulo
-# q^(len(cs) - lo), leaving cs[:lo] alone; so a quotient or a Horner sum is
-# built in one list, without copying a tail out and back.
+# 1 - sign*q^e.  Multiplying or dividing a coefficient list by one is a single
+# C-level pass of operator.add or operator.sub, whatever the sign or the
+# exponent, costing O(N) in place; so a product of up to N binomials costs
+# O(N^2) and never needs a dense multiply or a general inverse.  Each kernel
+# call takes a suffix start lo and works on cs[lo:] as if it were a list of
+# its own, modulo q^(len(cs) - lo), leaving cs[:lo] alone; so a quotient or a
+# Horner sum is built in one list, without copying a tail out and back.
 
 Binomial = Tuple[int, int]
 """A pair (sign, e) standing for the factor 1 - sign*q^e."""
 
 
 def _check_binomial(sign: int, e: int, lo: int = 0) -> None:
+    # One type test on the hot path (bool is refused); check_int names the culprit.
+    if not type(sign) is type(e) is type(lo) is int:
+        check_int("sign", sign)
+        check_int("exponent", e)
+        check_int("suffix start", lo)
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     if e < 0:
@@ -297,47 +303,31 @@ def _check_divisor(sign: int, e: int, lo: int = 0) -> None:
         raise ValueError(f"1 - ({sign})*q^0 = {1 - sign} is not a unit")
 
 
-def _alternating_step(total: int, c: int) -> int:
-    return c - total
-
-
 def mul_binomial(cs: List[int], sign: int, e: int, lo: int = 0) -> None:
     """Multiply the suffix cs[lo:] by 1 - sign*q^e in place, modulo q^(len(cs) - lo).
 
     Each c[k], k >= lo + e, loses sign*c[k-e] of the old list, as a
-    descending update would; the slice is read in full before it is written
-    back.  cs[:lo] is left as it is.
+    descending update would.  cs[:lo] is left as it is.
     """
     _check_binomial(sign, e, lo)
-    # One comprehension per sign: a multiply by sign per coefficient, here
-    # and in div_binomial, made verify_all(600) about 13% slower (2-core
-    # Xeon VM, Python 3.11).
-    if sign == 1:
-        cs[lo + e:] = [a - b for a, b in zip(cs[lo + e:], islice(cs, lo, None))]
-    else:
-        cs[lo + e:] = [a + b for a, b in zip(cs[lo + e:], islice(cs, lo, None))]
+    # Slice assignment materialises the map before it writes, so islice
+    # reads the old list throughout.
+    cs[lo + e:] = map(sub if sign == 1 else add, cs[lo + e:], islice(cs, lo, None))
 
 
 def div_binomial(cs: List[int], sign: int, e: int, lo: int = 0) -> None:
     """Divide the suffix cs[lo:] by 1 - sign*q^e in place, modulo q^(len(cs) - lo).
 
     Each c[k], k >= lo + e, gains sign*c[k-e] of the new list: an ascending
-    update.  cs[:lo] is left as it is.  The divisor must be a unit, so
-    e = 0 is refused as ``invert`` refuses it.
+    update, made in one pass.  A divisor with e at or beyond the suffix
+    length changes nothing.  cs[:lo] is left as it is.  The divisor must be
+    a unit, so e = 0 is refused as ``invert`` refuses it.
     """
     _check_divisor(sign, e, lo)
-    n = len(cs) - lo
-    if e * e < n:
-        # Few long residue classes mod e, each a running sum (alternating
-        # for sign -1) done in one C-level pass.
-        step = None if sign == 1 else _alternating_step
-        for r in range(lo, lo + e):
-            cs[r::e] = accumulate(cs[r::e], step)
-    elif e < n:
-        # Many short residue classes: one C-level pass instead of a Python
-        # loop over about n/e blocks.  out grows by one new coefficient per
-        # item, and map reads the new coefficient e places back from out
-        # itself, which stays e items ahead of the read.
+    if e < len(cs) - lo:
+        # out is extended while map reads it: each new coefficient is read
+        # back e places later from out itself, which stays e items ahead of
+        # the read.
         out = cs[lo : lo + e]
         out.extend(map(add if sign == 1 else sub, islice(cs, lo + e, None), out))
         cs[lo:] = out
@@ -373,11 +363,13 @@ def binomial_quotient(
     ``mul_binomial``/``div_binomial`` on the suffix from lo, so a factor
     above N/2 costs O(1) and (q;q)_inf costs about N^2/4 updates, not N^2/2.
     """
-    num, den = Counter(num), Counter(den)
+    check_int("order", order)
+    num, den = list(num), list(den)
     for sign, e in num:
         _check_binomial(sign, e)
     for sign, e in den:
         _check_divisor(sign, e)
+    num, den = Counter(num), Counter(den)
     shared = num & den
     factors = sorted(
         [(e, sign, False) for sign, e in (num - shared).elements() if e <= order]
@@ -437,6 +429,7 @@ def ratio_sum(
     and the 1 are the write cs[e_n] = 1 (cs[e_n + 1:e_(n+1)] is still zero),
     so no step pays a separate pass, a copy or a concatenation to add a term.
     """
+    check_int("order", order)
     es = []
     e = exp(0)
     while e <= order:

@@ -133,6 +133,47 @@ def test_kernel_rejects_bad_binomials():
             kernel([1, 2, 3], 1, 1, -1)
 
 
+@pytest.mark.parametrize("kernel", (mul_binomial, div_binomial))
+@pytest.mark.parametrize(
+    "args", [(True, 1), (1, True), (1, 1, True), (-1, 2, False), (1.0, 1), (1, 1.0), (1, 1, 0.0)]
+)
+def test_kernel_refuses_non_int_binomials(kernel, args):
+    # bool is an int subclass, so True would otherwise stand for 1
+    cs = [1, 2, 3, 4]
+    with pytest.raises(TypeError, match="must be int, got"):
+        kernel(cs, *args)
+    assert cs == [1, 2, 3, 4]
+
+
+def test_binomial_quotient_refuses_non_int_binomials_and_order():
+    # (1, 1) and (1, True) are equal as tuples, so the check must see every
+    # binomial, not only the distinct ones a Counter keeps.
+    for num, den in (
+        ([(1, True)], []),
+        ([], [(True, 1)]),
+        ([(1, 1), (1, True)], []),
+        ([(1, 1.0)], []),
+    ):
+        with pytest.raises(TypeError, match="must be int, got"):
+            binomial_quotient(3, num, den)
+    for order in (3.0, True):
+        with pytest.raises(TypeError, match="order must be int, got"):
+            binomial_quotient(order, [(1, 1)])
+
+
+def test_ratio_sum_refuses_non_int_order_before_evaluating():
+    calls = []
+
+    def exp(n):
+        calls.append(n)
+        return n
+
+    for order in (3.0, True):
+        with pytest.raises(TypeError, match="order must be int, got"):
+            ratio_sum(order, exp, ((), ()), lambda n: (), lambda n: ())
+    assert calls == []
+
+
 def test_ratio_sum_matches_dense_sum():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -212,6 +253,39 @@ def test_binomial_quotient_matches_uncancelled_product():
         for sign, e in den:
             want = want * binomial(sign, e, order).invert()
         assert got == want
+
+    check()
+
+
+def test_binomial_quotient_matches_divisor_sum_recurrence():
+    # Long suffixes at small exponents (e*e well below the suffix length),
+    # runs of consecutive factors and binomials shared by both sides, against
+    # a reference that imports nothing from qident.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def quotients(draw):
+        order = draw(st.integers(1, 300))
+        exps = draw(
+            st.lists(st.one_of(st.integers(1, min(order, 20)), st.integers(1, order)), min_size=1, max_size=6)
+        )
+        pool = [(sign, e) for sign in (1, -1) for e in exps]
+        num = draw(st.lists(st.sampled_from(pool), max_size=8))
+        den = draw(st.lists(st.sampled_from(pool), max_size=8))
+        sign, first, step = draw(st.sampled_from([1, -1])), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        run = [(sign, e) for e in range(first, order + 1, step)]
+        if draw(st.booleans()):
+            num += run
+        else:
+            den += run
+        return order, num, den
+
+    @hypothesis.settings(max_examples=30, deadline=None)
+    @hypothesis.given(quotients())
+    def check(case):
+        order, num, den = case
+        assert list(binomial_quotient(order, num, den).coeffs) == divisor_sum_product(num, den, order)
 
     check()
 
