@@ -13,7 +13,6 @@ from typing import List, Optional
 
 from .identities import (
     NEGATIVE_CONTROL_EXPONENT,
-    RELATION_FIRST_N,
     RELATION_KINDS,
     RELATIONS,
     IdentityBuildError,
@@ -47,7 +46,7 @@ class CliConfig:
 
     order: int = 200
     oracle_limit: int = 40
-    output_mode: str = "human"
+    machine: bool = False
 
     def __post_init__(self):
         if self.order < 0:
@@ -56,14 +55,8 @@ class CliConfig:
             raise ValueError(
                 f"--oracle-limit must be nonnegative (got {self.oracle_limit})"
             )
-        if self.output_mode not in ("human", "machine"):
-            raise ValueError("output_mode must be 'human' or 'machine'")
         if self.oracle_limit > self.order:
             object.__setattr__(self, "oracle_limit", self.order)
-
-    @property
-    def machine(self) -> bool:
-        return self.output_mode == "machine"
 
 
 def _fail(message: str) -> int:
@@ -145,8 +138,8 @@ def cmd_verify(config: CliConfig, target: str, use_oracle: bool) -> int:
             f"fail at --order >= {NEGATIVE_CONTROL_EXPONENT} (got {config.order})"
         )
     relation_order = min(config.order, config.oracle_limit) if use_oracle else config.order
-    if target in RELATION_KINDS and relation_order < RELATION_FIRST_N[target]:
-        first = RELATION_FIRST_N[target]
+    if target in RELATION_KINDS and relation_order < RELATIONS[target].first_n:
+        first = RELATIONS[target].first_n
         limits = "--order and --oracle-limit" if use_oracle else "--order"
         return _fail(
             f"{target} holds for n >= {first} and would compare nothing: "
@@ -276,7 +269,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         config = CliConfig(
             order=args.order,
             oracle_limit=args.oracle_limit,
-            output_mode="machine" if args.machine else "human",
+            machine=args.machine,
         )
     except ValueError as exc:
         return _fail(str(exc))

@@ -37,7 +37,6 @@ from .series import (
     TruncatedSeries,
     binomial_quotient,
     check_int,
-    div_binomial,
     poch_binomials,
     poch_infinite,
     ratio_sum,
@@ -71,9 +70,6 @@ RELATIONS = {
 }
 
 RELATION_KINDS = tuple(RELATIONS)
-
-RELATION_FIRST_N = {kind: r.first_n for kind, r in RELATIONS.items()}
-"""The smallest n each relation holds for; an order below it compares nothing."""
 
 
 @dataclass(frozen=True)
@@ -149,59 +145,46 @@ def _times(x: TruncatedSeries, num: Sequence[Binomial] = (), den: Sequence[Binom
 # -- left-hand-side sum builders ---------------------------------------------
 
 
-def _help_sum(order: int, min_exp, finite_len) -> TruncatedSeries:
-    """sum over n of q^min_exp(n) * (q^(4n+4);q^4)_inf * (q;q)_finite_len(n).
+def _help_sum(order: int, first: int, step: int, finite_start: int) -> TruncatedSeries:
+    """sum over n of q^(first + step*n) * (q^(4n+4);q^4)_inf * (q;q)_(2n + finite_start).
 
-    From term n to term n+1 the infinite tail loses its first factor
-    1 - q^(4n+4), divided out, and the finite product gains its new factors,
-    one of which is 1 - q^(2n+2).  Their quotient is 1/(1 + q^(2n+2)), a
-    difference of squares, so the step applies that and the other new factors.
+    From term n to term n+1 the infinite tail loses 1 - q^(4n+4) and the
+    finite product gains 1 - q^(2n+1+f) and 1 - q^(2n+2+f), f = finite_start.
+    For f in (0, 1) one of these is 1 - q^(2n+2), and by the difference of
+    squares (1 - q^(2n+2))/(1 - q^(4n+4)) = 1/(1 + q^(2n+2)); so the term
+    ratio is (1 - q^(2n+1+2f))/(1 + q^(2n+2)), that of (q^(1+2f);q^2)_n over
+    (-q^2;q^2)_n.
     """
-
-    def num(n: int) -> List[Binomial]:
-        new = range(finite_len(n) + 1, finite_len(n + 1) + 1)
-        if 2 * n + 2 not in new:
-            raise ValueError(f"step {n} adds (q;q) factors {list(new)}, without 1 - q^{2 * n + 2}")
-        return [(1, m) for m in new if m != 2 * n + 2]
-
+    check_int("finite_start", finite_start)
+    if finite_start not in (0, 1):
+        raise ValueError(f"finite_start must be 0 or 1, got {finite_start}")
     return ratio_sum(
         order,
-        min_exp,
+        first,
+        step,
         start=(
             poch_binomials(QMonomial(1, 4), 4, order)
-            + poch_binomials(QMonomial(1, 1), 1, order, finite_len(0)),
+            + poch_binomials(QMonomial(1, 1), 1, order, finite_start),
             (),
         ),
-        num=num,
-        den=lambda n: [(-1, 2 * n + 2)],
+        num=[(QMonomial(1, 1 + 2 * finite_start), 2)],
+        den=[(QMonomial(-1, 2), 2)],
     )
 
 
 def _qbinomial_lhs(a: Optional[QMonomial], z_exp: int, order: int) -> TruncatedSeries:
     """sum over n of (a;q)_n * q^(n*z_exp) / (q;q)_n, with a = None meaning 0."""
-    return ratio_sum(
-        order,
-        lambda n: n * z_exp,
-        start=((), ()),
-        num=lambda n: [] if a is None else [(a.sign, a.exp + n)],
-        den=lambda n: [(1, n + 1)],
-    )
+    return ratio_sum(order, 0, z_exp, num=[] if a is None else [(a, 1)], den=[(QMonomial(1, 1), 1)])
 
 
 def _qbinomial_rhs(a: Optional[QMonomial], z_exp: int, order: int) -> TruncatedSeries:
-    num = [] if a is None else poch_binomials(QMonomial(a.sign, a.exp + z_exp), 1, order)
+    num = [] if a is None else poch_binomials(a.shifted(z_exp), 1, order)
     return binomial_quotient(order, num, poch_binomials(QMonomial(1, z_exp), 1, order))
 
 
 def _asv_lhs(step: int, a: QMonomial, b: QMonomial, order: int) -> TruncatedSeries:
     """sum over n of (a;Q)_n * Q^n / (b;Q)_n with Q = q^step."""
-    return ratio_sum(
-        order,
-        lambda n: step * n,
-        start=((), ()),
-        num=lambda n: [(a.sign, a.exp + step * n)],
-        den=lambda n: [(b.sign, b.exp + step * n)],
-    )
+    return ratio_sum(order, 0, step, num=[(a, step)], den=[(b, step)])
 
 
 def _asv_rhs(step: int, a: QMonomial, b: QMonomial, order: int) -> TruncatedSeries:
@@ -221,12 +204,10 @@ def _asv_rhs(step: int, a: QMonomial, b: QMonomial, order: int) -> TruncatedSeri
     ratio = binomial_quotient(
         order, poch_binomials(a, step, order), poch_binomials(b, step, order)
     )
-    cs = ([0] * d + [b.sign * c for c in ratio.coeffs])[: order + 1]
-    cs[0] += 1
-    if d <= order:
-        cs[d] -= b.sign
-    div_binomial(cs, a.sign * b.sign, a.exp + d)
-    return TruncatedSeries(cs, order)
+    return _times(
+        ratio.scale(b.sign).shift(d) + 1 - TruncatedSeries.monomial(b.sign, d, order),
+        den=[(a.sign * b.sign, a.exp + d)],
+    )
 
 
 # -- the registry -------------------------------------------------------------
@@ -331,7 +312,7 @@ def registry() -> List[IdentityCase]:
         IdentityCase(
             id="help-1",
             description="product-sum evaluation behind the DE1 identity",
-            lhs=lambda order: _help_sum(order, lambda n: 2 * n, lambda n: 2 * n),
+            lhs=lambda order: _help_sum(order, 0, 2, finite_start=0),
             rhs=lambda order: _times(
                 gf_q4_inf(order).scale(2) - gf_euler_inf(order), den=[(-1, 1)]
             ),
@@ -353,7 +334,7 @@ def registry() -> List[IdentityCase]:
         IdentityCase(
             id="help-2",
             description="product-sum evaluation behind the DE2 identity",
-            lhs=lambda order: _help_sum(order, lambda n: 2 * n, lambda n: 2 * n + 1),
+            lhs=lambda order: _help_sum(order, 0, 2, finite_start=1),
             rhs=lambda order: _times(
                 _times(gf_q4_inf(order).scale(2), [(1, 1)]) - gf_euler_inf(order),
                 den=[(-1, 3)],
@@ -376,7 +357,7 @@ def registry() -> List[IdentityCase]:
         IdentityCase(
             id="help-3",
             description="product-sum evaluation behind the DE3 identity",
-            lhs=lambda order: _help_sum(order, lambda n: 4 * n + 1, lambda n: 2 * n),
+            lhs=lambda order: _help_sum(order, 1, 4, finite_start=0),
             rhs=lambda order: _times(
                 gf_q4_inf(order).scale(2).shift(2)
                 + _times(gf_euler_inf(order), [(1, 1)]).shift(1),

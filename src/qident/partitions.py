@@ -319,35 +319,36 @@ def count_oracle_table(up_to: int, spec: ConstraintSpec) -> List[int]:
 
 # -- generating functions ---------------------------------------------------
 #
-# Each distinct-even family is a sum over n of
-#     (-q^2;q^2)_n * q^(min exponent) / (q;q^2)_(n + den_extra)
-# whose term ratio is one binomial over another, so each term costs two
-# in-place binomial updates of the running term.
+# Each distinct-even family is the basic hypergeometric sum
+#     sum_n q^(first + step*n) * (-q^2;q^2)_n / (q;q^2)_(n + den_extra),
+# one Pochhammer symbol over another, so each term costs two in-place
+# binomial updates of the running term.
 
 
-def _distinct_even_sum(order: int, min_exp, den_extra: int) -> TruncatedSeries:
+def _distinct_even_sum(order: int, first: int, step: int, den_extra: int) -> TruncatedSeries:
     return ratio_sum(
         order,
-        min_exp,
+        first,
+        step,
         start=((), poch_binomials(QMonomial(1, 1), 2, order, den_extra)),
-        num=lambda n: [(-1, 2 * n + 2)],
-        den=lambda n: [(1, 2 * (n + den_extra) + 1)],
+        num=[(QMonomial(-1, 2), 2)],
+        den=[(QMonomial(1, 2 * den_extra + 1), 2)],
     )
 
 
 def gf_de1(order: int) -> TruncatedSeries:
     """Sum of (-q^2;q^2)_n q^(2n+1) / (q;q^2)_(n+1): counts the DE1 family."""
-    return _distinct_even_sum(order, lambda n: 2 * n + 1, den_extra=1)
+    return _distinct_even_sum(order, 1, 2, den_extra=1)
 
 
 def gf_de2(order: int) -> TruncatedSeries:
     """Sum of (-q^2;q^2)_n q^(4n+2) / (q;q^2)_(n+1): counts the DE2 family."""
-    return _distinct_even_sum(order, lambda n: 4 * n + 2, den_extra=1)
+    return _distinct_even_sum(order, 2, 4, den_extra=1)
 
 
 def gf_de3(order: int) -> TruncatedSeries:
     """Sum of (-q^2;q^2)_n q^(2n+1) / (q;q^2)_n: counts the DE3 family."""
-    return _distinct_even_sum(order, lambda n: 2 * n + 1, den_extra=0)
+    return _distinct_even_sum(order, 1, 2, den_extra=0)
 
 
 def gf_ped(order: int) -> TruncatedSeries:

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from operator import add, sub
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 
 def check_int(name: str, value) -> None:
@@ -407,21 +407,27 @@ def poch_binomials(
     return [(a.sign, e) for e in range(a.exp, stop, step)]
 
 
+Pochhammer = Tuple[QMonomial, int]
+"""A pair (a, s) standing for (a; q^s)_n, whose factor at step n is 1 - a*q^(s*n)."""
+
+
 def ratio_sum(
     order: int,
-    exp: Callable[[int], int],
-    start: Tuple[Iterable[Binomial], Iterable[Binomial]],
-    num: Callable[[int], Iterable[Binomial]],
-    den: Callable[[int], Iterable[Binomial]],
+    first: int,
+    step: int,
+    start: Tuple[Iterable[Binomial], Iterable[Binomial]] = ((), ()),
+    num: Iterable[Pochhammer] = (),
+    den: Iterable[Pochhammer] = (),
 ) -> TruncatedSeries:
-    """sum_{n>=0} q^exp(n) * T_n modulo q^(order+1), evaluated in Horner form.
+    """sum_{n>=0} q^(first + step*n) * T_n modulo q^(order+1), evaluated in Horner form.
 
-    T_0 is the binomials start[0] over start[1], and
-    T_(n+1) = T_n * prod num(n) / prod den(n).  exp must be strictly
-    increasing; the sum stops at the last exponent e_M = exp(M) <= order.
-    With R_n = prod num(n) / prod den(n) the sum is q^e_0 * T_0 * H_0, where
+    T_n = T_0 * prod (a;q^s)_n over num / prod (b;q^t)_n over den, where T_0
+    is the binomials start[0] over start[1]: the basic hypergeometric shape
+    of every left-hand sum here.  first >= 0, step >= 1 and every s, t >= 0
+    are checked before any work.  With e_n = first + step*n, the last
+    e_M <= order, and R_n = T_(n+1)/T_n, the sum is q^e_0 * T_0 * H_0, where
 
-        H_M = 1,    H_n = 1 + q^(e_(n+1) - e_n) * R_n * H_(n+1),
+        H_M = 1,    H_n = 1 + q^step * R_n * H_(n+1),
 
     so H_n is the tail sum divided by q^e_n * T_n.  The whole sum lives in
     one list of length order + 1, with H_n in cs[e_n:], the room its shift
@@ -429,12 +435,17 @@ def ratio_sum(
     and the 1 are the write cs[e_n] = 1 (cs[e_n + 1:e_(n+1)] is still zero),
     so no step pays a separate pass, a copy or a concatenation to add a term.
     """
-    check_int("order", order)
-    es = []
-    e = exp(0)
-    while e <= order:
-        es.append(e)
-        e = exp(len(es))
+    for name, value in (("order", order), ("first exponent", first), ("exponent step", step)):
+        check_int(name, value)
+    if first < 0 or step < 1:
+        raise ValueError(f"need first >= 0 and step >= 1, got first={first}, step={step}")
+    num = [(a.sign, a.exp, s) for a, s in num]
+    den = [(b.sign, b.exp, t) for b, t in den]
+    for *_, s in num + den:
+        check_int("Pochhammer step", s)
+        if s < 0:
+            raise ValueError(f"Pochhammer step must be nonnegative, got {s}")
+    es = range(first, order + 1, step)
     if not es:
         # Nothing to sum; applying start to an empty list still validates it.
         times_binomials([], *start)
@@ -442,7 +453,11 @@ def ratio_sum(
     cs = [0] * (order + 1)
     cs[es[-1]] = 1
     for n in range(len(es) - 2, -1, -1):
-        times_binomials(cs, num(n), den(n), es[n + 1])
+        lo = es[n + 1]
+        for sign, e, s in num:
+            mul_binomial(cs, sign, e + s * n, lo)
+        for sign, e, s in den:
+            div_binomial(cs, sign, e + s * n, lo)
         cs[es[n]] = 1
     times_binomials(cs, *start, es[0])
     return TruncatedSeries(cs, order)

@@ -18,8 +18,6 @@ def test_config_clamps_oracle_limit():
     assert config.oracle_limit == 10
     with pytest.raises(ValueError):
         CliConfig(order=-1)
-    with pytest.raises(ValueError):
-        CliConfig(output_mode="loud")
 
 
 def test_negative_order_and_oracle_limit_are_usage_errors(capsys):

@@ -2,8 +2,8 @@ import pytest
 
 from qident import identities
 from qident.identities import (
-    RELATION_FIRST_N,
     RELATION_KINDS,
+    RELATIONS,
     IdentityBuildError,
     IdentityCase,
     VerificationReport,
@@ -73,9 +73,13 @@ def test_help1_agrees_to_100():
 
 def test_help_sum_refuses_a_step_without_its_difference_of_squares_factor():
     # A step divides by 1 + q^(2n+2) in place of (1 - q^(2n+2))/(1 - q^(4n+4)),
-    # so 1 - q^(2n+2) must be among the (q;q) factors the step adds.
-    with pytest.raises(ValueError, match=r"without 1 - q\^6"):
-        identities._help_sum(6, lambda n: 2 * n, lambda n: 3 * n)
+    # so 1 - q^(2n+2) must be among the (q;q) factors the step adds: with
+    # (q;q)_(2n+f) it is for f = 0 and f = 1 only.
+    for finite_start in (2, -1):
+        with pytest.raises(ValueError, match="finite_start must be 0 or 1"):
+            identities._help_sum(6, 0, 2, finite_start)
+    with pytest.raises(TypeError):
+        identities._help_sum(6, 0, 2, True)
 
 
 def test_find_case_looks_up_one_map_of_definitions(monkeypatch):
@@ -215,7 +219,7 @@ def test_oracle_relations_build_no_series(kind, monkeypatch):
     for order in (30, 50):
         report = verify_relation(kind, order, use_oracle=True)
         assert report.passed, report.mismatch
-        assert report.checked == order + 1 - RELATION_FIRST_N[kind]
+        assert report.checked == order + 1 - RELATIONS[kind].first_n
 
 
 def test_verify_refuses_non_int_order_before_building():
@@ -293,13 +297,7 @@ def test_scaled_and_unscaled_de3_forms_agree():
     # The summation with numerator q^(2n+1) is q times the one with q^(2n);
     # both closed forms must therefore match after one shift.
     order = 120
-    low_sum = ratio_sum(
-        order,
-        lambda n: 2 * n,
-        start=((), ()),
-        num=lambda n: [(-1, 2 * n + 2)],
-        den=lambda n: [(1, 2 * n + 1)],
-    )
+    low_sum = ratio_sum(order, 0, 2, num=[(QMonomial(-1, 2), 2)], den=[(QMonomial(1, 1), 2)])
     one_plus_q3 = TruncatedSeries.one(order) + TruncatedSeries.monomial(1, 3, order)
     low_lhs = one_plus_q3 * low_sum
     low_rhs = (

@@ -5,7 +5,7 @@ and ``invert()``, on a whole list and on a suffix of one;
 ``binomial_quotient`` must agree with the same binomials applied one by one,
 uncancelled; ``ratio_sum`` must agree with the sum built term by term with
 dense operations; and every builder must commute with truncation, which pins
-the ``exp(n) <= order`` stop conditions of the sums.
+the ``first + step*n <= order`` stop condition of the sums.
 Every builder's output is pinned by recorded digests, and the deep checks
 compare builders against references that use no builder at all.
 """
@@ -161,17 +161,43 @@ def test_binomial_quotient_refuses_non_int_binomials_and_order():
             binomial_quotient(order, [(1, 1)])
 
 
-def test_ratio_sum_refuses_non_int_order_before_evaluating():
-    calls = []
+def _refuse_kernel_work(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("kernel work before the arguments were checked")
 
-    def exp(n):
-        calls.append(n)
-        return n
+    for name in ("times_binomials", "mul_binomial", "div_binomial"):
+        monkeypatch.setattr(series, name, refuse)
 
+
+def test_ratio_sum_refuses_non_int_order_before_evaluating(monkeypatch):
+    _refuse_kernel_work(monkeypatch)
     for order in (3.0, True):
         with pytest.raises(TypeError, match="order must be int, got"):
-            ratio_sum(order, exp, ((), ()), lambda n: (), lambda n: ())
-    assert calls == []
+            ratio_sum(order, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "first, step, num, den, error",
+    [
+        (-1, 1, (), (), ValueError),
+        (0, 0, (), (), ValueError),
+        (0, -2, (), (), ValueError),
+        (1.0, 1, (), (), TypeError),
+        (True, 1, (), (), TypeError),
+        (0, 2.0, (), (), TypeError),
+        (0, True, (), (), TypeError),
+        (0, 1, [(QMonomial(1, 1), -1)], (), ValueError),
+        (0, 1, (), [(QMonomial(1, 1), -1)], ValueError),
+        (0, 1, [(QMonomial(1, 1), 1.0)], (), TypeError),
+        (0, 1, (), [(QMonomial(1, 1), True)], TypeError),
+    ],
+)
+def test_ratio_sum_refuses_bad_exponents_and_steps_before_kernel_work(monkeypatch, first, step, num, den, error):
+    # A negative exponent would be written from the end of the list, and a
+    # step of 0 would sum forever; neither can reach the kernel.
+    _refuse_kernel_work(monkeypatch)
+    with pytest.raises(error):
+        ratio_sum(5, first, step, num=num, den=den)
 
 
 def test_ratio_sum_matches_dense_sum():
@@ -182,24 +208,22 @@ def test_ratio_sum_matches_dense_sum():
     @hypothesis.settings(max_examples=150, deadline=None)
     @hypothesis.given(
         order=st.integers(0, 40),
-        slope=st.integers(1, 4),
-        offset=st.integers(0, 3),
+        step=st.integers(1, 4),
+        first=st.integers(0, 3),
         start=st.tuples(st.lists(binomials, max_size=3), st.lists(binomials, max_size=3)),
         num=st.lists(st.tuples(st.sampled_from([1, -1]), st.integers(0, 4), st.integers(0, 3)), max_size=2),
         den=st.lists(st.tuples(st.sampled_from([1, -1]), st.integers(1, 4), st.integers(0, 3)), max_size=2),
     )
-    def check(order, slope, offset, start, num, den):
-        # num and den entries (sign, c, d) stand for the binomial 1 - sign*q^(c + d*n)
+    def check(order, step, first, start, num, den):
+        # num and den entries (sign, c, d) stand for (sign*q^c; q^d)_n, whose
+        # factor at step n is the binomial 1 - sign*q^(c + d*n)
         def factors(entries, n):
             return [(sign, c + d * n) for sign, c, d in entries]
 
-        got = ratio_sum(
-            order,
-            lambda n: slope * n + offset,
-            start,
-            lambda n: factors(num, n),
-            lambda n: factors(den, n),
-        )
+        def pochhammers(entries):
+            return [(QMonomial(sign, c), d) for sign, c, d in entries]
+
+        got = ratio_sum(order, first, step, start, pochhammers(num), pochhammers(den))
 
         term = TruncatedSeries.one(order)
         for sign, e in start[0]:
@@ -208,8 +232,8 @@ def test_ratio_sum_matches_dense_sum():
             term = term * binomial(sign, e, order).invert()
         want = TruncatedSeries.zero(order)
         n = 0
-        while slope * n + offset <= order:
-            want = want + term.shift(slope * n + offset)
+        while first + step * n <= order:
+            want = want + term.shift(first + step * n)
             for sign, e in factors(num, n):
                 term = term * binomial(sign, e, order)
             for sign, e in factors(den, n):
@@ -347,40 +371,12 @@ def test_qbinomial_rhs_cancels_to_the_uncancelled_list():
 
 
 def test_ratio_sum_with_first_exponent_above_order_is_zero():
-    calls = []
-
-    def exp(n):
-        calls.append(n)
-        return 5 + n
-
     start = ([(1, 1)], [(1, 2)])
-    got = ratio_sum(3, exp, start, lambda n: [(1, 1)], lambda n: [(1, 2)])
-    assert got == TruncatedSeries.zero(3)
-    assert calls == [0]
+    num, den = [(QMonomial(1, 1), 1)], [(QMonomial(1, 2), 1)]
+    assert ratio_sum(3, 5, 1, start, num, den) == TruncatedSeries.zero(3)
     for bad_start in (((2, 1),), ()), ((), ((1, 0),)):
         with pytest.raises(ValueError):
-            ratio_sum(3, exp, bad_start, lambda n: (), lambda n: ())
-
-
-def test_ratio_sum_evaluates_each_n_once():
-    seen = {"exp": [], "num": [], "den": []}
-
-    def record(name, value):
-        def f(n):
-            seen[name].append(n)
-            return value(n)
-        return f
-
-    ratio_sum(
-        7,
-        record("exp", lambda n: 2 * n),
-        ((), ()),
-        record("num", lambda n: [(1, n + 1)]),
-        record("den", lambda n: [(-1, n + 1)]),
-    )
-    # exponents 0, 2, 4, 6 are in range and exp(4) = 8 ends the sum
-    assert seen["exp"] == [0, 1, 2, 3, 4]
-    assert sorted(seen["num"]) == sorted(seen["den"]) == [0, 1, 2]
+            ratio_sum(3, 5, 1, bad_start)
 
 
 COHERENCE_ORDERS = ((40, 0), (40, 1), (40, 2), (40, 3), (40, 7), (123, 40))
