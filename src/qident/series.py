@@ -63,9 +63,10 @@ class TruncatedSeries:
 
     def __init__(self, coeffs: Iterable[int], order: Optional[int] = None):
         cs = list(coeffs)
-        for c in cs:
-            if type(c) is not int:  # exactly int: bool is an int subclass
-                raise TypeError(f"coefficients must be int, got {type(c).__name__}")
+        types = list(map(type, cs))
+        if types.count(int) != len(types):  # exactly int: bool is an int subclass
+            bad = next(t for t in types if t is not int)
+            raise TypeError(f"coefficients must be int, got {bad.__name__}")
         if order is None:
             if not cs:
                 raise ValueError("empty coefficient list needs an explicit order")
@@ -230,10 +231,11 @@ class TruncatedSeries:
         coefficients agree.
         """
         n = min(self.order, other.order)
-        for k in range(n + 1):
-            if self.coeffs[k] != other.coeffs[k]:
-                return (k, self.coeffs[k], other.coeffs[k])
-        return None
+        a, b = self.coeffs[: n + 1], other.coeffs[: n + 1]
+        if a == b:
+            return None
+        k = next(k for k in range(n + 1) if a[k] != b[k])
+        return (k, a[k], b[k])
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -274,10 +276,16 @@ class TruncatedSeries:
 # 1 - sign*q^e.  Multiplying or dividing a coefficient list by one is a single
 # C-level pass of operator.add or operator.sub, whatever the sign or the
 # exponent, costing O(N) in place; so a product of up to N binomials costs
-# O(N^2) and never needs a dense multiply or a general inverse.  Each kernel
-# call takes a suffix start lo and works on cs[lo:] as if it were a list of
-# its own, modulo q^(len(cs) - lo), leaving cs[:lo] alone; so a quotient or a
+# O(N^2) and never needs a dense multiply or a general inverse.  Each pass
+# takes a suffix start lo and works on cs[lo:] as if it were a list of its
+# own, modulo q^(len(cs) - lo), leaving cs[:lo] alone; so a quotient or a
 # Horner sum is built in one list, without copying a tail out and back.
+#
+# The public entry points (mul_binomial, div_binomial, times_binomials) check
+# every binomial they are given.  The internal callers, binomial_quotient and
+# ratio_sum, check all their input once, up front, and then run the bare
+# passes _mul_pass and _div_pass; ratio_sum skips every factor whose exponent
+# is at or past the length of its suffix, since such a factor cannot change it.
 
 Binomial = Tuple[int, int]
 """A pair (sign, e) standing for the factor 1 - sign*q^e."""
@@ -303,6 +311,29 @@ def _check_divisor(sign: int, e: int, lo: int = 0) -> None:
         raise ValueError(f"1 - ({sign})*q^0 = {1 - sign} is not a unit")
 
 
+def _check_binomials(num: List[Binomial], den: List[Binomial]) -> None:
+    """Check every binomial in num as mul_binomial would, and every one in den as div_binomial would."""
+    for sign, e in num:
+        _check_binomial(sign, e)
+    for sign, e in den:
+        _check_divisor(sign, e)
+
+
+def _mul_pass(cs: List[int], sign: int, e: int, lo: int) -> None:
+    # Slice assignment materialises the map before it writes, so islice
+    # reads the old list throughout.
+    cs[lo + e:] = map(sub if sign == 1 else add, cs[lo + e:], islice(cs, lo, None))
+
+
+def _div_pass(cs: List[int], sign: int, e: int, lo: int) -> None:
+    # Needs e >= 1.  out is extended while map reads it: each new coefficient
+    # is read back e places later from out itself, which stays e items ahead
+    # of the read.
+    out = cs[lo : lo + e]
+    out.extend(map(add if sign == 1 else sub, islice(cs, lo + e, None), out))
+    cs[lo:] = out
+
+
 def mul_binomial(cs: List[int], sign: int, e: int, lo: int = 0) -> None:
     """Multiply the suffix cs[lo:] by 1 - sign*q^e in place, modulo q^(len(cs) - lo).
 
@@ -310,9 +341,7 @@ def mul_binomial(cs: List[int], sign: int, e: int, lo: int = 0) -> None:
     descending update would.  cs[:lo] is left as it is.
     """
     _check_binomial(sign, e, lo)
-    # Slice assignment materialises the map before it writes, so islice
-    # reads the old list throughout.
-    cs[lo + e:] = map(sub if sign == 1 else add, cs[lo + e:], islice(cs, lo, None))
+    _mul_pass(cs, sign, e, lo)
 
 
 def div_binomial(cs: List[int], sign: int, e: int, lo: int = 0) -> None:
@@ -325,12 +354,7 @@ def div_binomial(cs: List[int], sign: int, e: int, lo: int = 0) -> None:
     """
     _check_divisor(sign, e, lo)
     if e < len(cs) - lo:
-        # out is extended while map reads it: each new coefficient is read
-        # back e places later from out itself, which stays e items ahead of
-        # the read.
-        out = cs[lo : lo + e]
-        out.extend(map(add if sign == 1 else sub, islice(cs, lo + e, None), out))
-        cs[lo:] = out
+        _div_pass(cs, sign, e, lo)
 
 
 def times_binomials(
@@ -349,9 +373,9 @@ def binomial_quotient(
 ) -> TruncatedSeries:
     """The product of the binomials in num over the product of those in den.
 
-    Every binomial is validated first, as ``mul_binomial``/``div_binomial``
-    would; then a binomial in both lists cancels (as often as it appears in
-    both) and only the rest is applied.  So (q^4;q^4)_inf/(q;q)_inf divides
+    Every binomial is validated first, once, as ``mul_binomial``/
+    ``div_binomial`` would; then a binomial in both lists cancels (as often
+    as it appears in both) and only the rest is applied, by the bare passes.  So (q^4;q^4)_inf/(q;q)_inf divides
     by the 3N/4 factors the numerator does not share and multiplies by none.
 
     The rest is applied from the largest exponent down, keeping the list
@@ -365,22 +389,21 @@ def binomial_quotient(
     """
     check_int("order", order)
     num, den = list(num), list(den)
-    for sign, e in num:
-        _check_binomial(sign, e)
-    for sign, e in den:
-        _check_divisor(sign, e)
-    num, den = Counter(num), Counter(den)
-    shared = num & den
-    factors = sorted(
-        [(e, sign, False) for sign, e in (num - shared).elements() if e <= order]
-        + [(e, sign, True) for sign, e in (den - shared).elements() if e <= order],
-        reverse=True,
-    )
+    _check_binomials(num, den)
+    unshared = Counter(den)  # the divisors not yet cancelled by a numerator binomial
+    factors = []
+    for b in num:
+        if unshared.get(b):  # b cancels one copy of itself in den
+            unshared[b] -= 1
+        elif b[1] <= order:
+            factors.append((b[1], b[0], False))
+    factors += [(e, sign, True) for (sign, e), k in unshared.items() if e <= order for _ in range(k)]
+    factors.sort(reverse=True)
     cs = [1] + [0] * order
     lo = order + 1  # cs[1:lo] is zero
     for e, sign, divide in factors:
         if e == 0:  # only in num, and last: 1 - sign scales every coefficient
-            mul_binomial(cs, sign, 0)
+            _mul_pass(cs, sign, 0, 0)
             continue
         if divide:
             j = -(-lo // e)  # j*e is the first multiple of e at or above lo
@@ -388,7 +411,7 @@ def binomial_quotient(
             if j * e <= order:
                 cs[j * e] += sign**j
         if lo + e <= order:
-            (div_binomial if divide else mul_binomial)(cs, sign, e, lo)
+            (_div_pass if divide else _mul_pass)(cs, sign, e, lo)
         if not divide:
             cs[e] -= sign  # after the suffix update, which reads the old cs[lo] when e == lo
         lo = e
@@ -423,8 +446,9 @@ def ratio_sum(
 
     T_n = T_0 * prod (a;q^s)_n over num / prod (b;q^t)_n over den, where T_0
     is the binomials start[0] over start[1]: the basic hypergeometric shape
-    of every left-hand sum here.  first >= 0, step >= 1 and every s, t >= 0
-    are checked before any work.  With e_n = first + step*n, the last
+    of every left-hand sum here.  first >= 0, step >= 1, every s, t >= 0,
+    the binomials of start and every divisor the sum reaches are checked
+    before any work.  With e_n = first + step*n, the last
     e_M <= order, and R_n = T_(n+1)/T_n, the sum is q^e_0 * T_0 * H_0, where
 
         H_M = 1,    H_n = 1 + q^step * R_n * H_(n+1),
@@ -434,6 +458,8 @@ def ratio_sum(
     leaves: R_n is applied in place to H_(n+1) = cs[e_(n+1):], and the shift
     and the 1 are the write cs[e_n] = 1 (cs[e_n + 1:e_(n+1)] is still zero),
     so no step pays a separate pass, a copy or a concatenation to add a term.
+    A factor whose exponent is at or past the length of the suffix it would
+    act on leaves it unchanged, so it is skipped without a pass.
     """
     for name, value in (("order", order), ("first exponent", first), ("exponent step", step)):
         check_int(name, value)
@@ -446,20 +472,39 @@ def ratio_sum(
         if s < 0:
             raise ValueError(f"Pochhammer step must be nonnegative, got {s}")
     es = range(first, order + 1, step)
+    # A QMonomial is a valid binomial, so only a divisor can still fail: its
+    # factor at step n is 1 - q^0 only when its exponent and t*n are 0, and
+    # the Horner loop below would meet the largest step, len(es) - 2, first.
+    if len(es) > 1:
+        for n in (len(es) - 2, 0):
+            for sign, e, t in den:
+                _check_divisor(sign, e + t * n)
+    start_num, start_den = map(list, start)
+    _check_binomials(start_num, start_den)
     if not es:
-        # Nothing to sum; applying start to an empty list still validates it.
-        times_binomials([], *start)
         return TruncatedSeries.zero(order)
     cs = [0] * (order + 1)
     cs[es[-1]] = 1
     for n in range(len(es) - 2, -1, -1):
         lo = es[n + 1]
+        room = order + 1 - lo  # a factor with e >= room cannot change cs[lo:]
         for sign, e, s in num:
-            mul_binomial(cs, sign, e + s * n, lo)
+            e += s * n
+            if e < room:
+                _mul_pass(cs, sign, e, lo)
         for sign, e, s in den:
-            div_binomial(cs, sign, e + s * n, lo)
+            e += s * n
+            if e < room:
+                _div_pass(cs, sign, e, lo)
         cs[es[n]] = 1
-    times_binomials(cs, *start, es[0])
+    lo = es[0]
+    room = order + 1 - lo
+    for sign, e in start_num:
+        if e < room:
+            _mul_pass(cs, sign, e, lo)
+    for sign, e in start_den:
+        if e < room:
+            _div_pass(cs, sign, e, lo)
     return TruncatedSeries(cs, order)
 
 

@@ -12,12 +12,13 @@ compare builders against references that use no builder at all.
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from qident import series
-from qident.identities import find_case, gf_euler_inf, gf_q4_inf, registry
+from qident.identities import find_case, gf_euler_inf, gf_q4_inf, negative_control, registry, verify, verify_all
 from qident.partitions import FAMILY_SERIES, gf_de1, gf_ped, gf_regular4, gf_regular4_min2
 from qident.series import (
     QMonomial,
@@ -145,7 +146,20 @@ def test_kernel_refuses_non_int_binomials(kernel, args):
     assert cs == [1, 2, 3, 4]
 
 
-def test_binomial_quotient_refuses_non_int_binomials_and_order():
+BAD_BINOMIALS = [
+    ((True, 1), TypeError, "sign must be int, got bool"),
+    ((1, False), TypeError, "exponent must be int, got bool"),
+    ((1.0, 1), TypeError, "sign must be int, got float"),
+    ((-1, 2.0), TypeError, "exponent must be int, got float"),
+    ((2, 1), ValueError, "sign must be +1 or -1, got 2"),
+    ((1, -1), ValueError, "exponent must be nonnegative, got -1"),
+    ((1, 2, 3), ValueError, "too many values to unpack"),
+    ((1,), ValueError, "not enough values to unpack"),
+]
+BAD_DIVISORS = BAD_BINOMIALS + [((1, 0), ValueError, "1 - (1)*q^0 = 0 is not a unit")]
+
+
+def test_binomial_quotient_refuses_non_int_binomials_and_order(monkeypatch):
     # (1, 1) and (1, True) are equal as tuples, so the check must see every
     # binomial, not only the distinct ones a Counter keeps.
     for num, den in (
@@ -159,14 +173,53 @@ def test_binomial_quotient_refuses_non_int_binomials_and_order():
     for order in (3.0, True):
         with pytest.raises(TypeError, match="order must be int, got"):
             binomial_quotient(order, [(1, 1)])
+    # One bad binomial anywhere in a long list must fail the up-front check
+    # with the message the one-by-one check gives, before any kernel work.
+    _refuse_kernel_work(monkeypatch)
+    cases = [("num", *case) for case in BAD_BINOMIALS] + [("den", *case) for case in BAD_DIVISORS]
+    for side, bad, error, message in cases:
+        for position in (0, 150, 299):
+            binomials = [((-1) ** k, k % 50 + 1) for k in range(300)]
+            binomials[position] = bad
+            num, den = (binomials, [(1, 1)]) if side == "num" else ([(1, 1)], binomials)
+            with pytest.raises(error) as excinfo:
+                binomial_quotient(40, num, den)
+            assert str(excinfo.value).startswith(message), (side, bad, position)
+
+
+class KernelWork(AssertionError):
+    pass
 
 
 def _refuse_kernel_work(monkeypatch):
+    # Every public kernel function and both internal callers reach the
+    # coefficients only through the two bare passes.
     def refuse(*args):
-        raise AssertionError("kernel work before the arguments were checked")
+        raise KernelWork("kernel work before the arguments were checked")
 
-    for name in ("times_binomials", "mul_binomial", "div_binomial"):
+    for name in ("_mul_pass", "_div_pass"):
         monkeypatch.setattr(series, name, refuse)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ratio_sum(5, 0, 1, num=[(QMonomial(1, 1), 1)]),
+        lambda: ratio_sum(5, 0, 1, den=[(QMonomial(1, 1), 1)]),
+        lambda: ratio_sum(5, 0, 1, ([(1, 1)], [])),
+        lambda: ratio_sum(5, 4, 1, ([], [(1, 1)])),
+        lambda: binomial_quotient(5, [(1, 1), (1, 2)]),
+        lambda: binomial_quotient(5, [], [(1, 1), (1, 2)]),
+        lambda: mul_binomial([1, 2, 3], 1, 1),
+        lambda: div_binomial([1, 2, 3], 1, 1),
+    ],
+)
+def test_refusing_hook_sees_kernel_work_on_valid_input(monkeypatch, call):
+    # The positive control for the refusal tests below: with the hook in
+    # place, valid input that does any work must reach it.
+    _refuse_kernel_work(monkeypatch)
+    with pytest.raises(KernelWork):
+        call()
 
 
 def test_ratio_sum_refuses_non_int_order_before_evaluating(monkeypatch):
@@ -190,6 +243,8 @@ def test_ratio_sum_refuses_non_int_order_before_evaluating(monkeypatch):
         (0, 1, (), [(QMonomial(1, 1), -1)], ValueError),
         (0, 1, [(QMonomial(1, 1), 1.0)], (), TypeError),
         (0, 1, (), [(QMonomial(1, 1), True)], TypeError),
+        (0, 1, (), [(QMonomial(1, 0), 1)], ValueError),
+        (0, 1, (), [(QMonomial(-1, 0), 0)], ValueError),
     ],
 )
 def test_ratio_sum_refuses_bad_exponents_and_steps_before_kernel_work(monkeypatch, first, step, num, den, error):
@@ -323,15 +378,15 @@ def test_descending_product_updates_a_quarter_of_the_square(monkeypatch):
     updates = 0
 
     def counting(kernel):
-        def wrapped(cs, sign, e, lo=0):
+        def wrapped(cs, sign, e, lo):
             nonlocal updates
             updates += max(len(cs) - lo - e, 0)
             kernel(cs, sign, e, lo)
 
         return wrapped
 
-    monkeypatch.setattr(series, "mul_binomial", counting(series.mul_binomial))
-    monkeypatch.setattr(series, "div_binomial", counting(series.div_binomial))
+    monkeypatch.setattr(series, "_mul_pass", counting(series._mul_pass))
+    monkeypatch.setattr(series, "_div_pass", counting(series._div_pass))
     order = 600
     euler = poch_binomials(QMonomial(1, 1), 1, order)
     for num, den, want in (
@@ -344,6 +399,31 @@ def test_descending_product_updates_a_quarter_of_the_square(monkeypatch):
     updates = 0
     gf_de1(order)
     assert 0 < updates <= order**2 // 4 + 2 * order
+
+
+def test_every_pass_of_a_verify_all_sweep_updates_a_coefficient(monkeypatch):
+    # A pass at an exponent at or past its suffix length changes nothing, so
+    # none is made, and skipping them loses no update: verify_all(200) and
+    # the negative control at order 200 (one sweep-200 pass of perfbench)
+    # make 807,551.
+    calls, updates = 0, 0
+
+    def counting(kernel):
+        def wrapped(cs, sign, e, lo):
+            nonlocal calls, updates
+            assert len(cs) - lo - e >= 1, ("pass updates nothing", sign, e, lo, len(cs))
+            calls += 1
+            updates += len(cs) - lo - e
+            kernel(cs, sign, e, lo)
+
+        return wrapped
+
+    monkeypatch.setattr(series, "_mul_pass", counting(series._mul_pass))
+    monkeypatch.setattr(series, "_div_pass", counting(series._div_pass))
+    assert all(report.passed for report in verify_all(200))
+    assert not verify(negative_control(50), 200).passed
+    assert calls > 0
+    assert updates == 807_551
 
 
 def test_binomial_quotient_validates_before_cancelling():
@@ -368,6 +448,18 @@ def test_qbinomial_rhs_cancels_to_the_uncancelled_list():
     assert list(got.coeffs) == times_binomials([1] + [0] * order, num, den)
     assert got.coeffs == (1,) * (order + 1)
     assert got == find_case("qbinomial-aq-zq").rhs(order)
+
+
+def test_ratio_sum_refuses_divisor_one_minus_q0_where_the_horner_loop_meets_it():
+    # (b; q^t)_n has the factor 1 - b at n = 0 and, if t = 0, at every n; the
+    # sum reaches a factor of step n only when it has a term n + 1, and
+    # meets the largest step first.
+    zero_at_0, zero_always = (QMonomial(1, 0), 1), (QMonomial(-1, 0), 0)
+    assert ratio_sum(0, 0, 1, den=[zero_at_0, zero_always]) == TruncatedSeries.one(0)
+    with pytest.raises(ValueError, match=re.escape("1 - (1)*q^0 = 0 is not a unit")):
+        ratio_sum(1, 0, 1, den=[zero_at_0, zero_always])
+    with pytest.raises(ValueError, match=re.escape("1 - (-1)*q^0 = 2 is not a unit")):
+        ratio_sum(2, 0, 1, den=[zero_at_0, zero_always])
 
 
 def test_ratio_sum_with_first_exponent_above_order_is_zero():

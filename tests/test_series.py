@@ -56,6 +56,8 @@ def test_constructor_pads_and_truncates():
         TruncatedSeries([1.0, 2.0])
     with pytest.raises(TypeError):
         TruncatedSeries([True, 2])
+    with pytest.raises(TypeError, match="^coefficients must be int, got bool$"):
+        TruncatedSeries([1, 2, True, 3.0] + [0] * 200)  # the first non-int is named
     with pytest.raises(ValueError):
         TruncatedSeries([], None)
     with pytest.raises(ValueError):
@@ -215,6 +217,10 @@ def test_coeff():
 def test_first_mismatch():
     assert ts(1, 1).first_mismatch(ts(1, 1)) is None
     assert ts(1, 1, 0).first_mismatch(ts(1, 1, 1)) == (2, 0, 1)
+    assert ts(5, 1).first_mismatch(ts(4, 2)) == (0, 5, 4)
+    # Only 0..min(order) is compared, whichever operand is the longer.
+    assert ts(1, 2).first_mismatch(ts(1, 2, 9)) is None
+    assert ts(1, 2, 3, 7).first_mismatch(ts(1, 2, 4)) == (2, 3, 4)
     one_minus_q = TruncatedSeries([1, -1], 10)
     product = one_minus_q * one_minus_q.invert()
     assert product.first_mismatch(TruncatedSeries.one(10)) is None
