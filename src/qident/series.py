@@ -25,6 +25,18 @@ def check_int(name: str, value) -> None:
         raise TypeError(f"{name} must be int, got {type(value).__name__}")
 
 
+def _check_binomial(sign: int, e: int) -> None:
+    """The rule for a valid sign*q^e, and so for a binomial 1 - sign*q^e."""
+    # One type test on the hot path (bool is refused); check_int names the culprit.
+    if not type(sign) is type(e) is int:
+        check_int("sign", sign)
+        check_int("exponent", e)
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+    if e < 0:
+        raise ValueError(f"exponent must be nonnegative, got {e}")
+
+
 @dataclass(frozen=True)
 class QMonomial:
     """A signed power of q: ``sign * q**exp`` with sign in {+1, -1}."""
@@ -33,12 +45,7 @@ class QMonomial:
     exp: int
 
     def __post_init__(self):
-        check_int("sign", self.sign)
-        check_int("exponent", self.exp)
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
-        if self.exp < 0:
-            raise ValueError(f"exponent must be nonnegative, got {self.exp}")
+        _check_binomial(self.sign, self.exp)
 
     def shifted(self, k: int) -> "QMonomial":
         """The monomial multiplied by q^k."""
@@ -98,7 +105,7 @@ class TruncatedSeries:
     @classmethod
     def monomial(cls, sign: int, exp: int, order: int) -> "TruncatedSeries":
         """The series sign * q^exp; the zero series if exp exceeds order."""
-        QMonomial(sign, exp)  # the sign and exponent checks of a product parameter
+        _check_binomial(sign, exp)
         check_int("order", order)
         cs = [0] * (order + 1)
         if exp <= order:
@@ -281,38 +288,25 @@ class TruncatedSeries:
 # own, modulo q^(len(cs) - lo), leaving cs[:lo] alone; so a quotient or a
 # Horner sum is built in one list, without copying a tail out and back.
 #
-# The public entry points (mul_binomial, div_binomial, times_binomials) check
-# every binomial they are given.  The internal callers, binomial_quotient and
-# ratio_sum, check all their input once, up front, and then run the bare
-# passes _mul_pass and _div_pass; ratio_sum skips every factor whose exponent
-# is at or past the length of its suffix, since such a factor cannot change it.
+# Every caller checks all its input once, up front, and then runs the bare
+# passes _mul_pass and _div_pass, so a refused call leaves its list as it
+# was.  The one public entry point for a list, times_binomials, and ratio_sum
+# apply binomials through _apply, which skips every factor whose exponent is
+# at or past the length of its suffix, since such a factor cannot change it;
+# binomial_quotient and ratio_sum's Horner loop run the passes themselves.
 
 Binomial = Tuple[int, int]
 """A pair (sign, e) standing for the factor 1 - sign*q^e."""
 
 
-def _check_binomial(sign: int, e: int, lo: int = 0) -> None:
-    # One type test on the hot path (bool is refused); check_int names the culprit.
-    if not type(sign) is type(e) is type(lo) is int:
-        check_int("sign", sign)
-        check_int("exponent", e)
-        check_int("suffix start", lo)
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    if e < 0:
-        raise ValueError(f"exponent must be nonnegative, got {e}")
-    if lo < 0:
-        raise ValueError(f"suffix start must be nonnegative, got {lo}")
-
-
-def _check_divisor(sign: int, e: int, lo: int = 0) -> None:
-    _check_binomial(sign, e, lo)
+def _check_divisor(sign: int, e: int) -> None:
+    _check_binomial(sign, e)
     if e == 0:
         raise ValueError(f"1 - ({sign})*q^0 = {1 - sign} is not a unit")
 
 
 def _check_binomials(num: List[Binomial], den: List[Binomial]) -> None:
-    """Check every binomial in num as mul_binomial would, and every one in den as div_binomial would."""
+    """Check every binomial in num, and every one in den as a divisor (so e >= 1)."""
     for sign, e in num:
         _check_binomial(sign, e)
     for sign, e in den:
@@ -320,51 +314,42 @@ def _check_binomials(num: List[Binomial], den: List[Binomial]) -> None:
 
 
 def _mul_pass(cs: List[int], sign: int, e: int, lo: int) -> None:
-    # Slice assignment materialises the map before it writes, so islice
-    # reads the old list throughout.
+    # Each c[k], k >= lo + e, loses sign*c[k-e] of the old list.  Slice
+    # assignment materialises the map before it writes, so islice reads the
+    # old list throughout.
     cs[lo + e:] = map(sub if sign == 1 else add, cs[lo + e:], islice(cs, lo, None))
 
 
 def _div_pass(cs: List[int], sign: int, e: int, lo: int) -> None:
-    # Needs e >= 1.  out is extended while map reads it: each new coefficient
-    # is read back e places later from out itself, which stays e items ahead
-    # of the read.
+    # Needs e >= 1.  Each c[k], k >= lo + e, gains sign*c[k-e] of the new
+    # list.  out is extended while map reads it: each new coefficient is read
+    # back e places later from out itself, which stays e items ahead of the read.
     out = cs[lo : lo + e]
     out.extend(map(add if sign == 1 else sub, islice(cs, lo + e, None), out))
     cs[lo:] = out
 
 
-def mul_binomial(cs: List[int], sign: int, e: int, lo: int = 0) -> None:
-    """Multiply the suffix cs[lo:] by 1 - sign*q^e in place, modulo q^(len(cs) - lo).
-
-    Each c[k], k >= lo + e, loses sign*c[k-e] of the old list, as a
-    descending update would.  cs[:lo] is left as it is.
-    """
-    _check_binomial(sign, e, lo)
-    _mul_pass(cs, sign, e, lo)
-
-
-def div_binomial(cs: List[int], sign: int, e: int, lo: int = 0) -> None:
-    """Divide the suffix cs[lo:] by 1 - sign*q^e in place, modulo q^(len(cs) - lo).
-
-    Each c[k], k >= lo + e, gains sign*c[k-e] of the new list: an ascending
-    update, made in one pass.  A divisor with e at or beyond the suffix
-    length changes nothing.  cs[:lo] is left as it is.  The divisor must be
-    a unit, so e = 0 is refused as ``invert`` refuses it.
-    """
-    _check_divisor(sign, e, lo)
-    if e < len(cs) - lo:
-        _div_pass(cs, sign, e, lo)
-
-
-def times_binomials(
-    cs: List[int], num: Iterable[Binomial] = (), den: Iterable[Binomial] = (), lo: int = 0
-) -> List[int]:
-    """Multiply cs[lo:] in place by every binomial in num, divide it by every one in den; return cs."""
+def _apply(cs: List[int], num: List[Binomial], den: List[Binomial], lo: int) -> None:
+    # Checked binomials only: multiply cs[lo:] by num and divide it by den.
+    room = len(cs) - lo  # a factor with e >= room cannot change cs[lo:]
     for sign, e in num:
-        mul_binomial(cs, sign, e, lo)
+        if e < room:
+            _mul_pass(cs, sign, e, lo)
     for sign, e in den:
-        div_binomial(cs, sign, e, lo)
+        if e < room:
+            _div_pass(cs, sign, e, lo)
+
+
+def times_binomials(cs: List[int], num: Iterable[Binomial] = (), den: Iterable[Binomial] = ()) -> List[int]:
+    """Multiply cs in place by every binomial in num, divide it by every one in den; return cs.
+
+    The product is taken modulo q^len(cs).  Every binomial is checked before
+    cs is touched, so a refused call leaves cs as it was; a divisor must be a
+    unit, so e = 0 is refused in den as ``invert`` refuses it.
+    """
+    num, den = list(num), list(den)
+    _check_binomials(num, den)
+    _apply(cs, num, den, 0)
     return cs
 
 
@@ -373,10 +358,11 @@ def binomial_quotient(
 ) -> TruncatedSeries:
     """The product of the binomials in num over the product of those in den.
 
-    Every binomial is validated first, once, as ``mul_binomial``/
-    ``div_binomial`` would; then a binomial in both lists cancels (as often
-    as it appears in both) and only the rest is applied, by the bare passes.  So (q^4;q^4)_inf/(q;q)_inf divides
-    by the 3N/4 factors the numerator does not share and multiplies by none.
+    Every binomial is validated first, once, as ``times_binomials`` would;
+    then a binomial in both lists cancels (as often as it appears in both)
+    and only the rest is applied, by the bare passes.  So
+    (q^4;q^4)_inf/(q;q)_inf divides by the 3N/4 factors the numerator does
+    not share and multiplies by none.
 
     The rest is applied from the largest exponent down, keeping the list
     zero at 1..lo-1, where lo is the smallest exponent applied so far.  A
@@ -384,8 +370,8 @@ def binomial_quotient(
     and indices >= lo + e when it multiplies; when it divides, it sets the
     multiples j*e below lo to s^j, adds s^j to the one in [lo, lo + e) and
     updates indices >= lo + e.  Either way the index range >= lo + e is
-    ``mul_binomial``/``div_binomial`` on the suffix from lo, so a factor
-    above N/2 costs O(1) and (q;q)_inf costs about N^2/4 updates, not N^2/2.
+    the bare pass on the suffix from lo, so a factor above N/2 costs O(1)
+    and (q;q)_inf costs about N^2/4 updates, not N^2/2.
     """
     check_int("order", order)
     num, den = list(num), list(den)
@@ -424,8 +410,17 @@ def poch_binomials(
     """The factors 1 - a*q^(step*j), j < count, of (a; q^step)_count.
 
     Factors with exponent above the order are 1 modulo q^(order+1) and are
-    left out; count None stands for the infinite product.
+    left out; count None stands for the infinite product.  step >= 1 and
+    count >= 0 are checked here, for every product built on these factors.
     """
+    check_int("step", step)
+    check_int("order", order)
+    if count is not None:
+        check_int("factor count", count)
+    if step < 1:
+        raise ValueError(f"step must be >= 1, got {step}")
+    if count is not None and count < 0:
+        raise ValueError(f"factor count must be nonnegative, got {count}")
     stop = order + 1 if count is None else min(order + 1, a.exp + step * count)
     return [(a.sign, e) for e in range(a.exp, stop, step)]
 
@@ -497,14 +492,7 @@ def ratio_sum(
             if e < room:
                 _div_pass(cs, sign, e, lo)
         cs[es[n]] = 1
-    lo = es[0]
-    room = order + 1 - lo
-    for sign, e in start_num:
-        if e < room:
-            _mul_pass(cs, sign, e, lo)
-    for sign, e in start_den:
-        if e < room:
-            _div_pass(cs, sign, e, lo)
+    _apply(cs, start_num, start_den, es[0])
     return TruncatedSeries(cs, order)
 
 
@@ -514,12 +502,6 @@ def poch_finite(a: QMonomial, step: int, n: int, order: int) -> TruncatedSeries:
     With step s this is the Pochhammer symbol (a; q^s)_n.  The empty product
     (n = 0) is 1.
     """
-    check_int("step", step)
-    check_int("factor count", n)
-    if step < 1:
-        raise ValueError(f"step must be >= 1, got {step}")
-    if n < 0:
-        raise ValueError(f"factor count must be nonnegative, got {n}")
     return binomial_quotient(order, poch_binomials(a, step, order, n))
 
 
@@ -531,9 +513,6 @@ def poch_infinite(a: QMonomial, step: int, order: int) -> TruncatedSeries:
     passes the order, and the result agrees with the true infinite product
     modulo q^(order+1).
     """
-    check_int("step", step)
-    if step < 1:
-        raise ValueError(f"step must be >= 1, got {step}")
     if a.exp < 1:
         raise ValueError(
             f"infinite product needs a monomial with exponent >= 1, got {a}"

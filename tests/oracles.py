@@ -113,3 +113,66 @@ def divisor_sum_product(num, den, order):
         assert remainder == 0, (n, total)
         a[n] = quotient
     return a
+
+
+def shift(cs, d):
+    """cs times q^d, truncated to the same length."""
+    return ([0] * d + cs)[: len(cs)]
+
+
+def times_binomial(cs, sign, e):
+    """cs * (1 - sign*q^e) as a new list: c[k] - sign*c[k-e] of the old list."""
+    return [c - sign * cs[k - e] if k >= e else c for k, c in enumerate(cs)]
+
+
+def over_binomial(cs, sign, e):
+    """cs / (1 - sign*q^e) as a new list, e >= 1: y[k] = c[k] + sign*y[k-e]."""
+    assert e >= 1, e
+    out = list(cs)
+    for k in range(e, len(out)):
+        out[k] += sign * out[k - e]
+    return out
+
+
+def euler_at(step, order):
+    """(q^step;q^step)_inf to the given order, from the pentagonal sums at q^step."""
+    cs = [0] * (order + 1)
+    for j, c in enumerate(pentagonal_euler_coeffs(order // step)):
+        cs[step * j] = c
+    return cs
+
+
+def asv_rhs(step, a, b, order):
+    """Q(a;Q)_inf/(b (b;Q)_inf (1 - aQ/b)) + (1 - Q/b)/(1 - aQ/b), Q = q^step.
+
+    a = (sa, alpha) and b = (sb, beta) stand for sa*q^alpha and sb*q^beta,
+    with 1 <= beta <= step and alpha >= 1.  Q/b = sb*q^d with d = step - beta
+    and aQ/b = sa*sb*q^(alpha + d), so the sum is
+    (sb*q^d*(a;Q)_inf/(b;Q)_inf + 1 - sb*q^d) / (1 - sa*sb*q^(alpha + d)).
+    """
+    (sa, alpha), (sb, beta) = a, b
+    d = step - beta
+    run = lambda sign, e: [(sign, k) for k in range(e, order + 1, step)]
+    ratio = divisor_sum_product(run(sa, alpha), run(sb, beta), order)
+    top = shift([sb * c for c in ratio], d)
+    top[0] += 1
+    if d <= order:
+        top[d] -= sb
+    return over_binomial(top, sa * sb, alpha + d)
+
+
+def help_rhs(k, order):
+    """The right side of the product-sum evaluation behind DE1 (k = 1), DE2 (2) or DE3 (3).
+
+    With E = (q;q)_inf and F = (q^4;q^4)_inf these are (2F - E)/(1 + q),
+    (2(1 - q)F - E)/(1 + q^3) and (2q^2*F + q(1 - q)E)/(1 + q^3).
+    """
+    euler, euler4 = euler_at(1, order), euler_at(4, order)
+    if k == 1:
+        top = [2 * f - e for f, e in zip(euler4, euler)]
+        return over_binomial(top, -1, 1)
+    if k == 2:
+        top = [2 * f - e for f, e in zip(times_binomial(euler4, 1, 1), euler)]
+    else:
+        top = [2 * f + e for f, e in zip(shift(euler4, 2), shift(times_binomial(euler, 1, 1), 1))]
+    return over_binomial(top, -1, 3)

@@ -1,9 +1,10 @@
 """The binomial kernel against the schoolbook operations, and the builders on it.
 
-``mul_binomial``/``div_binomial`` must agree with ``TruncatedSeries.__mul__``
-and ``invert()``, on a whole list and on a suffix of one;
-``binomial_quotient`` must agree with the same binomials applied one by one,
-uncancelled; ``ratio_sum`` must agree with the sum built term by term with
+``times_binomials`` must agree with ``TruncatedSeries.__mul__`` and
+``invert()`` and must check every binomial before it touches the list; the
+bare passes ``_mul_pass``/``_div_pass`` must act on a suffix of a list as
+``times_binomials`` acts on a list of its own; ``binomial_quotient`` must
+agree with the same binomials applied one by one, uncancelled; ``ratio_sum`` must agree with the sum built term by term with
 dense operations; and every builder must commute with truncation, which pins
 the ``first + step*n <= order`` stop condition of the sums.
 Every builder's output is pinned by recorded digests, and the deep checks
@@ -24,19 +25,27 @@ from qident.series import (
     QMonomial,
     TruncatedSeries,
     binomial_quotient,
-    div_binomial,
-    mul_binomial,
     poch_binomials,
     poch_infinite,
     ratio_sum,
     times_binomials,
 )
 
-from oracles import divisor_sum_product, partition_numbers, pentagonal_euler_coeffs
+from oracles import asv_rhs, divisor_sum_product, help_rhs, partition_numbers, pentagonal_euler_coeffs
 
 
 def binomial(sign, e, order):
     return TruncatedSeries.one(order) - TruncatedSeries.monomial(sign, e, order)
+
+
+def mul_binomial(cs, sign, e):
+    """Multiply cs in place by 1 - sign*q^e through the public entry point."""
+    times_binomials(cs, [(sign, e)])
+
+
+def div_binomial(cs, sign, e):
+    """Divide cs in place by 1 - sign*q^e through the public entry point."""
+    times_binomials(cs, (), [(sign, e)])
 
 
 def test_binomial_kernel_matches_schoolbook():
@@ -75,10 +84,9 @@ def test_binomial_kernel_matches_schoolbook():
 
 
 def test_kernel_suffix_form_matches_whole_list_call():
-    # The kernel on cs[lo:] must leave cs[:lo] alone and act on the suffix
+    # A bare pass on cs[lo:] must leave cs[:lo] alone and act on the suffix
     # exactly as a whole-list call on a copy of it does, and as the
-    # schoolbook product does, across both division paths (e*e < L and
-    # e*e >= L, L = len(cs) - lo) and the boundaries between them.
+    # schoolbook product does, up to and past e = L, L = len(cs) - lo.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -90,15 +98,11 @@ def test_kernel_suffix_form_matches_whole_list_call():
         e = draw(st.integers(0, len(cs) + 2))
         return cs, lo, e, draw(st.sampled_from([1, -1]))
 
-    # With 14 coefficients, lo = 4 leaves L = 10 and lo = 5 leaves L = 9.
+    # With 14 coefficients, lo = 5 leaves L = 9.
     cs = list(range(1, 15))
 
     @hypothesis.settings(max_examples=400, deadline=None)
     @hypothesis.given(calls())
-    @hypothesis.example((cs, 4, 3, 1))  # e*e == L - 1
-    @hypothesis.example((cs, 4, 3, -1))
-    @hypothesis.example((cs, 5, 3, 1))  # e*e == L
-    @hypothesis.example((cs, 5, 3, -1))
     @hypothesis.example((cs, 5, 8, 1))  # e == L - 1
     @hypothesis.example((cs, 5, 8, -1))
     @hypothesis.example((cs, 5, 9, 1))  # e == L
@@ -108,12 +112,12 @@ def test_kernel_suffix_form_matches_whole_list_call():
         suffix = coeffs[lo:]
         x = TruncatedSeries(suffix, len(suffix) - 1) if suffix else None
         factor = binomial(sign, e, len(suffix) - 1) if suffix else None
-        kernels = [(mul_binomial, lambda: x * factor)]
-        if e:
-            kernels.append((div_binomial, lambda: x * factor.invert()))
-        for kernel, schoolbook in kernels:
+        kernels = [(series._mul_pass, mul_binomial, lambda: x * factor)]
+        if e:  # _div_pass needs e >= 1
+            kernels.append((series._div_pass, div_binomial, lambda: x * factor.invert()))
+        for bare_pass, kernel, schoolbook in kernels:
             cs = list(coeffs)
-            kernel(cs, sign, e, lo)
+            bare_pass(cs, sign, e, lo)
             whole = list(suffix)
             kernel(whole, sign, e)
             assert cs[:lo] == coeffs[:lo]
@@ -130,13 +134,11 @@ def test_kernel_rejects_bad_binomials():
             kernel([1, 2, 3], 2, 1)
         with pytest.raises(ValueError):
             kernel([1, 2, 3], 1, -1)
-        with pytest.raises(ValueError):
-            kernel([1, 2, 3], 1, 1, -1)
 
 
 @pytest.mark.parametrize("kernel", (mul_binomial, div_binomial))
 @pytest.mark.parametrize(
-    "args", [(True, 1), (1, True), (1, 1, True), (-1, 2, False), (1.0, 1), (1, 1.0), (1, 1, 0.0)]
+    "args", [(True, 1), (1, True), (-1.0, 2), (-1, False), (1.0, 1), (1, 1.0)]
 )
 def test_kernel_refuses_non_int_binomials(kernel, args):
     # bool is an int subclass, so True would otherwise stand for 1
@@ -157,6 +159,20 @@ BAD_BINOMIALS = [
     ((1,), ValueError, "not enough values to unpack"),
 ]
 BAD_DIVISORS = BAD_BINOMIALS + [((1, 0), ValueError, "1 - (1)*q^0 = 0 is not a unit")]
+
+
+def test_times_binomials_refuses_a_bad_binomial_before_touching_cs():
+    # The bad binomial comes last, after 300 valid ones on each side, so a
+    # check made one binomial at a time would already have changed cs.
+    good = [((-1) ** k, k % 50 + 1) for k in range(300)]
+    cases = [("num", *case) for case in BAD_BINOMIALS] + [("den", *case) for case in BAD_DIVISORS]
+    for side, bad, error, message in cases:
+        num, den = (good + [bad], good) if side == "num" else (good, good + [bad])
+        cs = list(range(1, 41))
+        with pytest.raises(error) as excinfo:
+            times_binomials(cs, num, den)
+        assert str(excinfo.value).startswith(message), (side, bad)
+        assert cs == list(range(1, 41)), (side, bad)
 
 
 def test_binomial_quotient_refuses_non_int_binomials_and_order(monkeypatch):
@@ -192,8 +208,8 @@ class KernelWork(AssertionError):
 
 
 def _refuse_kernel_work(monkeypatch):
-    # Every public kernel function and both internal callers reach the
-    # coefficients only through the two bare passes.
+    # times_binomials and both internal callers reach the coefficients
+    # only through the two bare passes.
     def refuse(*args):
         raise KernelWork("kernel work before the arguments were checked")
 
@@ -210,8 +226,8 @@ def _refuse_kernel_work(monkeypatch):
         lambda: ratio_sum(5, 4, 1, ([], [(1, 1)])),
         lambda: binomial_quotient(5, [(1, 1), (1, 2)]),
         lambda: binomial_quotient(5, [], [(1, 1), (1, 2)]),
-        lambda: mul_binomial([1, 2, 3], 1, 1),
-        lambda: div_binomial([1, 2, 3], 1, 1),
+        lambda: times_binomials([1, 2, 3], [(1, 1)]),
+        lambda: times_binomials([1, 2, 3], (), [(1, 1)]),
     ],
 )
 def test_refusing_hook_sees_kernel_work_on_valid_input(monkeypatch, call):
@@ -546,6 +562,37 @@ def test_qbinomial_rhs_matches_divisor_sum_recurrence_to_400(a_token, z_exp):
 def test_every_qbinomial_case_has_a_recurrence_check():
     ids = {case.id for case in registry() if case.id.startswith("qbinomial-")}
     assert ids == {_qbinomial_id(a, z) for a in QBINOMIAL_A for z in (1, 2, 3)}
+
+
+# The asv cases' (step, a, b), a and b as (sign, exponent), by case id.
+ASV_PARAMETERS = {
+    "asv-spec-1": (2, (1, 1), (-1, 2)),
+    "asv-spec-2": (2, (1, 3), (-1, 2)),
+    "asv-grid-1": (1, (1, 1), (-1, 1)),
+    "asv-grid-2": (1, (-1, 2), (1, 1)),
+    "asv-grid-3": (1, (1, 3), (1, 1)),
+    "asv-grid-4": (2, (1, 2), (-1, 1)),
+    "asv-grid-5": (2, (-1, 3), (1, 2)),
+    "asv-grid-6": (3, (1, 1), (-1, 2)),
+}
+HELP_REFERENCES = {f"help-{k}": k for k in (1, 2, 3)}
+
+
+@pytest.mark.parametrize("case_id", sorted(ASV_PARAMETERS) + sorted(HELP_REFERENCES))
+def test_times_right_sides_match_plain_list_references_to_1000(case_id):
+    # The right sides that multiply or divide a built series by a binomial,
+    # against the closed forms evaluated in plain lists.
+    order = 1000
+    if case_id in ASV_PARAMETERS:
+        want = asv_rhs(*ASV_PARAMETERS[case_id], order)
+    else:
+        want = help_rhs(HELP_REFERENCES[case_id], order)
+    assert list(find_case(case_id).rhs(order).coeffs) == want
+
+
+def test_every_asv_and_help_case_has_a_plain_list_reference():
+    ids = {case.id for case in registry() if case.id.startswith(("asv-", "help-"))}
+    assert ids == set(ASV_PARAMETERS) | set(HELP_REFERENCES)
 
 
 def test_ped_satisfies_andrews_hirschhorn_sellers_congruences():

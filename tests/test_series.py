@@ -5,6 +5,7 @@ import pytest
 from qident.series import (
     QMonomial,
     TruncatedSeries,
+    poch_binomials,
     poch_finite,
     poch_infinite,
 )
@@ -295,6 +296,39 @@ def test_poch_validation():
         QMonomial(0, 1)
     with pytest.raises(ValueError):
         QMonomial(1, -2)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: poch_binomials(QMonomial(1, 1), -1, 10), ValueError, "step must be >= 1, got -1"),
+        (lambda: poch_binomials(QMonomial(1, 1), 0, 10), ValueError, "step must be >= 1, got 0"),
+        (lambda: poch_binomials(QMonomial(1, 1), 1, 10, -2), ValueError, "factor count must be nonnegative, got -2"),
+        (lambda: poch_binomials(QMonomial(1, 1), 1.0, 10), TypeError, "step must be int, got float"),
+        (lambda: poch_binomials(QMonomial(1, 1), 1, 10, True), TypeError, "factor count must be int, got bool"),
+        (lambda: poch_binomials(QMonomial(1, 1), 1, 10.0), TypeError, "order must be int, got float"),
+        (lambda: poch_infinite(QMonomial(1, 1), 1, 3.0), TypeError, "order must be int, got float"),
+        (lambda: poch_infinite(QMonomial(1, 1), 0, 3), ValueError, "step must be >= 1, got 0"),
+        (lambda: poch_finite(QMonomial(1, 1), 1, 2, 3.0), TypeError, "order must be int, got float"),
+    ],
+    ids=[
+        "negative-step",
+        "zero-step",
+        "negative-count",
+        "float-step",
+        "bool-count",
+        "float-order",
+        "infinite-float-order",
+        "infinite-zero-step",
+        "finite-float-order",
+    ],
+)
+def test_poch_binomials_refuses_bad_step_count_and_order(call, error, message):
+    # Every Pochhammer product reads its factors from poch_binomials, so a
+    # bad step, count or order must fail there, by name, not build a product of none.
+    with pytest.raises(error) as excinfo:
+        call()
+    assert str(excinfo.value) == message
 
 
 # -- ring axioms and structural properties ------------------------------------------
