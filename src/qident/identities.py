@@ -32,12 +32,11 @@ from .partitions import (  # count_oracle stays a name here: perfbench/tracing.p
     gf_regular4_min2,
 )
 from .series import (
-    Binomial,
+    Product,
     QMonomial,
     TruncatedSeries,
     binomial_quotient,
     check_int,
-    poch_binomials,
     poch_infinite,
     ratio_sum,
     times_binomials,
@@ -137,8 +136,8 @@ def gf_q4_inf(order: int) -> TruncatedSeries:
     return poch_infinite(QMonomial(1, 4), 4, order)
 
 
-def _times(x: TruncatedSeries, num: Sequence[Binomial] = (), den: Sequence[Binomial] = ()) -> TruncatedSeries:
-    """x times the binomials in num over those in den, updating one copy of x's coefficients."""
+def _times(x: TruncatedSeries, num: Sequence[Product] = (), den: Sequence[Product] = ()) -> TruncatedSeries:
+    """x times the products in num over those in den, updating one copy of x's coefficients."""
     return TruncatedSeries(times_binomials(list(x.coeffs), num, den), x.order)
 
 
@@ -162,11 +161,7 @@ def _help_sum(order: int, first: int, step: int, finite_start: int) -> Truncated
         order,
         first,
         step,
-        start=(
-            poch_binomials(QMonomial(1, 4), 4, order)
-            + poch_binomials(QMonomial(1, 1), 1, order, finite_start),
-            (),
-        ),
+        start=([(QMonomial(1, 4), 4, None), (QMonomial(1, 1), 1, finite_start)], ()),
         num=[(QMonomial(1, 1 + 2 * finite_start), 2)],
         den=[(QMonomial(-1, 2), 2)],
     )
@@ -178,8 +173,8 @@ def _qbinomial_lhs(a: Optional[QMonomial], z_exp: int, order: int) -> TruncatedS
 
 
 def _qbinomial_rhs(a: Optional[QMonomial], z_exp: int, order: int) -> TruncatedSeries:
-    num = [] if a is None else poch_binomials(a.shifted(z_exp), 1, order)
-    return binomial_quotient(order, num, poch_binomials(QMonomial(1, z_exp), 1, order))
+    num = [] if a is None else [(a.shifted(z_exp), 1, None)]
+    return binomial_quotient(order, num, [(QMonomial(1, z_exp), 1, None)])
 
 
 def _asv_lhs(step: int, a: QMonomial, b: QMonomial, order: int) -> TruncatedSeries:
@@ -201,12 +196,10 @@ def _asv_rhs(step: int, a: QMonomial, b: QMonomial, order: int) -> TruncatedSeri
     # Q/b = sb*q^d; over the common pole the numerator is
     # sb*q^d * (a;Q)_inf/(b;Q)_inf + 1 - sb*q^d.
     d = step - b.exp
-    ratio = binomial_quotient(
-        order, poch_binomials(a, step, order), poch_binomials(b, step, order)
-    )
+    ratio = binomial_quotient(order, [(a, step, None)], [(b, step, None)])
     return _times(
         ratio.scale(b.sign).shift(d) + 1 - TruncatedSeries.monomial(b.sign, d, order),
-        den=[(a.sign * b.sign, a.exp + d)],
+        den=[(QMonomial(a.sign * b.sign, a.exp + d), 1, 1)],
     )
 
 
@@ -314,7 +307,7 @@ def registry() -> List[IdentityCase]:
             description="product-sum evaluation behind the DE1 identity",
             lhs=lambda order: _help_sum(order, 0, 2, finite_start=0),
             rhs=lambda order: _times(
-                gf_q4_inf(order).scale(2) - gf_euler_inf(order), den=[(-1, 1)]
+                gf_q4_inf(order).scale(2) - gf_euler_inf(order), den=[(QMonomial(-1, 1), 1, 1)]
             ),
             statement=(
                 "sum_{n>=0} q^(2n) (q^(4n+4);q^4)_inf (q;q)_(2n)"
@@ -324,7 +317,7 @@ def registry() -> List[IdentityCase]:
         IdentityCase(
             id="main-1",
             description="DE1 generating function against the 4-regular product",
-            lhs=lambda order: _times(gf_de1(order), [(-1, 1)]),
+            lhs=lambda order: _times(gf_de1(order), [(QMonomial(-1, 1), 1, 1)]),
             rhs=lambda order: gf_regular4(order) - 1,
             statement=(
                 "(1+q) sum_{n>=0} (-q^2;q^2)_n q^(2n+1)/(q;q^2)_(n+1)"
@@ -336,8 +329,8 @@ def registry() -> List[IdentityCase]:
             description="product-sum evaluation behind the DE2 identity",
             lhs=lambda order: _help_sum(order, 0, 2, finite_start=1),
             rhs=lambda order: _times(
-                _times(gf_q4_inf(order).scale(2), [(1, 1)]) - gf_euler_inf(order),
-                den=[(-1, 3)],
+                _times(gf_q4_inf(order).scale(2), [(QMonomial(1, 1), 1, 1)]) - gf_euler_inf(order),
+                den=[(QMonomial(-1, 3), 1, 1)],
             ),
             statement=(
                 "sum_{n>=0} q^(2n) (q^(4n+4);q^4)_inf (q;q)_(2n+1)"
@@ -347,7 +340,7 @@ def registry() -> List[IdentityCase]:
         IdentityCase(
             id="main-2",
             description="DE2 generating function against the min-part-2 product",
-            lhs=lambda order: _times(gf_de2(order), [(-1, 3)]),
+            lhs=lambda order: _times(gf_de2(order), [(QMonomial(-1, 3), 1, 1)]),
             rhs=lambda order: gf_regular4_min2(order) - 1,
             statement=(
                 "(1+q^3) sum_{n>=0} (-q^2;q^2)_n q^(4n+2)/(q;q^2)_(n+1)"
@@ -360,8 +353,8 @@ def registry() -> List[IdentityCase]:
             lhs=lambda order: _help_sum(order, 1, 4, finite_start=0),
             rhs=lambda order: _times(
                 gf_q4_inf(order).scale(2).shift(2)
-                + _times(gf_euler_inf(order), [(1, 1)]).shift(1),
-                den=[(-1, 3)],
+                + _times(gf_euler_inf(order), [(QMonomial(1, 1), 1, 1)]).shift(1),
+                den=[(QMonomial(-1, 3), 1, 1)],
             ),
             statement=(
                 "sum_{n>=0} q^(4n+1) (q^(4n+4);q^4)_inf (q;q)_(2n)"
@@ -371,7 +364,7 @@ def registry() -> List[IdentityCase]:
         IdentityCase(
             id="main-3",
             description="DE3 generating function against the shifted 4-regular product",
-            lhs=lambda order: _times(gf_de3(order), [(-1, 3)]),
+            lhs=lambda order: _times(gf_de3(order), [(QMonomial(-1, 3), 1, 1)]),
             rhs=lambda order: gf_regular4(order).shift(2)
             - TruncatedSeries.monomial(1, 2, order)
             + TruncatedSeries.monomial(1, 1, order),
@@ -407,6 +400,9 @@ def negative_control(exponent: int = NEGATIVE_CONTROL_EXPONENT) -> IdentityCase:
     Verifying it at any order >= exponent must fail with the mismatch at
     exactly that exponent; it is excluded from :func:`registry`.
     """
+    check_int("exponent", exponent)
+    if exponent < 0:
+        raise ValueError(f"exponent must be nonnegative, got {exponent}")
     base = find_case("ped-eq-4regular")
     return IdentityCase(
         id="negative-control",

@@ -50,7 +50,6 @@ from .series import (
     TruncatedSeries,
     binomial_quotient,
     check_int,
-    poch_binomials,
     ratio_sum,
 )
 
@@ -330,7 +329,7 @@ def _distinct_even_sum(order: int, first: int, step: int, den_extra: int) -> Tru
         order,
         first,
         step,
-        start=((), poch_binomials(QMonomial(1, 1), 2, order, den_extra)),
+        start=((), [(QMonomial(1, 1), 2, den_extra)]),
         num=[(QMonomial(-1, 2), 2)],
         den=[(QMonomial(1, 2 * den_extra + 1), 2)],
     )
@@ -353,29 +352,17 @@ def gf_de3(order: int) -> TruncatedSeries:
 
 def gf_ped(order: int) -> TruncatedSeries:
     """(-q^2;q^2)_inf / (q;q^2)_inf: partitions with distinct even parts."""
-    return binomial_quotient(
-        order,
-        poch_binomials(QMonomial(-1, 2), 2, order),
-        poch_binomials(QMonomial(1, 1), 2, order),
-    )
+    return binomial_quotient(order, [(QMonomial(-1, 2), 2, None)], [(QMonomial(1, 1), 2, None)])
 
 
 def gf_regular4(order: int) -> TruncatedSeries:
     """(q^4;q^4)_inf / (q;q)_inf: partitions with no part divisible by 4."""
-    return binomial_quotient(
-        order,
-        poch_binomials(QMonomial(1, 4), 4, order),
-        poch_binomials(QMonomial(1, 1), 1, order),
-    )
+    return binomial_quotient(order, [(QMonomial(1, 4), 4, None)], [(QMonomial(1, 1), 1, None)])
 
 
 def gf_regular4_min2(order: int) -> TruncatedSeries:
     """(q^4;q^4)_inf / (q^2;q)_inf: 4-regular partitions with parts > 1."""
-    return binomial_quotient(
-        order,
-        poch_binomials(QMonomial(1, 4), 4, order),
-        poch_binomials(QMonomial(1, 2), 1, order),
-    )
+    return binomial_quotient(order, [(QMonomial(1, 4), 4, None)], [(QMonomial(1, 2), 1, None)])
 
 
 FAMILY_SERIES = {

@@ -223,6 +223,7 @@ class TruncatedSeries:
 
     def truncate(self, order: int) -> "TruncatedSeries":
         """Forget coefficients above the given (smaller or equal) order."""
+        check_int("order", order)
         if order > self.order:
             raise ValueError(
                 f"cannot extend a series known to order {self.order} up to {order}"
@@ -288,29 +289,49 @@ class TruncatedSeries:
 # own, modulo q^(len(cs) - lo), leaving cs[:lo] alone; so a quotient or a
 # Horner sum is built in one list, without copying a tail out and back.
 #
-# Every caller checks all its input once, up front, and then runs the bare
-# passes _mul_pass and _div_pass, so a refused call leaves its list as it
-# was.  The one public entry point for a list, times_binomials, and ratio_sum
-# apply binomials through _apply, which skips every factor whose exponent is
-# at or past the length of its suffix, since such a factor cannot change it;
-# binomial_quotient and ratio_sum's Horner loop run the passes themselves.
+# Callers declare products, never binomials: a triple (a, s, n) stands for
+# (a; q^s)_n, and a lone binomial 1 - a is the one-factor product (a, 1, 1).
+# _factors checks each triple once and lists its factors (sign, e) up to the
+# order they act on, so a listed factor needs no check of its own and every
+# one of them can change its list.  Every caller checks all its input before
+# the bare passes _mul_pass and _div_pass run, so a refused call leaves its
+# list as it was.
 
-Binomial = Tuple[int, int]
-"""A pair (sign, e) standing for the factor 1 - sign*q^e."""
+Product = Tuple[QMonomial, int, Optional[int]]
+"""A triple (a, s, n) standing for (a; q^s)_n, the product of 1 - a*q^(s*j) over j < n.
+
+n None stands for the infinite product; a lone binomial 1 - a is (a, 1, 1).
+"""
+
+
+def _check_parameter(a) -> None:
+    if type(a) is not QMonomial:
+        raise TypeError(f"Pochhammer parameter must be QMonomial, got {type(a).__name__}")
 
 
 def _check_divisor(sign: int, e: int) -> None:
-    _check_binomial(sign, e)
+    # sign*q^e is valid already; the one binomial that is no unit is e = 0.
     if e == 0:
         raise ValueError(f"1 - ({sign})*q^0 = {1 - sign} is not a unit")
 
 
-def _check_binomials(num: List[Binomial], den: List[Binomial]) -> None:
-    """Check every binomial in num, and every one in den as a divisor (so e >= 1)."""
-    for sign, e in num:
-        _check_binomial(sign, e)
-    for sign, e in den:
-        _check_divisor(sign, e)
+def _factors(products: Iterable[Product], order: int, divisor: bool) -> List[Tuple[int, int]]:
+    # Check each product once, as a divisor if asked; list its factors with e <= order.
+    factors = []
+    for a, step, count in products:
+        _check_parameter(a)
+        check_int("step", step)
+        if count is not None:
+            check_int("factor count", count)
+        if step < 1:
+            raise ValueError(f"step must be >= 1, got {step}")
+        if count is not None and count < 0:
+            raise ValueError(f"factor count must be nonnegative, got {count}")
+        if divisor and count != 0:
+            _check_divisor(a.sign, a.exp)
+        stop = order + 1 if count is None else min(order + 1, a.exp + step * count)
+        factors += [(a.sign, e) for e in range(a.exp, stop, step)]
+    return factors
 
 
 def _mul_pass(cs: List[int], sign: int, e: int, lo: int) -> None:
@@ -329,38 +350,32 @@ def _div_pass(cs: List[int], sign: int, e: int, lo: int) -> None:
     cs[lo:] = out
 
 
-def _apply(cs: List[int], num: List[Binomial], den: List[Binomial], lo: int) -> None:
-    # Checked binomials only: multiply cs[lo:] by num and divide it by den.
-    room = len(cs) - lo  # a factor with e >= room cannot change cs[lo:]
+def _apply(cs: List[int], num: List[Tuple[int, int]], den: List[Tuple[int, int]], lo: int) -> None:
+    # Factors listed by _factors up to len(cs) - lo - 1: multiply cs[lo:] by num, divide it by den.
     for sign, e in num:
-        if e < room:
-            _mul_pass(cs, sign, e, lo)
+        _mul_pass(cs, sign, e, lo)
     for sign, e in den:
-        if e < room:
-            _div_pass(cs, sign, e, lo)
+        _div_pass(cs, sign, e, lo)
 
 
-def times_binomials(cs: List[int], num: Iterable[Binomial] = (), den: Iterable[Binomial] = ()) -> List[int]:
-    """Multiply cs in place by every binomial in num, divide it by every one in den; return cs.
+def times_binomials(cs: List[int], num: Iterable[Product] = (), den: Iterable[Product] = ()) -> List[int]:
+    """Multiply cs in place by every product in num, divide it by every one in den; return cs.
 
-    The product is taken modulo q^len(cs).  Every binomial is checked before
+    The products are taken modulo q^len(cs).  Every product is checked before
     cs is touched, so a refused call leaves cs as it was; a divisor must be a
-    unit, so e = 0 is refused in den as ``invert`` refuses it.
+    unit, so a factor 1 - a*q^0 is refused in den as ``invert`` refuses it.
     """
-    num, den = list(num), list(den)
-    _check_binomials(num, den)
-    _apply(cs, num, den, 0)
+    order = len(cs) - 1
+    _apply(cs, _factors(num, order, False), _factors(den, order, True), 0)
     return cs
 
 
-def binomial_quotient(
-    order: int, num: Iterable[Binomial] = (), den: Iterable[Binomial] = ()
-) -> TruncatedSeries:
-    """The product of the binomials in num over the product of those in den.
+def binomial_quotient(order: int, num: Iterable[Product] = (), den: Iterable[Product] = ()) -> TruncatedSeries:
+    """The product of the Pochhammer products in num over that of those in den.
 
-    Every binomial is validated first, once, as ``times_binomials`` would;
-    then a binomial in both lists cancels (as often as it appears in both)
-    and only the rest is applied, by the bare passes.  So
+    Every product is validated first, once, as ``times_binomials`` would;
+    then a factor in both lists cancels (as often as it appears in both) and
+    only the rest is applied, by the bare passes.  So
     (q^4;q^4)_inf/(q;q)_inf divides by the 3N/4 factors the numerator does
     not share and multiplies by none.
 
@@ -374,16 +389,15 @@ def binomial_quotient(
     and (q;q)_inf costs about N^2/4 updates, not N^2/2.
     """
     check_int("order", order)
-    num, den = list(num), list(den)
-    _check_binomials(num, den)
-    unshared = Counter(den)  # the divisors not yet cancelled by a numerator binomial
+    num = _factors(num, order, False)
+    unshared = Counter(_factors(den, order, True))  # the divisors not yet cancelled by a numerator factor
     factors = []
     for b in num:
         if unshared.get(b):  # b cancels one copy of itself in den
             unshared[b] -= 1
-        elif b[1] <= order:
+        else:
             factors.append((b[1], b[0], False))
-    factors += [(e, sign, True) for (sign, e), k in unshared.items() if e <= order for _ in range(k)]
+    factors += [(e, sign, True) for sign, e in unshared.elements()]
     factors.sort(reverse=True)
     cs = [1] + [0] * order
     lo = order + 1  # cs[1:lo] is zero
@@ -404,27 +418,6 @@ def binomial_quotient(
     return TruncatedSeries(cs, order)
 
 
-def poch_binomials(
-    a: QMonomial, step: int, order: int, count: Optional[int] = None
-) -> List[Binomial]:
-    """The factors 1 - a*q^(step*j), j < count, of (a; q^step)_count.
-
-    Factors with exponent above the order are 1 modulo q^(order+1) and are
-    left out; count None stands for the infinite product.  step >= 1 and
-    count >= 0 are checked here, for every product built on these factors.
-    """
-    check_int("step", step)
-    check_int("order", order)
-    if count is not None:
-        check_int("factor count", count)
-    if step < 1:
-        raise ValueError(f"step must be >= 1, got {step}")
-    if count is not None and count < 0:
-        raise ValueError(f"factor count must be nonnegative, got {count}")
-    stop = order + 1 if count is None else min(order + 1, a.exp + step * count)
-    return [(a.sign, e) for e in range(a.exp, stop, step)]
-
-
 Pochhammer = Tuple[QMonomial, int]
 """A pair (a, s) standing for (a; q^s)_n, whose factor at step n is 1 - a*q^(s*n)."""
 
@@ -433,17 +426,17 @@ def ratio_sum(
     order: int,
     first: int,
     step: int,
-    start: Tuple[Iterable[Binomial], Iterable[Binomial]] = ((), ()),
+    start: Tuple[Iterable[Product], Iterable[Product]] = ((), ()),
     num: Iterable[Pochhammer] = (),
     den: Iterable[Pochhammer] = (),
 ) -> TruncatedSeries:
     """sum_{n>=0} q^(first + step*n) * T_n modulo q^(order+1), evaluated in Horner form.
 
     T_n = T_0 * prod (a;q^s)_n over num / prod (b;q^t)_n over den, where T_0
-    is the binomials start[0] over start[1]: the basic hypergeometric shape
-    of every left-hand sum here.  first >= 0, step >= 1, every s, t >= 0,
-    the binomials of start and every divisor the sum reaches are checked
-    before any work.  With e_n = first + step*n, the last
+    is the products start[0] over start[1]: the basic hypergeometric shape
+    of every left-hand sum here.  first >= 0, step >= 1, every a and b a
+    QMonomial, every s, t >= 0, the products of start and every divisor the
+    sum reaches are checked before any work.  With e_n = first + step*n, the last
     e_M <= order, and R_n = T_(n+1)/T_n, the sum is q^e_0 * T_0 * H_0, where
 
         H_M = 1,    H_n = 1 + q^step * R_n * H_(n+1),
@@ -460,22 +453,26 @@ def ratio_sum(
         check_int(name, value)
     if first < 0 or step < 1:
         raise ValueError(f"need first >= 0 and step >= 1, got first={first}, step={step}")
-    num = [(a.sign, a.exp, s) for a, s in num]
-    den = [(b.sign, b.exp, t) for b, t in den]
-    for *_, s in num + den:
+    num, den = list(num), list(den)
+    for a, s in num + den:
+        _check_parameter(a)
         check_int("Pochhammer step", s)
         if s < 0:
             raise ValueError(f"Pochhammer step must be nonnegative, got {s}")
+    num = [(a.sign, a.exp, s) for a, s in num]
+    den = [(b.sign, b.exp, t) for b, t in den]
     es = range(first, order + 1, step)
-    # A QMonomial is a valid binomial, so only a divisor can still fail: its
-    # factor at step n is 1 - q^0 only when its exponent and t*n are 0, and
-    # the Horner loop below would meet the largest step, len(es) - 2, first.
+    # Only a divisor can still fail: its factor at step n is 1 - q^0 only
+    # when its exponent and t*n are 0, and the Horner loop below would meet
+    # the largest step, len(es) - 2, first.
     if len(es) > 1:
         for n in (len(es) - 2, 0):
             for sign, e, t in den:
                 _check_divisor(sign, e + t * n)
-    start_num, start_den = map(list, start)
-    _check_binomials(start_num, start_den)
+    # T_0 acts on H_0 = cs[first:], modulo q^(order + 1 - first).
+    start_num, start_den = start
+    start_num = _factors(start_num, order - first, False)
+    start_den = _factors(start_den, order - first, True)
     if not es:
         return TruncatedSeries.zero(order)
     cs = [0] * (order + 1)
@@ -492,7 +489,7 @@ def ratio_sum(
             if e < room:
                 _div_pass(cs, sign, e, lo)
         cs[es[n]] = 1
-    _apply(cs, start_num, start_den, es[0])
+    _apply(cs, start_num, start_den, first)
     return TruncatedSeries(cs, order)
 
 
@@ -502,7 +499,7 @@ def poch_finite(a: QMonomial, step: int, n: int, order: int) -> TruncatedSeries:
     With step s this is the Pochhammer symbol (a; q^s)_n.  The empty product
     (n = 0) is 1.
     """
-    return binomial_quotient(order, poch_binomials(a, step, order, n))
+    return binomial_quotient(order, [(a, step, n)])
 
 
 def poch_infinite(a: QMonomial, step: int, order: int) -> TruncatedSeries:
@@ -513,8 +510,9 @@ def poch_infinite(a: QMonomial, step: int, order: int) -> TruncatedSeries:
     passes the order, and the result agrees with the true infinite product
     modulo q^(order+1).
     """
+    _check_parameter(a)
     if a.exp < 1:
         raise ValueError(
             f"infinite product needs a monomial with exponent >= 1, got {a}"
         )
-    return binomial_quotient(order, poch_binomials(a, step, order))
+    return binomial_quotient(order, [(a, step, None)])

@@ -116,6 +116,21 @@ def test_negative_control_fails_exactly_at_perturbation(exponent):
     assert verify(case, exponent - 1).passed
 
 
+@pytest.mark.parametrize(
+    "exponent, error, message",
+    [
+        (-1, ValueError, "exponent must be nonnegative, got -1"),
+        (True, TypeError, "exponent must be int, got bool"),
+        (2.0, TypeError, "exponent must be int, got float"),
+    ],
+)
+def test_negative_control_refuses_a_bad_exponent_when_made(exponent, error, message):
+    # Refused when the case is made, not later inside verify as a build error.
+    with pytest.raises(error) as excinfo:
+        negative_control(exponent)
+    assert str(excinfo.value) == message
+
+
 def test_negative_control_not_registered():
     assert "negative-control" not in registry_ids()
 

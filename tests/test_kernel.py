@@ -1,20 +1,24 @@
 """The binomial kernel against the schoolbook operations, and the builders on it.
 
+The kernel takes Pochhammer products, triples ``(a, s, n)`` for
+``(a; q^s)_n``, and a lone binomial ``1 - a`` is the product ``(a, 1, 1)``.
 ``times_binomials`` must agree with ``TruncatedSeries.__mul__`` and
-``invert()`` and must check every binomial before it touches the list; the
-bare passes ``_mul_pass``/``_div_pass`` must act on a suffix of a list as
-``times_binomials`` acts on a list of its own; ``binomial_quotient`` must
-agree with the same binomials applied one by one, uncancelled; ``ratio_sum`` must agree with the sum built term by term with
-dense operations; and every builder must commute with truncation, which pins
-the ``first + step*n <= order`` stop condition of the sums.
-Every builder's output is pinned by recorded digests, and the deep checks
-compare builders against references that use no builder at all.
+``invert()`` and must check every product, once, before it touches the
+list; the bare passes ``_mul_pass``/``_div_pass`` must act on a suffix of a
+list as ``times_binomials`` acts on a list of its own; ``binomial_quotient``
+must agree with the same products applied one by one, uncancelled;
+``ratio_sum`` must agree with the sum built term by term with dense
+operations; and every builder must commute with truncation, which pins the
+``first + step*n <= order`` stop condition of the sums.  Every builder's
+output is pinned by recorded digests, and the deep checks compare builders
+against references that use no builder at all.
 """
 
 import hashlib
 import json
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,7 +29,7 @@ from qident.series import (
     QMonomial,
     TruncatedSeries,
     binomial_quotient,
-    poch_binomials,
+    poch_finite,
     poch_infinite,
     ratio_sum,
     times_binomials,
@@ -38,14 +42,27 @@ def binomial(sign, e, order):
     return TruncatedSeries.one(order) - TruncatedSeries.monomial(sign, e, order)
 
 
-def mul_binomial(cs, sign, e):
-    """Multiply cs in place by 1 - sign*q^e through the public entry point."""
-    times_binomials(cs, [(sign, e)])
+def factor(sign, e):
+    """The one-factor product (sign*q^e; q)_1 = 1 - sign*q^e."""
+    return (QMonomial(sign, e), 1, 1)
 
 
-def div_binomial(cs, sign, e):
-    """Divide cs in place by 1 - sign*q^e through the public entry point."""
-    times_binomials(cs, (), [(sign, e)])
+def factors(binomials):
+    """The one-factor product of each binomial (sign, e)."""
+    return [factor(sign, e) for sign, e in binomials]
+
+
+def mul_binomial(cs, product):
+    """Multiply cs in place by one product (a, s, n) through the public entry point."""
+    times_binomials(cs, [product])
+
+
+def div_binomial(cs, product):
+    """Divide cs in place by one product (a, s, n) through the public entry point."""
+    times_binomials(cs, (), [product])
+
+
+Q = QMonomial(1, 1)
 
 
 def test_binomial_kernel_matches_schoolbook():
@@ -64,21 +81,21 @@ def test_binomial_kernel_matches_schoolbook():
         order = len(coeffs) - 1
         e = data.draw(st.integers(0, order + 2), label="e")
         x = TruncatedSeries(coeffs, order)
-        factor = binomial(sign, e, order)
+        one_minus = binomial(sign, e, order)
 
         cs = list(coeffs)
-        mul_binomial(cs, sign, e)
-        assert cs == list((x * factor).coeffs)
+        mul_binomial(cs, factor(sign, e))
+        assert cs == list((x * one_minus).coeffs)
 
         cs = list(coeffs)
         if e == 0:  # 1 - sign is 0 or 2: not a unit, refused by both
             with pytest.raises(ValueError):
-                factor.invert()
+                one_minus.invert()
             with pytest.raises(ValueError):
-                div_binomial(cs, sign, e)
+                div_binomial(cs, factor(sign, e))
         else:
-            div_binomial(cs, sign, e)
-            assert cs == list((x * factor.invert()).coeffs)
+            div_binomial(cs, factor(sign, e))
+            assert cs == list((x * one_minus.invert()).coeffs)
 
     check()
 
@@ -111,15 +128,15 @@ def test_kernel_suffix_form_matches_whole_list_call():
         coeffs, lo, e, sign = call
         suffix = coeffs[lo:]
         x = TruncatedSeries(suffix, len(suffix) - 1) if suffix else None
-        factor = binomial(sign, e, len(suffix) - 1) if suffix else None
-        kernels = [(series._mul_pass, mul_binomial, lambda: x * factor)]
+        one_minus = binomial(sign, e, len(suffix) - 1) if suffix else None
+        kernels = [(series._mul_pass, mul_binomial, lambda: x * one_minus)]
         if e:  # _div_pass needs e >= 1
-            kernels.append((series._div_pass, div_binomial, lambda: x * factor.invert()))
+            kernels.append((series._div_pass, div_binomial, lambda: x * one_minus.invert()))
         for bare_pass, kernel, schoolbook in kernels:
             cs = list(coeffs)
             bare_pass(cs, sign, e, lo)
             whole = list(suffix)
-            kernel(whole, sign, e)
+            kernel(whole, factor(sign, e))
             assert cs[:lo] == coeffs[:lo]
             assert cs[lo:] == whole
             if suffix:
@@ -129,43 +146,51 @@ def test_kernel_suffix_form_matches_whole_list_call():
 
 
 def test_kernel_rejects_bad_binomials():
+    # A sign of 2 or a negative exponent is no QMonomial; a step below 1 or
+    # a negative factor count is no product.
     for kernel in (mul_binomial, div_binomial):
         with pytest.raises(ValueError):
-            kernel([1, 2, 3], 2, 1)
+            kernel([1, 2, 3], (Q, 0, 1))
         with pytest.raises(ValueError):
-            kernel([1, 2, 3], 1, -1)
+            kernel([1, 2, 3], (Q, 1, -1))
 
 
 @pytest.mark.parametrize("kernel", (mul_binomial, div_binomial))
 @pytest.mark.parametrize(
-    "args", [(True, 1), (1, True), (-1.0, 2), (-1, False), (1.0, 1), (1, 1.0)]
+    "args", [(Q, True, 1), (Q, 1, True), (Q, 1.0, 2), (Q, 1, False), (Q, 2.0, None), (Q, 1, 1.0)]
 )
 def test_kernel_refuses_non_int_binomials(kernel, args):
     # bool is an int subclass, so True would otherwise stand for 1
     cs = [1, 2, 3, 4]
     with pytest.raises(TypeError, match="must be int, got"):
-        kernel(cs, *args)
+        kernel(cs, args)
     assert cs == [1, 2, 3, 4]
 
 
-BAD_BINOMIALS = [
-    ((True, 1), TypeError, "sign must be int, got bool"),
-    ((1, False), TypeError, "exponent must be int, got bool"),
-    ((1.0, 1), TypeError, "sign must be int, got float"),
-    ((-1, 2.0), TypeError, "exponent must be int, got float"),
-    ((2, 1), ValueError, "sign must be +1 or -1, got 2"),
-    ((1, -1), ValueError, "exponent must be nonnegative, got -1"),
-    ((1, 2, 3), ValueError, "too many values to unpack"),
-    ((1,), ValueError, "not enough values to unpack"),
+BAD_PRODUCTS = [
+    ((Q, True, 1), TypeError, "step must be int, got bool"),
+    ((Q, 1, False), TypeError, "factor count must be int, got bool"),
+    ((Q, 1.0, 1), TypeError, "step must be int, got float"),
+    ((Q, 2, 2.0), TypeError, "factor count must be int, got float"),
+    ((Q, 0, 1), ValueError, "step must be >= 1, got 0"),
+    ((Q, 1, -1), ValueError, "factor count must be nonnegative, got -1"),
+    (((1, 1), 1, 1), TypeError, "Pochhammer parameter must be QMonomial, got tuple"),
+    ((SimpleNamespace(sign=2, exp=1), 1, 1), TypeError, "Pochhammer parameter must be QMonomial, got SimpleNamespace"),
+    ((Q, 1, 2, 3), ValueError, "too many values to unpack"),
+    ((Q, 1), ValueError, "not enough values to unpack"),
 ]
-BAD_DIVISORS = BAD_BINOMIALS + [((1, 0), ValueError, "1 - (1)*q^0 = 0 is not a unit")]
+BAD_DIVISORS = BAD_PRODUCTS + [
+    (factor(1, 0), ValueError, "1 - (1)*q^0 = 0 is not a unit"),
+    ((QMonomial(-1, 0), 2, None), ValueError, "1 - (-1)*q^0 = 2 is not a unit"),
+]
 
 
 def test_times_binomials_refuses_a_bad_binomial_before_touching_cs():
-    # The bad binomial comes last, after 300 valid ones on each side, so a
-    # check made one binomial at a time would already have changed cs.
-    good = [((-1) ** k, k % 50 + 1) for k in range(300)]
-    cases = [("num", *case) for case in BAD_BINOMIALS] + [("den", *case) for case in BAD_DIVISORS]
+    # The bad product comes last, after 300 valid ones on each side, so a
+    # check made one product at a time as it is applied would already have
+    # changed cs.
+    good = [factor((-1) ** k, k % 50 + 1) for k in range(300)]
+    cases = [("num", *case) for case in BAD_PRODUCTS] + [("den", *case) for case in BAD_DIVISORS]
     for side, bad, error, message in cases:
         num, den = (good + [bad], good) if side == "num" else (good, good + [bad])
         cs = list(range(1, 41))
@@ -176,28 +201,28 @@ def test_times_binomials_refuses_a_bad_binomial_before_touching_cs():
 
 
 def test_binomial_quotient_refuses_non_int_binomials_and_order(monkeypatch):
-    # (1, 1) and (1, True) are equal as tuples, so the check must see every
-    # binomial, not only the distinct ones a Counter keeps.
+    # (Q, 1, 1) and (Q, 1, True) are equal as tuples, so the check must see
+    # every product, not only the distinct ones a Counter keeps.
     for num, den in (
-        ([(1, True)], []),
-        ([], [(True, 1)]),
-        ([(1, 1), (1, True)], []),
-        ([(1, 1.0)], []),
+        ([(Q, 1, True)], []),
+        ([], [(Q, True, 1)]),
+        ([(Q, 1, 1), (Q, 1, True)], []),
+        ([(Q, 1, 1.0)], []),
     ):
         with pytest.raises(TypeError, match="must be int, got"):
             binomial_quotient(3, num, den)
     for order in (3.0, True):
         with pytest.raises(TypeError, match="order must be int, got"):
-            binomial_quotient(order, [(1, 1)])
-    # One bad binomial anywhere in a long list must fail the up-front check
+            binomial_quotient(order, [factor(1, 1)])
+    # One bad product anywhere in a long list must fail the up-front check
     # with the message the one-by-one check gives, before any kernel work.
     _refuse_kernel_work(monkeypatch)
-    cases = [("num", *case) for case in BAD_BINOMIALS] + [("den", *case) for case in BAD_DIVISORS]
+    cases = [("num", *case) for case in BAD_PRODUCTS] + [("den", *case) for case in BAD_DIVISORS]
     for side, bad, error, message in cases:
         for position in (0, 150, 299):
-            binomials = [((-1) ** k, k % 50 + 1) for k in range(300)]
-            binomials[position] = bad
-            num, den = (binomials, [(1, 1)]) if side == "num" else ([(1, 1)], binomials)
+            products = [factor((-1) ** k, k % 50 + 1) for k in range(300)]
+            products[position] = bad
+            num, den = (products, [factor(1, 1)]) if side == "num" else ([factor(1, 1)], products)
             with pytest.raises(error) as excinfo:
                 binomial_quotient(40, num, den)
             assert str(excinfo.value).startswith(message), (side, bad, position)
@@ -222,12 +247,12 @@ def _refuse_kernel_work(monkeypatch):
     [
         lambda: ratio_sum(5, 0, 1, num=[(QMonomial(1, 1), 1)]),
         lambda: ratio_sum(5, 0, 1, den=[(QMonomial(1, 1), 1)]),
-        lambda: ratio_sum(5, 0, 1, ([(1, 1)], [])),
-        lambda: ratio_sum(5, 4, 1, ([], [(1, 1)])),
-        lambda: binomial_quotient(5, [(1, 1), (1, 2)]),
-        lambda: binomial_quotient(5, [], [(1, 1), (1, 2)]),
-        lambda: times_binomials([1, 2, 3], [(1, 1)]),
-        lambda: times_binomials([1, 2, 3], (), [(1, 1)]),
+        lambda: ratio_sum(5, 0, 1, ([factor(1, 1)], [])),
+        lambda: ratio_sum(5, 4, 1, ([], [factor(1, 1)])),
+        lambda: binomial_quotient(5, [(Q, 1, 2)]),
+        lambda: binomial_quotient(5, [], [(Q, 1, 2)]),
+        lambda: times_binomials([1, 2, 3], [factor(1, 1)]),
+        lambda: times_binomials([1, 2, 3], (), [factor(1, 1)]),
     ],
 )
 def test_refusing_hook_sees_kernel_work_on_valid_input(monkeypatch, call):
@@ -261,6 +286,8 @@ def test_ratio_sum_refuses_non_int_order_before_evaluating(monkeypatch):
         (0, 1, (), [(QMonomial(1, 1), True)], TypeError),
         (0, 1, (), [(QMonomial(1, 0), 1)], ValueError),
         (0, 1, (), [(QMonomial(-1, 0), 0)], ValueError),
+        (0, 1, [(SimpleNamespace(sign=2, exp=1), 1)], (), TypeError),
+        (0, 1, (), [((1, 1), 1)], TypeError),
     ],
 )
 def test_ratio_sum_refuses_bad_exponents_and_steps_before_kernel_work(monkeypatch, first, step, num, den, error):
@@ -271,17 +298,42 @@ def test_ratio_sum_refuses_bad_exponents_and_steps_before_kernel_work(monkeypatc
         ratio_sum(5, first, step, num=num, den=den)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        # A sign of 2 would run the add pass of a sign of -1.
+        lambda: ratio_sum(10, 0, 1, num=[(SimpleNamespace(sign=2, exp=1), 1)], den=[(Q, 1)]),
+        lambda: ratio_sum(10, 0, 1, den=[((1, 1), 1)]),
+        lambda: ratio_sum(10, 0, 1, ([((1, 1), 1, 1)], ())),
+        lambda: binomial_quotient(10, [(SimpleNamespace(sign=1, exp=1), 1, None)]),
+        lambda: times_binomials([1, 2, 3], (), [((1, 1), 1, 1)]),
+        lambda: poch_finite((1, 1), 1, 2, 5),
+        lambda: poch_infinite((1, 1), 1, 5),
+        lambda: poch_infinite(SimpleNamespace(sign=1, exp=0), 1, 5),  # before the a.exp >= 1 test
+    ],
+)
+def test_kernel_refuses_a_parameter_that_is_not_a_qmonomial(monkeypatch, call):
+    # Only a QMonomial has had its sign and exponent checked, so any other
+    # object with sign and exp fields is refused before any kernel work.
+    _refuse_kernel_work(monkeypatch)
+    with pytest.raises(TypeError, match="^Pochhammer parameter must be QMonomial, got "):
+        call()
+
+
 def test_ratio_sum_matches_dense_sum():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    binomials = st.tuples(st.sampled_from([1, -1]), st.integers(1, 9))
+    # (sign, c, d, n) stands for the product (sign*q^c; q^d)_n, n None for infinite.
+    products = st.tuples(
+        st.sampled_from([1, -1]), st.integers(1, 9), st.integers(1, 3), st.one_of(st.none(), st.integers(0, 3))
+    )
 
     @hypothesis.settings(max_examples=150, deadline=None)
     @hypothesis.given(
         order=st.integers(0, 40),
         step=st.integers(1, 4),
         first=st.integers(0, 3),
-        start=st.tuples(st.lists(binomials, max_size=3), st.lists(binomials, max_size=3)),
+        start=st.tuples(st.lists(products, max_size=3), st.lists(products, max_size=3)),
         num=st.lists(st.tuples(st.sampled_from([1, -1]), st.integers(0, 4), st.integers(0, 3)), max_size=2),
         den=st.lists(st.tuples(st.sampled_from([1, -1]), st.integers(1, 4), st.integers(0, 3)), max_size=2),
     )
@@ -294,12 +346,18 @@ def test_ratio_sum_matches_dense_sum():
         def pochhammers(entries):
             return [(QMonomial(sign, c), d) for sign, c, d in entries]
 
-        got = ratio_sum(order, first, step, start, pochhammers(num), pochhammers(den))
+        def triples(entries):
+            return [(QMonomial(sign, c), d, n) for sign, c, d, n in entries]
+
+        def expanded(entries):
+            return [(sign, c + d * j) for sign, c, d, n in entries for j in range(order + 1 if n is None else n)]
+
+        got = ratio_sum(order, first, step, tuple(map(triples, start)), pochhammers(num), pochhammers(den))
 
         term = TruncatedSeries.one(order)
-        for sign, e in start[0]:
+        for sign, e in expanded(start[0]):
             term = term * binomial(sign, e, order)
-        for sign, e in start[1]:
+        for sign, e in expanded(start[1]):
             term = term * binomial(sign, e, order).invert()
         want = TruncatedSeries.zero(order)
         n = 0
@@ -339,8 +397,8 @@ def test_binomial_quotient_matches_uncancelled_product():
     @hypothesis.example((2, [(-1, 0), (1, 1)], [(1, 2), (1, 4)]))
     def check(case):
         order, num, den = case
-        got = binomial_quotient(order, num, den)
-        assert list(got.coeffs) == times_binomials([1] + [0] * order, num, den)
+        got = binomial_quotient(order, factors(num), factors(den))
+        assert list(got.coeffs) == times_binomials([1] + [0] * order, factors(num), factors(den))
 
         want = TruncatedSeries.one(order)
         for sign, e in num:
@@ -369,18 +427,19 @@ def test_binomial_quotient_matches_divisor_sum_recurrence():
         num = draw(st.lists(st.sampled_from(pool), max_size=8))
         den = draw(st.lists(st.sampled_from(pool), max_size=8))
         sign, first, step = draw(st.sampled_from([1, -1])), draw(st.integers(1, 4)), draw(st.integers(1, 4))
-        run = [(sign, e) for e in range(first, order + 1, step)]
-        if draw(st.booleans()):
-            num += run
-        else:
-            den += run
-        return order, num, den
+        return order, num, den, (sign, first, step), draw(st.booleans())
 
     @hypothesis.settings(max_examples=30, deadline=None)
     @hypothesis.given(quotients())
     def check(case):
-        order, num, den = case
-        assert list(binomial_quotient(order, num, den).coeffs) == divisor_sum_product(num, den, order)
+        order, num, den, (sign, first, step), run_in_num = case
+        # The run of binomials 1 - sign*q^e, e = first, first + step, ... <= order
+        # is declared as the one product (sign*q^first; q^step)_inf.
+        run = [(sign, e) for e in range(first, order + 1, step)]
+        products = [factors(num), factors(den)]
+        products[not run_in_num].append((QMonomial(sign, first), step, None))
+        binomials = (num + run, den) if run_in_num else (num, den + run)
+        assert list(binomial_quotient(order, *products).coeffs) == divisor_sum_product(*binomials, order)
 
     check()
 
@@ -404,7 +463,7 @@ def test_descending_product_updates_a_quarter_of_the_square(monkeypatch):
     monkeypatch.setattr(series, "_mul_pass", counting(series._mul_pass))
     monkeypatch.setattr(series, "_div_pass", counting(series._div_pass))
     order = 600
-    euler = poch_binomials(QMonomial(1, 1), 1, order)
+    euler = [(Q, 1, None)]
     for num, den, want in (
         (euler, (), pentagonal_euler_coeffs(order)),
         ((), euler, partition_numbers(order)),
@@ -442,24 +501,42 @@ def test_every_pass_of_a_verify_all_sweep_updates_a_coefficient(monkeypatch):
     assert updates == 807_551
 
 
+def test_every_product_is_checked_once(monkeypatch):
+    # gf_regular4 declares (q^4;q^4)_inf over (q;q)_inf: its two QMonomials
+    # are the only binomials whose sign and exponent are checked, not the
+    # 250 factors listed from them.
+    calls = 0
+
+    def counting(sign, e):
+        nonlocal calls
+        calls += 1
+        check(sign, e)
+
+    check = series._check_binomial
+    monkeypatch.setattr(series, "_check_binomial", counting)
+    assert list(gf_regular4(200).coeffs) == divisor_sum_product(_run(1, 4, 4, 200), _run(1, 1, 1, 200), 200)
+    assert 0 < calls <= 2
+
+
 def test_binomial_quotient_validates_before_cancelling():
+    sign_two = (SimpleNamespace(sign=2, exp=1), 1, 1)  # no QMonomial has a sign of 2
     with pytest.raises(ValueError):  # 1 - q^0 = 0 is no divisor, shared or not
-        binomial_quotient(5, [(1, 0)], [(1, 0)])
+        binomial_quotient(5, [factor(1, 0)], [factor(1, 0)])
+    with pytest.raises(TypeError):
+        binomial_quotient(5, [sign_two], [sign_two])
     with pytest.raises(ValueError):
-        binomial_quotient(5, [(2, 1)], [(2, 1)])
+        binomial_quotient(5, [(Q, 0, 1)], [(Q, 0, 1)])
+    with pytest.raises(TypeError):
+        binomial_quotient(5, [sign_two])
     with pytest.raises(ValueError):
-        binomial_quotient(5, [(1, -1)], [(1, -1)])
-    with pytest.raises(ValueError):
-        binomial_quotient(5, [(2, 1)])
-    with pytest.raises(ValueError):
-        binomial_quotient(5, (), [(-1, 0)])
+        binomial_quotient(5, (), [factor(-1, 0)])
 
 
 def test_qbinomial_rhs_cancels_to_the_uncancelled_list():
     # (q^2;q)_inf / (q;q)_inf: every factor but 1 - q cancels.
     order = 200
-    num = poch_binomials(QMonomial(1, 2), 1, order)
-    den = poch_binomials(QMonomial(1, 1), 1, order)
+    num = [(QMonomial(1, 2), 1, None)]
+    den = [(Q, 1, None)]
     got = binomial_quotient(order, num, den)
     assert list(got.coeffs) == times_binomials([1] + [0] * order, num, den)
     assert got.coeffs == (1,) * (order + 1)
@@ -479,10 +556,10 @@ def test_ratio_sum_refuses_divisor_one_minus_q0_where_the_horner_loop_meets_it()
 
 
 def test_ratio_sum_with_first_exponent_above_order_is_zero():
-    start = ([(1, 1)], [(1, 2)])
+    start = ([factor(1, 1)], [factor(1, 2)])
     num, den = [(QMonomial(1, 1), 1)], [(QMonomial(1, 2), 1)]
     assert ratio_sum(3, 5, 1, start, num, den) == TruncatedSeries.zero(3)
-    for bad_start in (((2, 1),), ()), ((), ((1, 0),)):
+    for bad_start in (([(Q, 0, 1)], ()), ((), [factor(1, 0)])):
         with pytest.raises(ValueError):
             ratio_sum(3, 5, 1, bad_start)
 

@@ -1,13 +1,16 @@
 import random
+from functools import partial
 
 import pytest
 
 from qident.series import (
     QMonomial,
     TruncatedSeries,
-    poch_binomials,
+    binomial_quotient,
     poch_finite,
     poch_infinite,
+    ratio_sum,
+    times_binomials,
 )
 
 from oracles import (
@@ -106,6 +109,12 @@ def test_poch_refuses_non_int_step_or_count():
             poch_finite(a, 1, bad, 3)
         with pytest.raises(TypeError, match="must be int"):
             poch_infinite(a, bad, 3)
+
+
+def test_truncate_refuses_non_int_order():
+    for order in (1.0, True):
+        with pytest.raises(TypeError, match="^order must be int, got"):
+            ts(1, 2, 3).truncate(order)
 
 
 def test_immutable():
@@ -298,18 +307,37 @@ def test_poch_validation():
         QMonomial(1, -2)
 
 
+def _every_entry(product):
+    # The product in num and in den of each kernel function that takes products.
+    return (
+        partial(binomial_quotient, 10, [product]),
+        partial(binomial_quotient, 10, (), [product]),
+        partial(times_binomials, [1] * 11, [product]),
+        partial(times_binomials, [1] * 11, (), [product]),
+        partial(ratio_sum, 10, 0, 1, ([product], ())),
+        partial(ratio_sum, 10, 0, 1, ((), [product])),
+    )
+
+
+Q = QMonomial(1, 1)
+
+
 @pytest.mark.parametrize(
-    "call, error, message",
+    "calls, error, message",
     [
-        (lambda: poch_binomials(QMonomial(1, 1), -1, 10), ValueError, "step must be >= 1, got -1"),
-        (lambda: poch_binomials(QMonomial(1, 1), 0, 10), ValueError, "step must be >= 1, got 0"),
-        (lambda: poch_binomials(QMonomial(1, 1), 1, 10, -2), ValueError, "factor count must be nonnegative, got -2"),
-        (lambda: poch_binomials(QMonomial(1, 1), 1.0, 10), TypeError, "step must be int, got float"),
-        (lambda: poch_binomials(QMonomial(1, 1), 1, 10, True), TypeError, "factor count must be int, got bool"),
-        (lambda: poch_binomials(QMonomial(1, 1), 1, 10.0), TypeError, "order must be int, got float"),
-        (lambda: poch_infinite(QMonomial(1, 1), 1, 3.0), TypeError, "order must be int, got float"),
-        (lambda: poch_infinite(QMonomial(1, 1), 0, 3), ValueError, "step must be >= 1, got 0"),
-        (lambda: poch_finite(QMonomial(1, 1), 1, 2, 3.0), TypeError, "order must be int, got float"),
+        (_every_entry((Q, -1, None)), ValueError, "step must be >= 1, got -1"),
+        (_every_entry((Q, 0, None)), ValueError, "step must be >= 1, got 0"),
+        (_every_entry((Q, 1, -2)), ValueError, "factor count must be nonnegative, got -2"),
+        (_every_entry((Q, 1.0, None)), TypeError, "step must be int, got float"),
+        (_every_entry((Q, 1, True)), TypeError, "factor count must be int, got bool"),
+        (
+            (partial(binomial_quotient, 10.0, [(Q, 1, None)]), partial(ratio_sum, 10.0, 0, 1, ([(Q, 1, None)], ()))),
+            TypeError,
+            "order must be int, got float",
+        ),
+        ((partial(poch_infinite, Q, 1, 3.0),), TypeError, "order must be int, got float"),
+        ((partial(poch_infinite, Q, 0, 3),), ValueError, "step must be >= 1, got 0"),
+        ((partial(poch_finite, Q, 1, 2, 3.0),), TypeError, "order must be int, got float"),
     ],
     ids=[
         "negative-step",
@@ -323,12 +351,15 @@ def test_poch_validation():
         "finite-float-order",
     ],
 )
-def test_poch_binomials_refuses_bad_step_count_and_order(call, error, message):
-    # Every Pochhammer product reads its factors from poch_binomials, so a
-    # bad step, count or order must fail there, by name, not build a product of none.
-    with pytest.raises(error) as excinfo:
-        call()
-    assert str(excinfo.value) == message
+def test_poch_binomials_refuses_bad_step_count_and_order(calls, error, message):
+    # Every product (a, s, n) is checked where a kernel function lists its
+    # factors, so a bad step, count or order fails there, by name, in num
+    # and den alike, and never builds a product of none.  The test keeps
+    # the name of the function that once listed the factors, and so its ids.
+    for call in calls:
+        with pytest.raises(error) as excinfo:
+            call()
+        assert str(excinfo.value) == message, call
 
 
 # -- ring axioms and structural properties ------------------------------------------
