@@ -31,16 +31,7 @@ from .partitions import (  # count_oracle stays a name here: perfbench/tracing.p
     gf_regular4,
     gf_regular4_min2,
 )
-from .series import (
-    Product,
-    QMonomial,
-    TruncatedSeries,
-    binomial_quotient,
-    check_int,
-    poch_infinite,
-    ratio_sum,
-    times_binomials,
-)
+from .series import QMonomial, TruncatedSeries, binomial_quotient, check_int, ratio_sum
 
 Builder = Callable[[int], TruncatedSeries]
 
@@ -123,22 +114,18 @@ class IdentityBuildError(RuntimeError):
         self.case_id = case_id
 
 
-# -- small constructors -----------------------------------------------------
+# -- factors the help and main cases declare ---------------------------------
+
+_EULER_INF = (QMonomial(1, 1), 1, None)  # (q;q)_inf
+_Q4_INF = (QMonomial(1, 4), 4, None)  # (q^4;q^4)_inf
+_ONE_MINUS_Q = (QMonomial(1, 1), 1, 1)
+_ONE_PLUS_Q = (QMonomial(-1, 1), 1, 1)
+_ONE_PLUS_Q3 = (QMonomial(-1, 3), 1, 1)
 
 
-def gf_euler_inf(order: int) -> TruncatedSeries:
-    """(q;q)_inf, the Euler product."""
-    return poch_infinite(QMonomial(1, 1), 1, order)
-
-
-def gf_q4_inf(order: int) -> TruncatedSeries:
-    """(q^4;q^4)_inf."""
-    return poch_infinite(QMonomial(1, 4), 4, order)
-
-
-def _times(x: TruncatedSeries, num: Sequence[Product] = (), den: Sequence[Product] = ()) -> TruncatedSeries:
-    """x times the products in num over those in den, updating one copy of x's coefficients."""
-    return TruncatedSeries(times_binomials(list(x.coeffs), num, den), x.order)
+def _one_plus_q_to(e: int, x: TruncatedSeries) -> TruncatedSeries:
+    """(1 + q^e) * x."""
+    return x + x.shift(e)
 
 
 # -- left-hand-side sum builders ---------------------------------------------
@@ -161,7 +148,7 @@ def _help_sum(order: int, first: int, step: int, finite_start: int) -> Truncated
         order,
         first,
         step,
-        start=([(QMonomial(1, 4), 4, None), (QMonomial(1, 1), 1, finite_start)], ()),
+        start=([_Q4_INF, (QMonomial(1, 1), 1, finite_start)], ()),
         num=[(QMonomial(1, 1 + 2 * finite_start), 2)],
         den=[(QMonomial(-1, 2), 2)],
     )
@@ -196,11 +183,9 @@ def _asv_rhs(step: int, a: QMonomial, b: QMonomial, order: int) -> TruncatedSeri
     # Q/b = sb*q^d; over the common pole the numerator is
     # sb*q^d * (a;Q)_inf/(b;Q)_inf + 1 - sb*q^d.
     d = step - b.exp
-    ratio = binomial_quotient(order, [(a, step, None)], [(b, step, None)])
-    return _times(
-        ratio.scale(b.sign).shift(d) + 1 - TruncatedSeries.monomial(b.sign, d, order),
-        den=[(QMonomial(a.sign * b.sign, a.exp + d), 1, 1)],
-    )
+    pole = (QMonomial(a.sign * b.sign, a.exp + d), 1, 1)
+    ratio = binomial_quotient(order, [(a, step, None)], [(b, step, None), pole])
+    return ratio.scale(b.sign).shift(d) + binomial_quotient(order, [(QMonomial(b.sign, d), 1, 1)], [pole])
 
 
 # -- the registry -------------------------------------------------------------
@@ -214,13 +199,16 @@ _MONOMIAL_TOKENS = {
     QMonomial(1, 3): ("aq3", "q^3"),
 }
 
-_ASV_GRID = (
-    (1, QMonomial(1, 1), QMonomial(-1, 1)),
-    (1, QMonomial(-1, 2), QMonomial(1, 1)),
-    (1, QMonomial(1, 3), QMonomial(1, 1)),
-    (2, QMonomial(1, 2), QMonomial(-1, 1)),
-    (2, QMonomial(-1, 3), QMonomial(1, 2)),
-    (3, QMonomial(1, 1), QMonomial(-1, 2)),
+# (id, how the description names Q, step, a, b) for each asv case.
+_ASV_CASES = (
+    ("asv-spec-1", "at", 2, QMonomial(1, 1), QMonomial(-1, 2)),
+    ("asv-spec-2", "at", 2, QMonomial(1, 3), QMonomial(-1, 2)),
+    ("asv-grid-1", "sampled at", 1, QMonomial(1, 1), QMonomial(-1, 1)),
+    ("asv-grid-2", "sampled at", 1, QMonomial(-1, 2), QMonomial(1, 1)),
+    ("asv-grid-3", "sampled at", 1, QMonomial(1, 3), QMonomial(1, 1)),
+    ("asv-grid-4", "sampled at", 2, QMonomial(1, 2), QMonomial(-1, 1)),
+    ("asv-grid-5", "sampled at", 2, QMonomial(-1, 3), QMonomial(1, 2)),
+    ("asv-grid-6", "sampled at", 3, QMonomial(1, 1), QMonomial(-1, 2)),
 )
 
 
@@ -244,19 +232,24 @@ def _qbinomial_cases() -> List[IdentityCase]:
     return cases
 
 
-def _asv_case(case_id: str, description: str, step: int, a: QMonomial, b: QMonomial) -> IdentityCase:
-    qs = "q" if step == 1 else f"q^{step}"
-    return IdentityCase(
-        id=case_id,
-        description=description,
-        lhs=lambda order: _asv_lhs(step, a, b, order),
-        rhs=lambda order: _asv_rhs(step, a, b, order),
-        statement=(
-            "sum_{n>=0} (a;Q)_n Q^n/(b;Q)_n"
-            " = Q(a;Q)_inf/(b (b;Q)_inf (1-aQ/b)) + (1-Q/b)/(1-aQ/b)"
-            f" at Q = {qs}, a = {a}, b = {b}"
-        ),
-    )
+def _asv_cases() -> List[IdentityCase]:
+    cases = []
+    for case_id, at, step, a, b in _ASV_CASES:
+        qs = "q" if step == 1 else f"q^{step}"
+        cases.append(
+            IdentityCase(
+                id=case_id,
+                description=f"two-parameter closed form {at} Q = q^{step}, a = {a}, b = {b}",
+                lhs=lambda order, s=step, a=a, b=b: _asv_lhs(s, a, b, order),
+                rhs=lambda order, s=step, a=a, b=b: _asv_rhs(s, a, b, order),
+                statement=(
+                    "sum_{n>=0} (a;Q)_n Q^n/(b;Q)_n"
+                    " = Q(a;Q)_inf/(b (b;Q)_inf (1-aQ/b)) + (1-Q/b)/(1-aQ/b)"
+                    f" at Q = {qs}, a = {a}, b = {b}"
+                ),
+            )
+        )
+    return cases
 
 
 def registry() -> List[IdentityCase]:
@@ -273,42 +266,14 @@ def registry() -> List[IdentityCase]:
         )
     ]
     cases += _qbinomial_cases()
-    cases.append(
-        _asv_case(
-            "asv-spec-1",
-            "two-parameter closed form at Q = q^2, a = q, b = -q^2",
-            2,
-            QMonomial(1, 1),
-            QMonomial(-1, 2),
-        )
-    )
-    cases.append(
-        _asv_case(
-            "asv-spec-2",
-            "two-parameter closed form at Q = q^2, a = q^3, b = -q^2",
-            2,
-            QMonomial(1, 3),
-            QMonomial(-1, 2),
-        )
-    )
-    for i, (step, a, b) in enumerate(_ASV_GRID, start=1):
-        cases.append(
-            _asv_case(
-                f"asv-grid-{i}",
-                f"two-parameter closed form sampled at Q = q^{step}, a = {a}, b = {b}",
-                step,
-                a,
-                b,
-            )
-        )
+    cases += _asv_cases()
     cases += [
         IdentityCase(
             id="help-1",
             description="product-sum evaluation behind the DE1 identity",
             lhs=lambda order: _help_sum(order, 0, 2, finite_start=0),
-            rhs=lambda order: _times(
-                gf_q4_inf(order).scale(2) - gf_euler_inf(order), den=[(QMonomial(-1, 1), 1, 1)]
-            ),
+            rhs=lambda order: binomial_quotient(order, [_Q4_INF], [_ONE_PLUS_Q]).scale(2)
+            - binomial_quotient(order, [_EULER_INF], [_ONE_PLUS_Q]),
             statement=(
                 "sum_{n>=0} q^(2n) (q^(4n+4);q^4)_inf (q;q)_(2n)"
                 " = 2(q^4;q^4)_inf/(1+q) - (q;q)_inf/(1+q)"
@@ -317,7 +282,7 @@ def registry() -> List[IdentityCase]:
         IdentityCase(
             id="main-1",
             description="DE1 generating function against the 4-regular product",
-            lhs=lambda order: _times(gf_de1(order), [(QMonomial(-1, 1), 1, 1)]),
+            lhs=lambda order: _one_plus_q_to(1, gf_de1(order)),
             rhs=lambda order: gf_regular4(order) - 1,
             statement=(
                 "(1+q) sum_{n>=0} (-q^2;q^2)_n q^(2n+1)/(q;q^2)_(n+1)"
@@ -328,10 +293,8 @@ def registry() -> List[IdentityCase]:
             id="help-2",
             description="product-sum evaluation behind the DE2 identity",
             lhs=lambda order: _help_sum(order, 0, 2, finite_start=1),
-            rhs=lambda order: _times(
-                _times(gf_q4_inf(order).scale(2), [(QMonomial(1, 1), 1, 1)]) - gf_euler_inf(order),
-                den=[(QMonomial(-1, 3), 1, 1)],
-            ),
+            rhs=lambda order: binomial_quotient(order, [_Q4_INF, _ONE_MINUS_Q], [_ONE_PLUS_Q3]).scale(2)
+            - binomial_quotient(order, [_EULER_INF], [_ONE_PLUS_Q3]),
             statement=(
                 "sum_{n>=0} q^(2n) (q^(4n+4);q^4)_inf (q;q)_(2n+1)"
                 " = 2(1-q)(q^4;q^4)_inf/(1+q^3) - (q;q)_inf/(1+q^3)"
@@ -340,7 +303,7 @@ def registry() -> List[IdentityCase]:
         IdentityCase(
             id="main-2",
             description="DE2 generating function against the min-part-2 product",
-            lhs=lambda order: _times(gf_de2(order), [(QMonomial(-1, 3), 1, 1)]),
+            lhs=lambda order: _one_plus_q_to(3, gf_de2(order)),
             rhs=lambda order: gf_regular4_min2(order) - 1,
             statement=(
                 "(1+q^3) sum_{n>=0} (-q^2;q^2)_n q^(4n+2)/(q;q^2)_(n+1)"
@@ -351,11 +314,8 @@ def registry() -> List[IdentityCase]:
             id="help-3",
             description="product-sum evaluation behind the DE3 identity",
             lhs=lambda order: _help_sum(order, 1, 4, finite_start=0),
-            rhs=lambda order: _times(
-                gf_q4_inf(order).scale(2).shift(2)
-                + _times(gf_euler_inf(order), [(QMonomial(1, 1), 1, 1)]).shift(1),
-                den=[(QMonomial(-1, 3), 1, 1)],
-            ),
+            rhs=lambda order: binomial_quotient(order, [_Q4_INF], [_ONE_PLUS_Q3]).scale(2).shift(2)
+            + binomial_quotient(order, [_EULER_INF, _ONE_MINUS_Q], [_ONE_PLUS_Q3]).shift(1),
             statement=(
                 "sum_{n>=0} q^(4n+1) (q^(4n+4);q^4)_inf (q;q)_(2n)"
                 " = 2q^2(q^4;q^4)_inf/(1+q^3) + q(1-q)(q;q)_inf/(1+q^3)"
@@ -364,7 +324,7 @@ def registry() -> List[IdentityCase]:
         IdentityCase(
             id="main-3",
             description="DE3 generating function against the shifted 4-regular product",
-            lhs=lambda order: _times(gf_de3(order), [(QMonomial(-1, 3), 1, 1)]),
+            lhs=lambda order: _one_plus_q_to(3, gf_de3(order)),
             rhs=lambda order: gf_regular4(order).shift(2)
             - TruncatedSeries.monomial(1, 2, order)
             + TruncatedSeries.monomial(1, 1, order),
@@ -472,6 +432,8 @@ def verify_relation(kind: str, order: int, use_oracle: bool = False) -> Verifica
     check_int("order", order)
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
+    if type(use_oracle) is not bool:  # a truthy "no" would run the enumeration
+        raise TypeError(f"use_oracle must be bool, got {type(use_oracle).__name__}")
     start = perf_counter()
     first_n, lhs, rhs, _ = RELATIONS[kind]
     try:

@@ -289,13 +289,16 @@ class TruncatedSeries:
 # own, modulo q^(len(cs) - lo), leaving cs[:lo] alone; so a quotient or a
 # Horner sum is built in one list, without copying a tail out and back.
 #
-# Callers declare products, never binomials: a triple (a, s, n) stands for
-# (a; q^s)_n, and a lone binomial 1 - a is the one-factor product (a, 1, 1).
-# _factors checks each triple once and lists its factors (sign, e) up to the
-# order they act on, so a listed factor needs no check of its own and every
-# one of them can change its list.  Every caller checks all its input before
-# the bare passes _mul_pass and _div_pass run, so a refused call leaves its
-# list as it was.
+# Two public builders run the passes, and every series in the registry is
+# made by them and plain TruncatedSeries arithmetic: binomial_quotient
+# builds a quotient of products, ratio_sum a sum in basic hypergeometric
+# form.  Callers declare products, never binomials: a triple (a, s, n)
+# stands for (a; q^s)_n, and a lone binomial 1 - a is the one-factor product
+# (a, 1, 1).  _factors checks each triple once and lists its factors (sign, e)
+# up to the order they act on, so a listed factor needs no check of its own
+# and every one of them can change its list.  Each builder checks all its
+# input before the bare passes _mul_pass and _div_pass run, so a refused
+# call does no work.
 
 Product = Tuple[QMonomial, int, Optional[int]]
 """A triple (a, s, n) standing for (a; q^s)_n, the product of 1 - a*q^(s*j) over j < n.
@@ -350,32 +353,13 @@ def _div_pass(cs: List[int], sign: int, e: int, lo: int) -> None:
     cs[lo:] = out
 
 
-def _apply(cs: List[int], num: List[Tuple[int, int]], den: List[Tuple[int, int]], lo: int) -> None:
-    # Factors listed by _factors up to len(cs) - lo - 1: multiply cs[lo:] by num, divide it by den.
-    for sign, e in num:
-        _mul_pass(cs, sign, e, lo)
-    for sign, e in den:
-        _div_pass(cs, sign, e, lo)
-
-
-def times_binomials(cs: List[int], num: Iterable[Product] = (), den: Iterable[Product] = ()) -> List[int]:
-    """Multiply cs in place by every product in num, divide it by every one in den; return cs.
-
-    The products are taken modulo q^len(cs).  Every product is checked before
-    cs is touched, so a refused call leaves cs as it was; a divisor must be a
-    unit, so a factor 1 - a*q^0 is refused in den as ``invert`` refuses it.
-    """
-    order = len(cs) - 1
-    _apply(cs, _factors(num, order, False), _factors(den, order, True), 0)
-    return cs
-
-
 def binomial_quotient(order: int, num: Iterable[Product] = (), den: Iterable[Product] = ()) -> TruncatedSeries:
     """The product of the Pochhammer products in num over that of those in den.
 
-    Every product is validated first, once, as ``times_binomials`` would;
-    then a factor in both lists cancels (as often as it appears in both) and
-    only the rest is applied, by the bare passes.  So
+    Every product is checked first, once, and a divisor must be a unit, so
+    a factor 1 - a*q^0 is refused in den as ``invert`` refuses it.  Then a
+    factor in both lists cancels (as often as it appears in both) and only
+    the rest is applied, by the bare passes.  So
     (q^4;q^4)_inf/(q;q)_inf divides by the 3N/4 factors the numerator does
     not share and multiplies by none.
 
@@ -489,7 +473,10 @@ def ratio_sum(
             if e < room:
                 _div_pass(cs, sign, e, lo)
         cs[es[n]] = 1
-    _apply(cs, start_num, start_den, first)
+    for sign, e in start_num:
+        _mul_pass(cs, sign, e, first)
+    for sign, e in start_den:
+        _div_pass(cs, sign, e, first)
     return TruncatedSeries(cs, order)
 
 
@@ -497,8 +484,9 @@ def poch_finite(a: QMonomial, step: int, n: int, order: int) -> TruncatedSeries:
     """The finite product prod_{j=0}^{n-1} (1 - a * q^(step*j)), truncated.
 
     With step s this is the Pochhammer symbol (a; q^s)_n.  The empty product
-    (n = 0) is 1.
+    (n = 0) is 1; n None is refused, as the infinite product is ``poch_infinite``.
     """
+    check_int("factor count", n)
     return binomial_quotient(order, [(a, step, n)])
 
 

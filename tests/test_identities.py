@@ -282,6 +282,18 @@ def test_relation_validation():
         verify_relation("cor1", -1)
 
 
+@pytest.mark.parametrize("use_oracle", ["no", "", 1, 0, None])
+def test_verify_relation_refuses_a_non_bool_use_oracle_before_counting(monkeypatch, use_oracle):
+    # A truthy "no" must not run the enumeration, nor a falsy 0 the series.
+    def refuse(*args):
+        raise AssertionError("counted before use_oracle was checked")
+
+    monkeypatch.setattr(identities, "count_oracle_table", refuse)
+    monkeypatch.setattr(identities, "FAMILY_SERIES", {family: refuse for family in identities.FAMILY_SERIES})
+    with pytest.raises(TypeError, match="^use_oracle must be bool, got "):
+        verify_relation("cor1", 10, use_oracle=use_oracle)
+
+
 def test_verify_all_at_200():
     reports = verify_all(200)
     assert len(reports) == len(registry()) + 4
