@@ -1,12 +1,14 @@
 """Command-line front end: counting, listing, verifying, tabulating.
 
 Exit codes: 0 on success with everything passing, 1 when a verification or
-cross-check fails, 2 for usage errors.
+cross-check fails, 2 for usage errors, 141 (128 + SIGPIPE) when the reader
+of stdout closes it early, as ``qident table 1500 | head`` does.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 from typing import List, Optional
@@ -137,7 +139,7 @@ def cmd_verify(config: CliConfig, target: str, use_oracle: bool) -> int:
             f"negative-control perturbs q^{NEGATIVE_CONTROL_EXPONENT} and can only "
             f"fail at --order >= {NEGATIVE_CONTROL_EXPONENT} (got {config.order})"
         )
-    relation_order = min(config.order, config.oracle_limit) if use_oracle else config.order
+    relation_order = config.oracle_limit if use_oracle else config.order
     if target in RELATION_KINDS and relation_order < RELATIONS[target].first_n:
         first = RELATIONS[target].first_n
         limits = "--order and --oracle-limit" if use_oracle else "--order"
@@ -285,7 +287,15 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def entry_point() -> None:
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone: point stdout at devnull so the interpreter's
+        # final flush cannot raise again, and exit as a shell does on SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 141
+    sys.exit(status)
 
 
 if __name__ == "__main__":

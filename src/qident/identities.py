@@ -395,9 +395,15 @@ def verify(case: IdentityCase, order: int) -> VerificationReport:
     return VerificationReport(case.id, order, status, mismatch, elapsed, checked=checked)
 
 
+def _check_use_oracle(use_oracle) -> None:
+    if type(use_oracle) is not bool:  # a truthy "no" would run the enumeration
+        raise TypeError(f"use_oracle must be bool, got {type(use_oracle).__name__}")
+
+
 def family_counts(terms: Sequence[Term], order: int, use_oracle: bool = False) -> Dict[str, Sequence[int]]:
     """Each family the terms name, counted once for n = 0..order + its largest shift,
     from its generating function or, with ``use_oracle``, one count_oracle_table walk."""
+    _check_use_oracle(use_oracle)
     reach: Dict[str, int] = {}
     for family, shift in terms:
         reach[family] = max(reach.get(family, 0), shift)
@@ -432,8 +438,7 @@ def verify_relation(kind: str, order: int, use_oracle: bool = False) -> Verifica
     check_int("order", order)
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
-    if type(use_oracle) is not bool:  # a truthy "no" would run the enumeration
-        raise TypeError(f"use_oracle must be bool, got {type(use_oracle).__name__}")
+    _check_use_oracle(use_oracle)  # before the try below, which would wrap its TypeError
     start = perf_counter()
     first_n, lhs, rhs, _ = RELATIONS[kind]
     try:

@@ -293,11 +293,12 @@ class TruncatedSeries:
 # made by them and plain TruncatedSeries arithmetic: binomial_quotient
 # builds a quotient of products, ratio_sum a sum in basic hypergeometric
 # form.  Callers declare products, never binomials: a triple (a, s, n)
-# stands for (a; q^s)_n, and a lone binomial 1 - a is the one-factor product
-# (a, 1, 1).  _factors checks each triple once and lists its factors (sign, e)
-# up to the order they act on, so a listed factor needs no check of its own
-# and every one of them can change its list.  Each builder checks all its
-# input before the bare passes _mul_pass and _div_pass run, so a refused
+# stands for (a; q^s)_n with s >= 1, and a lone binomial 1 - a is the
+# one-factor product (a, 1, 1); a term-ratio pair (a, s) of ratio_sum follows
+# the same rule.  _factors checks each triple once and lists its factors
+# (sign, e) up to the order they act on, so a listed factor needs no check of
+# its own and every one of them can change its list.  Each builder checks all
+# its input before the bare passes _mul_pass and _div_pass run, so a refused
 # call does no work.
 
 Product = Tuple[QMonomial, int, Optional[int]]
@@ -312,12 +313,6 @@ def _check_parameter(a) -> None:
         raise TypeError(f"Pochhammer parameter must be QMonomial, got {type(a).__name__}")
 
 
-def _check_divisor(sign: int, e: int) -> None:
-    # sign*q^e is valid already; the one binomial that is no unit is e = 0.
-    if e == 0:
-        raise ValueError(f"1 - ({sign})*q^0 = {1 - sign} is not a unit")
-
-
 def _factors(products: Iterable[Product], order: int, divisor: bool) -> List[Tuple[int, int]]:
     # Check each product once, as a divisor if asked; list its factors with e <= order.
     factors = []
@@ -330,8 +325,8 @@ def _factors(products: Iterable[Product], order: int, divisor: bool) -> List[Tup
             raise ValueError(f"step must be >= 1, got {step}")
         if count is not None and count < 0:
             raise ValueError(f"factor count must be nonnegative, got {count}")
-        if divisor and count != 0:
-            _check_divisor(a.sign, a.exp)
+        if divisor and count != 0 and a.exp == 0:  # the one binomial 1 - a*q^(s*j) that is no unit
+            raise ValueError(f"1 - ({a.sign})*q^0 = {1 - a.sign} is not a unit")
         stop = order + 1 if count is None else min(order + 1, a.exp + step * count)
         factors += [(a.sign, e) for e in range(a.exp, stop, step)]
     return factors
@@ -403,7 +398,10 @@ def binomial_quotient(order: int, num: Iterable[Product] = (), den: Iterable[Pro
 
 
 Pochhammer = Tuple[QMonomial, int]
-"""A pair (a, s) standing for (a; q^s)_n, whose factor at step n is 1 - a*q^(s*n)."""
+"""A pair (a, s) standing for (a; q^s)_n, whose factor at step n is 1 - a*q^(s*n).
+
+s >= 1, as in a :data:`Product`.
+"""
 
 
 def ratio_sum(
@@ -419,9 +417,10 @@ def ratio_sum(
     T_n = T_0 * prod (a;q^s)_n over num / prod (b;q^t)_n over den, where T_0
     is the products start[0] over start[1]: the basic hypergeometric shape
     of every left-hand sum here.  first >= 0, step >= 1, every a and b a
-    QMonomial, every s, t >= 0, the products of start and every divisor the
-    sum reaches are checked before any work.  With e_n = first + step*n, the last
-    e_M <= order, and R_n = T_(n+1)/T_n, the sum is q^e_0 * T_0 * H_0, where
+    QMonomial, every s, t >= 1 as in a :data:`Product`, the products of start
+    and every divisor the sum reaches are checked before any work.  With
+    e_n = first + step*n, the last e_M <= order, and R_n = T_(n+1)/T_n, the
+    sum is q^e_0 * T_0 * H_0, where
 
         H_M = 1,    H_n = 1 + q^step * R_n * H_(n+1),
 
@@ -437,26 +436,19 @@ def ratio_sum(
         check_int(name, value)
     if first < 0 or step < 1:
         raise ValueError(f"need first >= 0 and step >= 1, got first={first}, step={step}")
-    num, den = list(num), list(den)
-    for a, s in num + den:
-        _check_parameter(a)
-        check_int("Pochhammer step", s)
-        if s < 0:
-            raise ValueError(f"Pochhammer step must be nonnegative, got {s}")
-    num = [(a.sign, a.exp, s) for a, s in num]
-    den = [(b.sign, b.exp, t) for b, t in den]
     es = range(first, order + 1, step)
-    # Only a divisor can still fail: its factor at step n is 1 - q^0 only
-    # when its exponent and t*n are 0, and the Horner loop below would meet
-    # the largest step, len(es) - 2, first.
-    if len(es) > 1:
-        for n in (len(es) - 2, 0):
-            for sign, e, t in den:
-                _check_divisor(sign, e + t * n)
+    # A pair (a, s) is checked as the product (a, s, m): with s >= 1 only its
+    # factor at step 0 can be 1 - a*q^0, which the sum reaches when it has a
+    # second term, so m = 1 then and 0 otherwise.
+    m = int(len(es) > 1)
+    num, den = list(num), list(den)
+    _factors([(*pair, m) for pair in num], order, False)
+    _factors([(*pair, m) for pair in den], order, True)
+    ratio = [(a.sign, a.exp, s, _mul_pass) for a, s in num] + [(b.sign, b.exp, t, _div_pass) for b, t in den]
     # T_0 acts on H_0 = cs[first:], modulo q^(order + 1 - first).
     start_num, start_den = start
-    start_num = _factors(start_num, order - first, False)
-    start_den = _factors(start_den, order - first, True)
+    start = [(sign, e, _mul_pass) for sign, e in _factors(start_num, order - first, False)]
+    start += [(sign, e, _div_pass) for sign, e in _factors(start_den, order - first, True)]
     if not es:
         return TruncatedSeries.zero(order)
     cs = [0] * (order + 1)
@@ -464,19 +456,13 @@ def ratio_sum(
     for n in range(len(es) - 2, -1, -1):
         lo = es[n + 1]
         room = order + 1 - lo  # a factor with e >= room cannot change cs[lo:]
-        for sign, e, s in num:
+        for sign, e, s, apply in ratio:
             e += s * n
             if e < room:
-                _mul_pass(cs, sign, e, lo)
-        for sign, e, s in den:
-            e += s * n
-            if e < room:
-                _div_pass(cs, sign, e, lo)
+                apply(cs, sign, e, lo)
         cs[es[n]] = 1
-    for sign, e in start_num:
-        _mul_pass(cs, sign, e, first)
-    for sign, e in start_den:
-        _div_pass(cs, sign, e, first)
+    for sign, e, apply in start:
+        apply(cs, sign, e, first)
     return TruncatedSeries(cs, order)
 
 

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import qident
 from qident.cli import CliConfig, main
 from qident.partitions import FAMILY_SPECS, count_oracle
 
@@ -282,3 +288,23 @@ def test_list_identities_machine(capsys):
     lines = out.strip().split("\n")
     assert "main-2" in lines and "cor1" in lines and "negative-control" in lines
     assert all("," not in line for line in lines)  # ids are single tokens
+
+
+# -- the console script ---------------------------------------------------------
+
+
+def test_reader_closing_stdout_early_exits_141_without_a_traceback():
+    # As `qident table 1500 --order 1500 | head -n 1`: the table is far larger
+    # than a pipe buffer, so the write after the reader is gone fails.
+    src = str(Path(qident.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qident.cli", "table", "1500", "--order", "1500"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline().split()[:2] == [b"n", b"DE1"]
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")

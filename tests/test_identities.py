@@ -154,7 +154,7 @@ def test_any_perturbed_case_fails_at_perturbation(case_id, exponent):
 
 def test_verify_propagates_builder_failures_with_id():
     def broken(order):
-        return poch_infinite(QMonomial(1, 0), 1, order)  # divergent parameter
+        return poch_infinite(QMonomial(1, 0), 1, order)  # refused: needs a.exp >= 1, though (1;q)_inf = 0
 
     case = IdentityCase("broken-case", "divergent builder", broken, broken, "n/a")
     with pytest.raises(IdentityBuildError) as info:
@@ -292,6 +292,17 @@ def test_verify_relation_refuses_a_non_bool_use_oracle_before_counting(monkeypat
     monkeypatch.setattr(identities, "FAMILY_SERIES", {family: refuse for family in identities.FAMILY_SERIES})
     with pytest.raises(TypeError, match="^use_oracle must be bool, got "):
         verify_relation("cor1", 10, use_oracle=use_oracle)
+
+
+@pytest.mark.parametrize("use_oracle", ["no", "", 1, 0, None])
+def test_family_counts_refuses_a_non_bool_use_oracle_before_counting(monkeypatch, use_oracle):
+    def refuse(*args):
+        raise AssertionError("counted before use_oracle was checked")
+
+    monkeypatch.setattr(identities, "count_oracle_table", refuse)
+    monkeypatch.setattr(identities, "FAMILY_SERIES", {family: refuse for family in identities.FAMILY_SERIES})
+    with pytest.raises(TypeError, match="^use_oracle must be bool, got "):
+        identities.family_counts([("DE1", 0)], 5, use_oracle=use_oracle)
 
 
 def test_verify_all_at_200():

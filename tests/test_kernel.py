@@ -280,6 +280,8 @@ def test_ratio_sum_refuses_non_int_order_before_evaluating(monkeypatch):
         (0, 1, (), [(QMonomial(-1, 0), 0)], ValueError),
         (0, 1, [(SimpleNamespace(sign=2, exp=1), 1)], (), TypeError),
         (0, 1, (), [((1, 1), 1)], TypeError),
+        (0, 1, [(QMonomial(1, 1), 0)], (), ValueError),
+        (0, 1, (), [(QMonomial(1, 1), 0)], ValueError),
     ],
 )
 def test_ratio_sum_refuses_bad_exponents_and_steps_before_kernel_work(monkeypatch, first, step, num, den, error):
@@ -288,6 +290,34 @@ def test_ratio_sum_refuses_bad_exponents_and_steps_before_kernel_work(monkeypatc
     _refuse_kernel_work(monkeypatch)
     with pytest.raises(error):
         ratio_sum(5, first, step, num=num, den=den)
+
+
+BAD_PAIRS = [
+    (Q, True),
+    (Q, 1.0),
+    (Q, 0),
+    (Q, -1),
+    ((1, 1), 1),
+    (SimpleNamespace(sign=2, exp=1), 1),
+    (Q,),
+    (Q, 1, 2),
+]
+NON_UNIT_PAIRS = [(QMonomial(1, 0), 1), (QMonomial(-1, 0), 2)]
+
+
+@pytest.mark.parametrize(
+    "side, pair", [("num", pair) for pair in BAD_PAIRS] + [("den", pair) for pair in BAD_PAIRS + NON_UNIT_PAIRS]
+)
+def test_ratio_sum_refuses_a_bad_pair_as_binomial_quotient_refuses_its_product(monkeypatch, side, pair):
+    # A term-ratio pair (a, s) follows the rule of the product (a, s, 1): the
+    # same error, word for word, and no kernel work.
+    _refuse_kernel_work(monkeypatch)
+    with pytest.raises(Exception) as want:
+        binomial_quotient(10, **{side: [(*pair, 1)]})
+    assert want.type in (TypeError, ValueError)
+    with pytest.raises(want.type) as got:
+        ratio_sum(10, 0, 1, **{side: [(Q, 1), pair]})
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize(
@@ -326,8 +356,8 @@ def test_ratio_sum_matches_dense_sum():
         step=st.integers(1, 4),
         first=st.integers(0, 3),
         start=st.tuples(st.lists(products, max_size=3), st.lists(products, max_size=3)),
-        num=st.lists(st.tuples(st.sampled_from([1, -1]), st.integers(0, 4), st.integers(0, 3)), max_size=2),
-        den=st.lists(st.tuples(st.sampled_from([1, -1]), st.integers(1, 4), st.integers(0, 3)), max_size=2),
+        num=st.lists(st.tuples(st.sampled_from([1, -1]), st.integers(0, 4), st.integers(1, 3)), max_size=2),
+        den=st.lists(st.tuples(st.sampled_from([1, -1]), st.integers(1, 4), st.integers(1, 3)), max_size=2),
     )
     def check(order, step, first, start, num, den):
         # num and den entries (sign, c, d) stand for (sign*q^c; q^d)_n, whose
@@ -536,15 +566,18 @@ def test_qbinomial_rhs_cancels_to_the_uncancelled_list():
 
 
 def test_ratio_sum_refuses_divisor_one_minus_q0_where_the_horner_loop_meets_it():
-    # (b; q^t)_n has the factor 1 - b at n = 0 and, if t = 0, at every n; the
-    # sum reaches a factor of step n only when it has a term n + 1, and
-    # meets the largest step first.
-    zero_at_0, zero_always = (QMonomial(1, 0), 1), (QMonomial(-1, 0), 0)
-    assert ratio_sum(0, 0, 1, den=[zero_at_0, zero_always]) == TruncatedSeries.one(0)
+    # (b; q^t)_n, t >= 1, has the factor 1 - b at n = 0 only; the sum
+    # reaches a factor of step n only when it has a term n + 1.
+    zero_at_0, two_at_0 = (QMonomial(1, 0), 1), (QMonomial(-1, 0), 1)
+    assert ratio_sum(0, 0, 1, den=[zero_at_0, two_at_0]) == TruncatedSeries.one(0)
     with pytest.raises(ValueError, match=re.escape("1 - (1)*q^0 = 0 is not a unit")):
-        ratio_sum(1, 0, 1, den=[zero_at_0, zero_always])
+        ratio_sum(1, 0, 1, den=[zero_at_0, two_at_0])
     with pytest.raises(ValueError, match=re.escape("1 - (-1)*q^0 = 2 is not a unit")):
-        ratio_sum(2, 0, 1, den=[zero_at_0, zero_always])
+        ratio_sum(2, 0, 1, den=[two_at_0, zero_at_0])
+    # With t = 0 the factor 1 - b would recur at every step: refused as a
+    # product of step 0 is, even where the sum has one term and meets none.
+    with pytest.raises(ValueError, match=re.escape("step must be >= 1, got 0")):
+        ratio_sum(0, 0, 1, den=[(QMonomial(-1, 0), 0)])
 
 
 def test_ratio_sum_with_first_exponent_above_order_is_zero():
