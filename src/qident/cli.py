@@ -97,9 +97,11 @@ def cmd_enumerate(config: CliConfig, family: str, n: int) -> int:
     if n < 0:
         return _fail(f"n must be nonnegative (got {n})")
     if n > config.oracle_limit:
+        # An --oracle-limit above --order was clamped to it, so --order caps too.
+        limits = "--order and --oracle-limit" if config.oracle_limit == config.order else "--oracle-limit"
         return _fail(
             f"enumeration is brute force and capped at n <= {config.oracle_limit}; "
-            f"raise --oracle-limit if you really want n = {n}"
+            f"raise {limits} if you really want n = {n}"
         )
     partitions = enumerate_partitions(n, FAMILY_SPECS[family])
     for p in partitions:
@@ -222,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=40,
         metavar="M",
-        help="largest n allowed for brute-force enumeration (default 40)",
+        help="largest n for enumerate and count --oracle, which enumerate, and for "
+        "verify cor* --oracle, which counts part by part (default 40; clamped to --order)",
     )
     common.add_argument(
         "--machine",
@@ -243,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--oracle",
         action="store_true",
-        help="also enumerate by brute force and compare",
+        help="also count by brute-force enumeration and compare",
     )
 
     p = sub.add_parser("enumerate", parents=[common], help="list the partitions of n in a family")
@@ -255,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--oracle",
         action="store_true",
-        help="cor1..cor4 only: use brute-force counts (capped by --oracle-limit)",
+        help="cor1..cor4 only: count each family part by part from its partition "
+        "rules instead of its generating function (up to --oracle-limit)",
     )
 
     p = sub.add_parser("table", parents=[common], help="tabulate counts and paired sums up to max_n")

@@ -110,6 +110,9 @@ def test_enumerate_cap(capsys):
     assert code == 2 and "capped" in err
     code, out, _ = run(capsys, "enumerate", "DE1", "41", "--oracle-limit", "41")
     assert code == 0 and out.rstrip().rsplit("\n", 1)[-1].startswith("total: ")
+    # --oracle-limit 50 is clamped to --order 20, so raising the limit alone does nothing.
+    code, _, err = run(capsys, "enumerate", "DE2", "30", "--oracle-limit", "50", "--order", "20")
+    assert code == 2 and "capped at n <= 20" in err and "--order" in err
 
 
 # -- verify -------------------------------------------------------------------------

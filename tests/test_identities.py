@@ -226,6 +226,13 @@ def test_relations_hold_via_oracle_to_40(kind):
 
 
 @pytest.mark.parametrize("kind", RELATION_KINDS)
+def test_relations_hold_via_oracle_to_1000(kind):
+    report = verify_relation(kind, 1000, use_oracle=True)
+    assert report.passed, report.mismatch
+    assert report.checked == 1000 - RELATIONS[kind].first_n + 1
+
+
+@pytest.mark.parametrize("kind", RELATION_KINDS)
 def test_oracle_relations_build_no_series(kind, monkeypatch):
     def refuse(order):
         raise RuntimeError("an oracle relation built a series")

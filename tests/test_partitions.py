@@ -1,5 +1,7 @@
+import inspect
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -213,7 +215,7 @@ def test_count_oracle_walk_matches_enumeration(distinct_even, parity, mult):
     # smallest part that the modulus excludes, where the trailing run of the
     # smallest part must not be taken.  Up to n = 12 both walks are also
     # checked against filtering every partition with the direct predicate,
-    # and the one-walk table against the per-n counts.
+    # and the part-by-part table against the per-n counts.
     filtered_to = 12
     every = [[Partition(t) for t in all_partitions(n)] for n in range(filtered_to + 1)]
     for modulus, min_part in itertools.product([None, 2, 3, 4, 5, 6], range(1, 6)):
@@ -295,10 +297,28 @@ def test_oracle_series_agreement_to_50():
 
 
 def test_oracle_table_matches_series_to_60():
-    # The deepest table test: a node's run of lo may span up to 60 sums.
     order = 60
     for family, spec in FAMILY_SPECS.items():
         assert count_oracle_table(order, spec) == list(FAMILY_SERIES[family](order).coeffs), family
+
+
+def test_oracle_table_matches_series_to_1000():
+    # The table shares no code with the builders, so this anchors them deep.
+    order = 1000
+    for family, spec in FAMILY_SPECS.items():
+        assert count_oracle_table(order, spec) == list(FAMILY_SERIES[family](order).coeffs), family
+
+
+def test_oracle_table_needs_no_recursion_depth_that_grows_with_up_to():
+    order = 200
+    want = {family: list(FAMILY_SERIES[family](order).coeffs) for family in FAMILY_SPECS}
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 30)
+    try:
+        for family, spec in FAMILY_SPECS.items():
+            assert count_oracle_table(order, spec) == want[family], family
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_count_oracle_refuses_non_int_n():
