@@ -1,5 +1,10 @@
 """Command-line front end: counting, listing, verifying, tabulating.
 
+Each subcommand takes only the flags it reads: ``--order`` bounds series work
+(and the depth of ``verify cor* --oracle``, which counts part by part),
+``--oracle-limit`` bounds the brute-force enumeration of ``enumerate`` and
+``count --oracle``, and ``--machine`` selects comma-separated output.
+
 Exit codes: 0 on success with everything passing, 1 when a verification or
 cross-check fails, 2 for usage errors, 141 (128 + SIGPIPE) when the reader
 of stdout closes it early, as ``qident table 1500 | head`` does.
@@ -10,7 +15,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from typing import List, Optional
 
 from .identities import (
@@ -42,48 +46,29 @@ TABLE_COLUMNS = [(label, ((family, 0),)) for label, family in _TABLE_FAMILIES] +
 TABLE_HEADER = ("n",) + tuple(label for label, _ in TABLE_COLUMNS)
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Run-wide knobs; oracle_limit is clamped to never exceed order."""
-
-    order: int = 200
-    oracle_limit: int = 40
-    machine: bool = False
-
-    def __post_init__(self):
-        if self.order < 0:
-            raise ValueError(f"--order must be nonnegative (got {self.order})")
-        if self.oracle_limit < 0:
-            raise ValueError(
-                f"--oracle-limit must be nonnegative (got {self.oracle_limit})"
-            )
-        if self.oracle_limit > self.order:
-            object.__setattr__(self, "oracle_limit", self.order)
-
-
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
 
 
-def cmd_count(config: CliConfig, family: str, n: int, use_oracle: bool) -> int:
-    if not 0 <= n <= config.order:
-        return _fail(f"n must satisfy 0 <= n <= {config.order} (got {n})")
+def cmd_count(family: str, n: int, order: int, oracle_limit: int, use_oracle: bool, machine: bool) -> int:
+    if not 0 <= n <= order:
+        return _fail(f"n must satisfy 0 <= n <= {order} (got {n})")
     series_count = FAMILY_SERIES[family](n).coeff(n)
     if not use_oracle:
-        if config.machine:
+        if machine:
             print(f"{family},{n},{series_count}")
         else:
             print(series_count)
         return 0
-    if n > config.oracle_limit:
+    if n > oracle_limit:
         return _fail(
-            f"--oracle cross-check is capped at n <= {config.oracle_limit}; "
+            f"--oracle cross-check is capped at n <= {oracle_limit}; "
             f"raise --oracle-limit to enumerate n = {n}"
         )
     oracle_count = count_oracle(n, FAMILY_SPECS[family])
     agree = series_count == oracle_count
-    if config.machine:
+    if machine:
         flag = "agree" if agree else "disagree"
         print(f"{family},{n},{series_count},{oracle_count},{flag}")
     else:
@@ -93,15 +78,13 @@ def cmd_count(config: CliConfig, family: str, n: int, use_oracle: bool) -> int:
     return 0 if agree else 1
 
 
-def cmd_enumerate(config: CliConfig, family: str, n: int) -> int:
+def cmd_enumerate(family: str, n: int, oracle_limit: int) -> int:
     if n < 0:
         return _fail(f"n must be nonnegative (got {n})")
-    if n > config.oracle_limit:
-        # An --oracle-limit above --order was clamped to it, so --order caps too.
-        limits = "--order and --oracle-limit" if config.oracle_limit == config.order else "--oracle-limit"
+    if n > oracle_limit:
         return _fail(
-            f"enumeration is brute force and capped at n <= {config.oracle_limit}; "
-            f"raise {limits} if you really want n = {n}"
+            f"enumeration is brute force and capped at n <= {oracle_limit}; "
+            f"raise --oracle-limit if you really want n = {n}"
         )
     partitions = enumerate_partitions(n, FAMILY_SPECS[family])
     for p in partitions:
@@ -110,8 +93,8 @@ def cmd_enumerate(config: CliConfig, family: str, n: int) -> int:
     return 0
 
 
-def _print_reports(config: CliConfig, reports: List[VerificationReport]) -> None:
-    if config.machine:
+def _print_reports(reports: List[VerificationReport], machine: bool) -> None:
+    if machine:
         for r in reports:
             print(report_record(r))
         return
@@ -130,30 +113,28 @@ def _print_reports(config: CliConfig, reports: List[VerificationReport]) -> None
     print(f"{passed}/{len(reports)} passed at order {reports[0].order}")
 
 
-def cmd_verify(config: CliConfig, target: str, use_oracle: bool) -> int:
+def cmd_verify(target: str, order: int, use_oracle: bool, machine: bool) -> int:
     if use_oracle and target not in RELATION_KINDS:
         return _fail(
             f"verify {target!r} takes no --oracle: only the counting relations "
             f"{', '.join(RELATION_KINDS)} can be re-checked by enumeration"
         )
-    if target == "negative-control" and config.order < NEGATIVE_CONTROL_EXPONENT:
+    if target == "negative-control" and order < NEGATIVE_CONTROL_EXPONENT:
         return _fail(
             f"negative-control perturbs q^{NEGATIVE_CONTROL_EXPONENT} and can only "
-            f"fail at --order >= {NEGATIVE_CONTROL_EXPONENT} (got {config.order})"
+            f"fail at --order >= {NEGATIVE_CONTROL_EXPONENT} (got {order})"
         )
-    relation_order = config.oracle_limit if use_oracle else config.order
-    if target in RELATION_KINDS and relation_order < RELATIONS[target].first_n:
+    if target in RELATION_KINDS and order < RELATIONS[target].first_n:
         first = RELATIONS[target].first_n
-        limits = "--order and --oracle-limit" if use_oracle else "--order"
         return _fail(
             f"{target} holds for n >= {first} and would compare nothing: "
-            f"needs {limits} >= {first} (got {relation_order})"
+            f"needs --order >= {first} (got {order})"
         )
     try:
         if target == "all":
-            reports = verify_all(config.order)
+            reports = verify_all(order)
         elif target in RELATION_KINDS:
-            reports = [verify_relation(target, relation_order, use_oracle=use_oracle)]
+            reports = [verify_relation(target, order, use_oracle=use_oracle)]
         else:
             case = negative_control() if target == "negative-control" else find_case(target)
             if case is None:
@@ -161,21 +142,21 @@ def cmd_verify(config: CliConfig, target: str, use_oracle: bool) -> int:
                 return _fail(
                     f"unknown identity {target!r}; valid targets: {', '.join(valid)}"
                 )
-            reports = [verify(case, config.order)]
+            reports = [verify(case, order)]
     except IdentityBuildError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _print_reports(config, reports)
+    _print_reports(reports, machine)
     return 0 if all(r.passed for r in reports) else 1
 
 
-def cmd_table(config: CliConfig, max_n: int) -> int:
-    if not 0 <= max_n <= config.order:
-        return _fail(f"max_n must satisfy 0 <= max_n <= {config.order} (got {max_n})")
+def cmd_table(max_n: int, order: int, machine: bool) -> int:
+    if not 0 <= max_n <= order:
+        return _fail(f"max_n must satisfy 0 <= max_n <= {order} (got {max_n})")
     counts = family_counts([term for _, terms in TABLE_COLUMNS for term in terms], max_n)
     columns = [side_values(terms, counts, max_n) for _, terms in TABLE_COLUMNS]
     rows = list(zip(range(max_n + 1), *columns))
-    if config.machine:
+    if machine:
         print(",".join(TABLE_HEADER))
         for row in rows:
             print(",".join(str(v) for v in row))
@@ -190,11 +171,11 @@ def cmd_table(config: CliConfig, max_n: int) -> int:
     return 0
 
 
-def cmd_list_identities(config: CliConfig) -> int:
+def cmd_list_identities(machine: bool) -> int:
     cases = registry()
     extras = [(kind, relation.statement) for kind, relation in RELATIONS.items()]
     extras.append(("negative-control", negative_control().description))
-    if config.machine:
+    if machine:
         for case in cases:
             print(case.id)
         for name, _ in extras:
@@ -210,28 +191,32 @@ def cmd_list_identities(config: CliConfig) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--order",
+_FLAGS = {
+    "--order": dict(
         type=int,
         default=200,
         metavar="N",
-        help="truncation order for all series work (default 200)",
-    )
-    common.add_argument(
-        "--oracle-limit",
+        help="truncation order: the largest n or power of q computed (default 200)",
+    ),
+    "--oracle-limit": dict(
         type=int,
         default=40,
         metavar="M",
-        help="largest n for enumerate and count --oracle, which enumerate, and for "
-        "verify cor* --oracle, which counts part by part (default 40; clamped to --order)",
-    )
-    common.add_argument(
-        "--machine",
-        action="store_true",
-        help="emit comma-separated, script-friendly output",
-    )
+        help="largest n that brute-force enumeration may reach (default 40)",
+    ),
+    "--machine": dict(action="store_true", help="emit comma-separated, script-friendly output"),
+}
+"""The flags that several subcommands share, each added only where it is read."""
+
+
+def _subcommand(sub, name: str, summary: str, *flags: str) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, help=summary)
+    for flag in flags:
+        p.add_argument(flag, **_FLAGS[flag])
+    return p
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qident",
         description="Exact q-series counts and mechanical identity verification "
@@ -240,54 +225,50 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     families = list(FAMILY_SPECS)
-    p = sub.add_parser("count", parents=[common], help="count partitions of n in a family")
+    p = _subcommand(sub, "count", "count partitions of n in a family", "--order", "--oracle-limit", "--machine")
     p.add_argument("family", choices=families)
     p.add_argument("n", type=int)
     p.add_argument(
         "--oracle",
         action="store_true",
-        help="also count by brute-force enumeration and compare",
+        help="also count by brute-force enumeration and compare (n <= --oracle-limit)",
     )
 
-    p = sub.add_parser("enumerate", parents=[common], help="list the partitions of n in a family")
+    p = _subcommand(sub, "enumerate", "list the partitions of n in a family", "--oracle-limit")
     p.add_argument("family", choices=families)
     p.add_argument("n", type=int)
 
-    p = sub.add_parser("verify", parents=[common], help="verify an identity, relation, or everything")
+    p = _subcommand(sub, "verify", "verify an identity, relation, or everything", "--order", "--machine")
     p.add_argument("target", help="an identity id, cor1..cor4, negative-control, or 'all'")
     p.add_argument(
         "--oracle",
         action="store_true",
         help="cor1..cor4 only: count each family part by part from its partition "
-        "rules instead of its generating function (up to --oracle-limit)",
+        "rules instead of its generating function (up to --order)",
     )
 
-    p = sub.add_parser("table", parents=[common], help="tabulate counts and paired sums up to max_n")
+    p = _subcommand(sub, "table", "tabulate counts and paired sums up to max_n", "--order", "--machine")
     p.add_argument("max_n", type=int)
 
-    sub.add_parser("list-identities", parents=[common], help="list verifiable targets")
+    _subcommand(sub, "list-identities", "list verifiable targets", "--machine")
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        config = CliConfig(
-            order=args.order,
-            oracle_limit=args.oracle_limit,
-            machine=args.machine,
-        )
-    except ValueError as exc:
-        return _fail(str(exc))
+    for name in ("order", "oracle_limit"):
+        value = getattr(args, name, 0)
+        if value < 0:
+            return _fail(f"--{name.replace('_', '-')} must be nonnegative (got {value})")
     if args.command == "count":
-        return cmd_count(config, args.family, args.n, args.oracle)
+        return cmd_count(args.family, args.n, args.order, args.oracle_limit, args.oracle, args.machine)
     if args.command == "enumerate":
-        return cmd_enumerate(config, args.family, args.n)
+        return cmd_enumerate(args.family, args.n, args.oracle_limit)
     if args.command == "verify":
-        return cmd_verify(config, args.target, args.oracle)
+        return cmd_verify(args.target, args.order, args.oracle, args.machine)
     if args.command == "table":
-        return cmd_table(config, args.max_n)
-    return cmd_list_identities(config)
+        return cmd_table(args.max_n, args.order, args.machine)
+    return cmd_list_identities(args.machine)
 
 
 def entry_point() -> None:

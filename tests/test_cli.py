@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import qident
-from qident.cli import CliConfig, main
+from qident.cli import main
 from qident.partitions import FAMILY_SPECS, count_oracle
 
 
@@ -16,22 +17,56 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-# -- config ---------------------------------------------------------------------
+# -- flags ----------------------------------------------------------------------
 
 
-def test_config_clamps_oracle_limit():
-    config = CliConfig(order=10, oracle_limit=40)
-    assert config.oracle_limit == 10
-    with pytest.raises(ValueError):
-        CliConfig(order=-1)
+SUBCOMMAND_FLAGS = {
+    "count": {"--order", "--oracle-limit", "--oracle", "--machine"},
+    "enumerate": {"--oracle-limit"},
+    "verify": {"--order", "--oracle", "--machine"},
+    "table": {"--order", "--machine"},
+    "list-identities": {"--machine"},
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMAND_FLAGS)
+def test_help_lists_only_the_flags_a_subcommand_reads(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == SUBCOMMAND_FLAGS[command] | {"--help"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "table 3 --oracle-limit 1",
+        "verify main-1 --oracle-limit 1 --order 20",
+        "list-identities --order 5",
+        "list-identities --oracle-limit 5",
+        "enumerate DE2 7 --order 20",
+        "enumerate DE2 7 --machine",
+    ],
+)
+def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
+    argv = argv.split()
+    (flag,) = [a for a in argv if a.startswith("--") and a not in SUBCOMMAND_FLAGS[argv[0]]]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert info.value.code == 2 and captured.out == ""
+    assert flag in captured.err
 
 
 def test_negative_order_and_oracle_limit_are_usage_errors(capsys):
-    with pytest.raises(ValueError):
-        CliConfig(oracle_limit=-1)
     code, _, err = run(capsys, "count", "DE1", "8", "--order", "-1")
     assert code == 2 and "--order must be nonnegative (got -1)" in err
     code, _, err = run(capsys, "count", "DE1", "8", "--oracle-limit", "-1")
+    assert code == 2 and "--oracle-limit must be nonnegative (got -1)" in err
+    code, _, err = run(capsys, "table", "3", "--order", "-1")
+    assert code == 2 and "--order must be nonnegative (got -1)" in err
+    code, _, err = run(capsys, "enumerate", "DE2", "7", "--oracle-limit", "-1")
     assert code == 2 and "--oracle-limit must be nonnegative (got -1)" in err
 
 
@@ -110,9 +145,6 @@ def test_enumerate_cap(capsys):
     assert code == 2 and "capped" in err
     code, out, _ = run(capsys, "enumerate", "DE1", "41", "--oracle-limit", "41")
     assert code == 0 and out.rstrip().rsplit("\n", 1)[-1].startswith("total: ")
-    # --oracle-limit 50 is clamped to --order 20, so raising the limit alone does nothing.
-    code, _, err = run(capsys, "enumerate", "DE2", "30", "--oracle-limit", "50", "--order", "20")
-    assert code == 2 and "capped at n <= 20" in err and "--order" in err
 
 
 # -- verify -------------------------------------------------------------------------
@@ -174,9 +206,14 @@ def test_verify_unknown_id(capsys):
 
 
 def test_verify_relation_with_oracle(capsys):
-    code, out, _ = run(capsys, "verify", "cor2", "--oracle", "--oracle-limit", "25")
+    code, out, _ = run(capsys, "verify", "cor2", "--oracle", "--order", "25")
     assert code == 0
     assert "cor2" in out and "pass" in out
+
+
+def test_verify_relation_with_oracle_counts_to_order(capsys):
+    code, out, _ = run(capsys, "verify", "cor3", "--oracle", "--order", "60", "--machine")
+    assert code == 0 and out.startswith("cor3,60,pass,")
 
 
 @pytest.mark.parametrize(
@@ -194,7 +231,7 @@ def test_verify_refuses_oracle_outside_relations(capsys, target):
     [
         (["cor1", "--order", "0"], 1),
         (["cor3", "--order", "1"], 2),
-        (["cor3", "--oracle", "--oracle-limit", "1"], 2),
+        (["cor3", "--oracle", "--order", "1"], 2),
     ],
 )
 def test_verify_relation_refuses_empty_range(capsys, argv, first):
