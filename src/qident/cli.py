@@ -1,9 +1,11 @@
 """Command-line front end: counting, listing, verifying, tabulating.
 
-Each subcommand takes only the flags it reads: ``--order`` bounds series work
-(and the depth of ``verify cor* --oracle``, which counts part by part),
-``--oracle-limit`` bounds the brute-force enumeration of ``enumerate`` and
-``count --oracle``, and ``--machine`` selects comma-separated output.
+Each subcommand takes only the flags it reads: ``--order`` bounds the series
+work of ``verify`` (and the depth of ``verify cor* --oracle``),
+``--oracle-limit`` bounds the brute-force enumeration of ``enumerate``, and
+``--machine`` selects comma-separated output.  ``count`` and ``table`` build
+exactly to their own n, and ``--oracle`` always counts part by part from the
+partition rules instead of reading the generating functions.
 
 Exit codes: 0 on success with everything passing, 1 when a verification or
 cross-check fails, 2 for usage errors, 141 (128 + SIGPIPE) when the reader
@@ -33,7 +35,7 @@ from .identities import (
     verify_all,
     verify_relation,
 )
-from .partitions import FAMILY_SERIES, FAMILY_SPECS, count_oracle, enumerate_partitions
+from .partitions import FAMILY_SPECS, enumerate_partitions
 
 _TABLE_FAMILIES = (("DE1", "DE1"), ("DE2", "DE2"), ("DE3", "DE3"), ("b4", "regular4"), ("c4", "regular4min2"))
 TABLE_COLUMNS = [(label, ((family, 0),)) for label, family in _TABLE_FAMILIES] + [
@@ -51,22 +53,17 @@ def _fail(message: str) -> int:
     return 2
 
 
-def cmd_count(family: str, n: int, order: int, oracle_limit: int, use_oracle: bool, machine: bool) -> int:
-    if not 0 <= n <= order:
-        return _fail(f"n must satisfy 0 <= n <= {order} (got {n})")
-    series_count = FAMILY_SERIES[family](n).coeff(n)
+def cmd_count(family: str, n: int, use_oracle: bool, machine: bool) -> int:
+    if n < 0:
+        return _fail(f"n must be nonnegative (got {n})")
+    series_count = family_counts([(family, 0)], n)[family][n]
     if not use_oracle:
         if machine:
             print(f"{family},{n},{series_count}")
         else:
             print(series_count)
         return 0
-    if n > oracle_limit:
-        return _fail(
-            f"--oracle cross-check is capped at n <= {oracle_limit}; "
-            f"raise --oracle-limit to enumerate n = {n}"
-        )
-    oracle_count = count_oracle(n, FAMILY_SPECS[family])
+    oracle_count = family_counts([(family, 0)], n, use_oracle=True)[family][n]
     agree = series_count == oracle_count
     if machine:
         flag = "agree" if agree else "disagree"
@@ -117,7 +114,7 @@ def cmd_verify(target: str, order: int, use_oracle: bool, machine: bool) -> int:
     if use_oracle and target not in RELATION_KINDS:
         return _fail(
             f"verify {target!r} takes no --oracle: only the counting relations "
-            f"{', '.join(RELATION_KINDS)} can be re-checked by enumeration"
+            f"{', '.join(RELATION_KINDS)} can be re-checked by part-by-part counts"
         )
     if target == "negative-control" and order < NEGATIVE_CONTROL_EXPONENT:
         return _fail(
@@ -150,9 +147,9 @@ def cmd_verify(target: str, order: int, use_oracle: bool, machine: bool) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def cmd_table(max_n: int, order: int, machine: bool) -> int:
-    if not 0 <= max_n <= order:
-        return _fail(f"max_n must satisfy 0 <= max_n <= {order} (got {max_n})")
+def cmd_table(max_n: int, machine: bool) -> int:
+    if max_n < 0:
+        return _fail(f"max_n must be nonnegative (got {max_n})")
     counts = family_counts([term for _, terms in TABLE_COLUMNS for term in terms], max_n)
     columns = [side_values(terms, counts, max_n) for _, terms in TABLE_COLUMNS]
     rows = list(zip(range(max_n + 1), *columns))
@@ -225,13 +222,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     families = list(FAMILY_SPECS)
-    p = _subcommand(sub, "count", "count partitions of n in a family", "--order", "--oracle-limit", "--machine")
+    p = _subcommand(sub, "count", "count partitions of n in a family", "--machine")
     p.add_argument("family", choices=families)
     p.add_argument("n", type=int)
     p.add_argument(
         "--oracle",
         action="store_true",
-        help="also count by brute-force enumeration and compare (n <= --oracle-limit)",
+        help="also count part by part from the family's partition rules, "
+        "without its generating function, and compare",
     )
 
     p = _subcommand(sub, "enumerate", "list the partitions of n in a family", "--oracle-limit")
@@ -247,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
         "rules instead of its generating function (up to --order)",
     )
 
-    p = _subcommand(sub, "table", "tabulate counts and paired sums up to max_n", "--order", "--machine")
+    p = _subcommand(sub, "table", "tabulate counts and paired sums up to max_n", "--machine")
     p.add_argument("max_n", type=int)
 
     _subcommand(sub, "list-identities", "list verifiable targets", "--machine")
@@ -261,13 +259,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         if value < 0:
             return _fail(f"--{name.replace('_', '-')} must be nonnegative (got {value})")
     if args.command == "count":
-        return cmd_count(args.family, args.n, args.order, args.oracle_limit, args.oracle, args.machine)
+        return cmd_count(args.family, args.n, args.oracle, args.machine)
     if args.command == "enumerate":
         return cmd_enumerate(args.family, args.n, args.oracle_limit)
     if args.command == "verify":
         return cmd_verify(args.target, args.order, args.oracle, args.machine)
     if args.command == "table":
-        return cmd_table(args.max_n, args.order, args.machine)
+        return cmd_table(args.max_n, args.machine)
     return cmd_list_identities(args.machine)
 
 

@@ -5,11 +5,12 @@ and right side of one equation to a requested truncation order; verification
 is coefficient-by-coefficient integer comparison, so a pass is a mechanical
 proof of agreement up to that order.  The counting relations (``cor1`` ..
 ``cor4``), which follow from the main identities, are checked the same way
-but over count sequences, with an optional brute-force enumeration backend
-replacing the series coefficients.  Each relation is declared once, in
-:data:`RELATIONS`, as two sums of shifted family counts that
-:func:`family_counts` and :func:`side_values` evaluate, for ``verify_relation``
-and for the pair columns of ``qident table``.
+but over count sequences, with an optional part-by-part count from the
+partition rules replacing the series coefficients.  Each relation is
+declared once, in :data:`RELATIONS`, as two sums of shifted family counts
+that :func:`family_counts` and :func:`side_values` evaluate, for
+``verify_relation`` and for the pair columns of ``qident table``;
+:func:`family_counts` also gives ``qident count`` both of its counts.
 """
 
 from __future__ import annotations
@@ -24,12 +25,6 @@ from .partitions import (  # count_oracle stays a name here: perfbench/tracing.p
     FAMILY_SPECS,
     count_oracle,
     count_oracle_table,
-    gf_de1,
-    gf_de2,
-    gf_de3,
-    gf_ped,
-    gf_regular4,
-    gf_regular4_min2,
 )
 from .series import QMonomial, TruncatedSeries, binomial_quotient, check_int, ratio_sum
 
@@ -258,10 +253,8 @@ def registry() -> List[IdentityCase]:
         IdentityCase(
             id="ped-eq-4regular",
             description="distinct-even-part count equals the 4-regular count",
-            # Looked up at call time, as in every case: the map find_case
-            # keeps must not pin a builder that a caller has since replaced.
-            lhs=lambda order: gf_ped(order),
-            rhs=lambda order: gf_regular4(order),
+            lhs=lambda order: FAMILY_SERIES["ped"](order),
+            rhs=lambda order: FAMILY_SERIES["regular4"](order),
             statement="(-q^2;q^2)_inf/(q;q^2)_inf = (q^4;q^4)_inf/(q;q)_inf",
         )
     ]
@@ -282,8 +275,8 @@ def registry() -> List[IdentityCase]:
         IdentityCase(
             id="main-1",
             description="DE1 generating function against the 4-regular product",
-            lhs=lambda order: _one_plus_q_to(1, gf_de1(order)),
-            rhs=lambda order: gf_regular4(order) - 1,
+            lhs=lambda order: _one_plus_q_to(1, FAMILY_SERIES["DE1"](order)),
+            rhs=lambda order: FAMILY_SERIES["regular4"](order) - 1,
             statement=(
                 "(1+q) sum_{n>=0} (-q^2;q^2)_n q^(2n+1)/(q;q^2)_(n+1)"
                 " = (q^4;q^4)_inf/(q;q)_inf - 1"
@@ -303,8 +296,8 @@ def registry() -> List[IdentityCase]:
         IdentityCase(
             id="main-2",
             description="DE2 generating function against the min-part-2 product",
-            lhs=lambda order: _one_plus_q_to(3, gf_de2(order)),
-            rhs=lambda order: gf_regular4_min2(order) - 1,
+            lhs=lambda order: _one_plus_q_to(3, FAMILY_SERIES["DE2"](order)),
+            rhs=lambda order: FAMILY_SERIES["regular4min2"](order) - 1,
             statement=(
                 "(1+q^3) sum_{n>=0} (-q^2;q^2)_n q^(4n+2)/(q;q^2)_(n+1)"
                 " = (q^4;q^4)_inf/(q^2;q)_inf - 1"
@@ -324,8 +317,8 @@ def registry() -> List[IdentityCase]:
         IdentityCase(
             id="main-3",
             description="DE3 generating function against the shifted 4-regular product",
-            lhs=lambda order: _one_plus_q_to(3, gf_de3(order)),
-            rhs=lambda order: gf_regular4(order).shift(2)
+            lhs=lambda order: _one_plus_q_to(3, FAMILY_SERIES["DE3"](order)),
+            rhs=lambda order: FAMILY_SERIES["regular4"](order).shift(2)
             - TruncatedSeries.monomial(1, 2, order)
             + TruncatedSeries.monomial(1, 1, order),
             statement=(
@@ -396,7 +389,7 @@ def verify(case: IdentityCase, order: int) -> VerificationReport:
 
 
 def _check_use_oracle(use_oracle) -> None:
-    if type(use_oracle) is not bool:  # a truthy "no" would run the enumeration
+    if type(use_oracle) is not bool:  # a truthy "no" would count part by part
         raise TypeError(f"use_oracle must be bool, got {type(use_oracle).__name__}")
 
 

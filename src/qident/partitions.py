@@ -245,7 +245,12 @@ def _tails(remaining: int, cap: int, plan: _Plan) -> Iterator[Tuple[int, ...]]:
 
 
 def enumerate_partitions(n: int, spec: ConstraintSpec) -> List[Partition]:
-    """All partitions of n satisfying spec, lexicographically decreasing."""
+    """All partitions of n satisfying spec, lexicographically decreasing.
+
+    A small-n reference: the list, and the time, grow exponentially with n.
+    Only ``enumerate`` is capped in the CLI, by ``--oracle-limit``;
+    :func:`count_oracle_table` is the route for depth.
+    """
     check_int("n", n)
     _check_spec(spec)
     plan = _plan(n, spec)
@@ -265,6 +270,11 @@ def count_oracle(n: int, spec: ConstraintSpec) -> int:
     as one part, the rest less one lo closed by that lo) without a call and
     recurses only into parts that leave more than lo.  Each family at
     n = 40 takes about 2 ms (2-core Intel Xeon VM, Python 3.11.7).
+
+    A small-n reference, like the enumerator: its time grows exponentially
+    with n.  Only ``enumerate`` is capped in the CLI, by ``--oracle-limit``;
+    :func:`count_oracle_table` is the route for depth, and the tests check
+    it against this walk.
     """
     check_int("n", n)
     _check_spec(spec)

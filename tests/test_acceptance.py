@@ -95,7 +95,7 @@ def test_criterion_4_count_relations():
         assert oracle_report.passed, (kind, oracle_report.mismatch)
     print(
         "\nACCEPTANCE 4: PASS - cor1..cor4 exact via series to 200 "
-        "and via enumeration to 40"
+        "and via part-by-part counts to 40"
     )
 
 

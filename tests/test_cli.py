@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 import qident
+from qident import identities
 from qident.cli import main
-from qident.partitions import FAMILY_SPECS, count_oracle
+from qident.partitions import FAMILY_SPECS, count_oracle, count_oracle_table
+from qident.series import TruncatedSeries
 
 
 def run(capsys, *argv):
@@ -21,10 +23,10 @@ def run(capsys, *argv):
 
 
 SUBCOMMAND_FLAGS = {
-    "count": {"--order", "--oracle-limit", "--oracle", "--machine"},
+    "count": {"--oracle", "--machine"},
     "enumerate": {"--oracle-limit"},
     "verify": {"--order", "--oracle", "--machine"},
-    "table": {"--order", "--machine"},
+    "table": {"--machine"},
     "list-identities": {"--machine"},
 }
 
@@ -41,6 +43,9 @@ def test_help_lists_only_the_flags_a_subcommand_reads(capsys, command):
 @pytest.mark.parametrize(
     "argv",
     [
+        "count DE1 8 --order 5",
+        "count DE1 8 --oracle-limit 1",
+        "table 3 --order 5",
         "table 3 --oracle-limit 1",
         "verify main-1 --oracle-limit 1 --order 20",
         "list-identities --order 5",
@@ -59,12 +64,14 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
     assert flag in captured.err
 
 
+@pytest.mark.parametrize("argv, name", [("count DE1 -1", "n"), ("table -1", "max_n")])
+def test_negative_n_is_a_usage_error(capsys, argv, name):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == "" and f"{name} must be nonnegative (got -1)" in err
+
+
 def test_negative_order_and_oracle_limit_are_usage_errors(capsys):
-    code, _, err = run(capsys, "count", "DE1", "8", "--order", "-1")
-    assert code == 2 and "--order must be nonnegative (got -1)" in err
-    code, _, err = run(capsys, "count", "DE1", "8", "--oracle-limit", "-1")
-    assert code == 2 and "--oracle-limit must be nonnegative (got -1)" in err
-    code, _, err = run(capsys, "table", "3", "--order", "-1")
+    code, _, err = run(capsys, "verify", "main-1", "--order", "-1")
     assert code == 2 and "--order must be nonnegative (got -1)" in err
     code, _, err = run(capsys, "enumerate", "DE2", "7", "--oracle-limit", "-1")
     assert code == 2 and "--oracle-limit must be nonnegative (got -1)" in err
@@ -95,18 +102,28 @@ def test_count_machine_mode(capsys):
     assert code == 0 and out == "DE1,8,9,9,agree\n"
 
 
-def test_count_out_of_range(capsys):
-    code, _, err = run(capsys, "count", "DE1", "300")
-    assert code == 2 and "0 <= n <= 200" in err
-    code, _, err = run(capsys, "count", "DE1", "-1")
-    assert code == 2
+def test_count_builds_to_its_own_n(capsys):
+    code, out, _ = run(capsys, "count", "DE1", "300")
+    assert code == 0 and out == f"{count_oracle_table(300, FAMILY_SPECS['DE1'])[300]}\n"
 
 
-def test_count_oracle_above_limit(capsys):
-    code, _, err = run(capsys, "count", "DE1", "60", "--oracle")
-    assert code == 2 and "--oracle-limit" in err
-    code, out, _ = run(capsys, "count", "DE1", "45", "--oracle", "--oracle-limit", "45")
-    assert code == 0 and out.endswith("agree: yes\n")
+def test_count_oracle_reaches_depth(capsys):
+    code, out, _ = run(capsys, "count", "DE1", "1000", "--oracle")
+    series, oracle, agree = out.splitlines()
+    assert code == 0 and agree == "agree: yes"
+    assert series.split(": ")[1] == oracle.split(": ")[1]
+
+
+def test_count_oracle_reports_a_disagreement(capsys, monkeypatch):
+    # count reads the series through identities, as verify and table do.
+    de1 = identities.FAMILY_SERIES["DE1"]
+    off_by_q5 = lambda order: de1(order) + TruncatedSeries.monomial(1, 5, order)
+    monkeypatch.setattr(identities, "FAMILY_SERIES", dict(identities.FAMILY_SERIES, DE1=off_by_q5))
+    right = count_oracle(5, FAMILY_SPECS["DE1"])
+    code, out, _ = run(capsys, "count", "DE1", "5", "--oracle")
+    assert code == 1 and out == f"series: {right + 1}\noracle: {right}\nagree: no\n"
+    code, out, _ = run(capsys, "count", "DE1", "5", "--oracle", "--machine")
+    assert code == 1 and out == f"DE1,5,{right + 1},{right},disagree\n"
 
 
 def test_count_unknown_family(capsys):
@@ -220,7 +237,7 @@ def test_verify_relation_with_oracle_counts_to_order(capsys):
     "target", ["all", "main-1", "ped-eq-4regular", "negative-control", "bogus-id"]
 )
 def test_verify_refuses_oracle_outside_relations(capsys, target):
-    # Only cor1..cor4 have an enumeration backend; the flag must not be a no-op.
+    # Only cor1..cor4 have a part-by-part count; the flag must not be a no-op.
     code, out, err = run(capsys, "verify", target, "--oracle", "--order", "60", "--machine")
     assert code == 2 and out == ""
     assert "--oracle" in err and "cor1, cor2, cor3, cor4" in err and repr(target) in err
@@ -307,9 +324,11 @@ def test_table_machine_rows_match_brute_force(capsys):
         assert line == ",".join(map(str, (n, de1, de2, de3, b4, c4, de1_pair, de3_pair))), n
 
 
-def test_table_above_order(capsys):
-    code, _, err = run(capsys, "table", "50", "--order", "30")
-    assert code == 2 and "max_n" in err
+def test_table_builds_to_its_own_max_n(capsys):
+    code, out, _ = run(capsys, "table", "300", "--machine")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 302
+    assert lines[-1].split(",")[:2] == ["300", str(count_oracle_table(300, FAMILY_SPECS["DE1"])[300])]
 
 
 # -- list-identities -------------------------------------------------------------------
@@ -334,12 +353,12 @@ def test_list_identities_machine(capsys):
 
 
 def test_reader_closing_stdout_early_exits_141_without_a_traceback():
-    # As `qident table 1500 --order 1500 | head -n 1`: the table is far larger
+    # As `qident table 1500 | head -n 1`: the table is far larger
     # than a pipe buffer, so the write after the reader is gone fails.
     src = str(Path(qident.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.Popen(
-        [sys.executable, "-m", "qident.cli", "table", "1500", "--order", "1500"],
+        [sys.executable, "-m", "qident.cli", "table", "1500"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,

@@ -88,7 +88,7 @@ def test_find_case_looks_up_one_map_of_definitions(monkeypatch):
     assert find_case("main-1") is find_case("main-1")
     assert find_case("negative-control") is None and find_case("bogus") is None
     # The map holds definitions, not builders fixed at its first lookup.
-    monkeypatch.setattr(identities, "gf_ped", lambda order: TruncatedSeries.zero(order))
+    monkeypatch.setitem(identities.FAMILY_SERIES, "ped", lambda order: TruncatedSeries.zero(order))
     assert find_case("ped-eq-4regular").lhs(5) == TruncatedSeries.zero(5)
     assert negative_control().lhs(5) == TruncatedSeries.zero(5)
 
@@ -172,9 +172,11 @@ def test_relation_builder_failure_becomes_error_report(monkeypatch):
         verify_relation("cor2", 20)
     assert info.value.case_id == "cor2"
     reports = {r.id: r for r in verify_all(20)}
-    assert reports["cor2"].status == "error"
-    assert "family build failed" in reports["cor2"].error
-    assert all(r.passed for r in reports.values() if r.id != "cor2")
+    # main-2 is the identity about the DE2 builder, so it errors with cor2.
+    for broken_id in ("cor2", "main-2"):
+        assert reports[broken_id].status == "error"
+        assert "family build failed" in reports[broken_id].error
+    assert all(r.passed for r in reports.values() if r.id not in ("cor2", "main-2"))
 
 
 def test_report_field_coupling():
@@ -291,7 +293,7 @@ def test_relation_validation():
 
 @pytest.mark.parametrize("use_oracle", ["no", "", 1, 0, None])
 def test_verify_relation_refuses_a_non_bool_use_oracle_before_counting(monkeypatch, use_oracle):
-    # A truthy "no" must not run the enumeration, nor a falsy 0 the series.
+    # A truthy "no" must not run the part-by-part count, nor a falsy 0 the series.
     def refuse(*args):
         raise AssertionError("counted before use_oracle was checked")
 
