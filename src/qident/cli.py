@@ -7,6 +7,11 @@ work of ``verify`` (and the depth of ``verify cor* --oracle``),
 exactly to their own n, and ``--oracle`` always counts part by part from the
 partition rules instead of reading the generating functions.
 
+``verify`` reports every case and relation through the library's one
+comparison, which refuses an order that would compare nothing (``verify cor3
+--order 1``, and so ``verify all --order 1``); that refusal, the library's
+``ValueError``, is a usage error here.
+
 Exit codes: 0 on success with everything passing, 1 when a verification or
 cross-check fails, 2 for usage errors, 141 (128 + SIGPIPE) when the reader
 of stdout closes it early, as ``qident table 1500 | head`` does.
@@ -121,12 +126,6 @@ def cmd_verify(target: str, order: int, use_oracle: bool, machine: bool) -> int:
             f"negative-control perturbs q^{NEGATIVE_CONTROL_EXPONENT} and can only "
             f"fail at --order >= {NEGATIVE_CONTROL_EXPONENT} (got {order})"
         )
-    if target in RELATION_KINDS and order < RELATIONS[target].first_n:
-        first = RELATIONS[target].first_n
-        return _fail(
-            f"{target} holds for n >= {first} and would compare nothing: "
-            f"needs --order >= {first} (got {order})"
-        )
     try:
         if target == "all":
             reports = verify_all(order)
@@ -143,6 +142,8 @@ def cmd_verify(target: str, order: int, use_oracle: bool, machine: bool) -> int:
     except IdentityBuildError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:  # an order that would compare nothing
+        return _fail(str(exc))
     _print_reports(reports, machine)
     return 0 if all(r.passed for r in reports) else 1
 

@@ -11,6 +11,11 @@ declared once, in :data:`RELATIONS`, as two sums of shifted family counts
 that :func:`family_counts` and :func:`side_values` evaluate, for
 ``verify_relation`` and for the pair columns of ``qident table``;
 :func:`family_counts` also gives ``qident count`` both of its counts.
+
+Every check, case or relation, reports through one comparison,
+:func:`_compare`.  It refuses an order that would compare nothing (below a
+relation's first n) with a ``ValueError`` before anything is built, and a
+side known to a lower order than asked for is a build error, never a pass.
 """
 
 from __future__ import annotations
@@ -76,8 +81,8 @@ class VerificationReport:
     smallest disagreeing exponent; it is present exactly when status is
     "fail".  Status "error" means a builder raised before any comparison.
     ``checked`` counts the coefficients (for a case) or values of n (for a
-    relation) compared, up to and including a mismatch, so a pass with
-    ``checked == 0`` compared nothing.
+    relation) compared, up to and including a mismatch; on a pass or a fail
+    it is at least 1, because an order that would compare nothing is refused.
     """
 
     id: str
@@ -370,22 +375,51 @@ def negative_control(exponent: int = NEGATIVE_CONTROL_EXPONENT) -> IdentityCase:
 # -- verification -------------------------------------------------------------
 
 
-def verify(case: IdentityCase, order: int) -> VerificationReport:
-    """Expand both sides to the order and report the first coefficient clash."""
+def _check_range(check_id: str, order: int, first: int) -> None:
     check_int("order", order)
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
+    if order < first:
+        raise ValueError(
+            f"{check_id} holds for n >= {first} and would compare nothing: "
+            f"needs order >= {first} (got {order})"
+        )
+
+
+def _compare(
+    check_id: str,
+    order: int,
+    sides: Callable[[], Tuple[TruncatedSeries, TruncatedSeries]],
+    first: int = 0,
+) -> VerificationReport:
+    """The one comparison every check reports through.
+
+    Refuses an order below ``first``, which would compare nothing, before
+    anything is built; builds both sides with ``sides()``, where any failure,
+    a side known to a lower order than asked for included, becomes an
+    :class:`IdentityBuildError` carrying ``check_id``; then compares the
+    coefficients of q^0..q^order.  ``checked`` counts the exponents from
+    ``first`` through the mismatch or the order.
+    """
+    _check_range(check_id, order, first)
     start = perf_counter()
     try:
-        lhs = case.lhs(order)
-        rhs = case.rhs(order)
+        lhs, rhs = (side.truncate(order) for side in sides())
     except Exception as exc:
-        raise IdentityBuildError(case.id, str(exc)) from exc
+        raise IdentityBuildError(check_id, str(exc)) from exc
     mismatch = lhs.first_mismatch(rhs)
     elapsed = perf_counter() - start
     status = "pass" if mismatch is None else "fail"
-    checked = order + 1 if mismatch is None else mismatch[0] + 1
-    return VerificationReport(case.id, order, status, mismatch, elapsed, checked=checked)
+    checked = (order if mismatch is None else mismatch[0]) - first + 1
+    return VerificationReport(check_id, order, status, mismatch, elapsed, checked=checked)
+
+
+def verify(case: IdentityCase, order: int) -> VerificationReport:
+    """Expand both sides to the order and report the first coefficient clash.
+
+    A negative order is a ``ValueError``; a builder that fails, or returns a
+    side known to a lower order than asked for, raises
+    :class:`IdentityBuildError` (see :func:`_compare`).
+    """
+    return _compare(case.id, order, lambda: (case.lhs(order), case.rhs(order)))
 
 
 def _check_use_oracle(use_oracle) -> None:
@@ -423,40 +457,38 @@ def verify_relation(kind: str, order: int, use_oracle: bool = False) -> Verifica
     from the family's partition rules and shares no counting code with the
     generating functions.  It checks all four relations to n = 50 in about
     2 ms and to n = 1000 in about 0.8 s (2-core Intel Xeon VM, Python
-    3.11.7).  A mismatch reports (n, left, right).  Both sides and the
-    first n come from :data:`RELATIONS`.  A failing count builder raises
-    :class:`IdentityBuildError`, as in :func:`verify`.
+    3.11.7).  Both sides and the first n come from :data:`RELATIONS`; they
+    become two series, zero below the first n, compared by the same
+    :func:`_compare` as a case, so a mismatch reports (n, left, right).  An
+    order below the first n, which would compare nothing, is a
+    ``ValueError`` raised before anything is counted, and a failing count
+    builder raises :class:`IdentityBuildError`, as in :func:`verify`.
     """
     if kind not in RELATION_KINDS:
         raise ValueError(f"unknown relation {kind!r}; expected one of {RELATION_KINDS}")
-    check_int("order", order)
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
-    _check_use_oracle(use_oracle)  # before the try below, which would wrap its TypeError
-    start = perf_counter()
+    _check_use_oracle(use_oracle)  # here, or _compare would wrap its TypeError as a build error
     first_n, lhs, rhs, _ = RELATIONS[kind]
-    try:
+
+    def sides():
         counts = family_counts(lhs + rhs, order, use_oracle)
-        left, right = side_values(lhs, counts, order), side_values(rhs, counts, order)
-    except Exception as exc:
-        raise IdentityBuildError(kind, str(exc)) from exc
-    mismatch, checked = None, 0
-    for n in range(first_n, order + 1):
-        checked += 1
-        if left[n] != right[n]:
-            mismatch = (n, left[n], right[n])
-            break
-    elapsed = perf_counter() - start
-    status = "pass" if mismatch is None else "fail"
-    return VerificationReport(kind, order, status, mismatch, elapsed, checked=checked)
+        return tuple(
+            TruncatedSeries([0] * first_n + side_values(terms, counts, order)[first_n:], order)
+            for terms in (lhs, rhs)
+        )
+
+    return _compare(kind, order, sides, first_n)
 
 
 def verify_all(order: int) -> List[VerificationReport]:
     """Verify every registry case plus the four relations; reports sorted by id.
 
     Builder errors, in a case or a relation, are captured as status-"error"
-    reports rather than aborting the batch.
+    reports rather than aborting the batch.  An order below 2, where some
+    relation would compare nothing, is a ``ValueError`` raised before
+    anything is built.
     """
+    for kind, relation in RELATIONS.items():
+        _check_range(kind, order, relation.first_n)
     checks = [partial(verify, case, order) for case in registry()]
     checks += [partial(verify_relation, kind, order) for kind in RELATION_KINDS]
     reports = []

@@ -174,11 +174,11 @@ def test_verify_single_pass(capsys):
 
 
 def test_verify_all_order_zero(capsys):
-    code, out, _ = run(capsys, "verify", "all", "--order", "0")
-    assert code == 0
-    summary = out.strip().split("\n")[-1]
-    passed, total = summary.split(" ")[0].split("/")
-    assert passed == total
+    # Below order 2 some relation would compare nothing, so the batch is refused.
+    for order in ("0", "1"):
+        code, out, err = run(capsys, "verify", "all", "--order", order)
+        assert code == 2 and out == ""
+        assert f"needs order >= {int(order) + 1} (got {order})" in err
 
 
 def test_verify_machine_record(capsys):
@@ -254,7 +254,7 @@ def test_verify_refuses_oracle_outside_relations(capsys, target):
 def test_verify_relation_refuses_empty_range(capsys, argv, first):
     code, out, err = run(capsys, "verify", *argv)
     assert code == 2 and out == ""
-    assert f"n >= {first}" in err and "--order" in err
+    assert f"n >= {first}" in err and "order" in err
     assert f">= {first} (got {first - 1})" in err
 
 

@@ -152,15 +152,30 @@ def test_any_perturbed_case_fails_at_perturbation(case_id, exponent):
     assert report.mismatch[0] == exponent
 
 
-def test_verify_propagates_builder_failures_with_id():
+def test_verify_propagates_builder_failures_with_id(monkeypatch):
     def broken(order):
         return poch_infinite(QMonomial(1, 0), 1, order)  # refused: needs a.exp >= 1, though (1;q)_inf = 0
 
-    case = IdentityCase("broken-case", "divergent builder", broken, broken, "n/a")
-    with pytest.raises(IdentityBuildError) as info:
-        verify(case, 10)
-    assert info.value.case_id == "broken-case"
-    assert "broken-case" in str(info.value)
+    # A side known only to q^3 agrees with the other up to there, but must not
+    # pass at a deeper order as if all of it had been compared.
+    short = IdentityCase(
+        "short2",
+        "",
+        lambda o: TruncatedSeries([1, 1, 1, 1], 3),
+        lambda o: TruncatedSeries([1] * (o + 1), o),
+        "n/a",
+    )
+    for case in (IdentityCase("broken-case", "divergent builder", broken, broken, "n/a"), short):
+        for order in (10, 200):
+            with pytest.raises(IdentityBuildError) as info:
+                verify(case, order)
+            assert info.value.case_id == case.id
+            assert case.id in str(info.value)
+        monkeypatch.setattr(identities, "registry", lambda: [case])
+        reports = {r.id: r for r in verify_all(10)}
+        assert reports[case.id].status == "error" and case.id in reports[case.id].error
+        assert [r.id for r in reports.values() if not r.passed] == [case.id]
+    assert verify(short, 3).passed  # to its own order it is a real comparison
 
 
 def test_relation_builder_failure_becomes_error_report(monkeypatch):
@@ -191,8 +206,12 @@ def test_report_field_coupling():
 
 
 def test_reports_count_what_they_checked():
-    assert verify_relation("cor1", 0).checked == 0
-    assert verify_relation("cor3", 1).checked == 0
+    # An order below a relation's first n would compare nothing: refused.
+    for use_oracle in (False, True):
+        for kind, order in (("cor1", 0), ("cor3", 1)):
+            with pytest.raises(ValueError, match=f"{kind} holds for n >= {order + 1}"):
+                verify_relation(kind, order, use_oracle=use_oracle)
+        assert verify_relation("cor3", 2, use_oracle=use_oracle).checked == 1
     assert verify_relation("cor1", 40).checked == 40
     assert verify(find_case("main-1"), 60).checked == 61
     assert verify(negative_control(), 200).checked == 51
@@ -276,6 +295,23 @@ def test_verify_relation_refuses_non_int_order_before_building(monkeypatch):
     assert built == []
 
 
+def test_verify_relation_refuses_empty_range_before_counting(monkeypatch):
+    built = []
+
+    def record(*args):
+        built.append(args)
+        raise RuntimeError("no build expected")
+
+    monkeypatch.setattr(identities, "FAMILY_SERIES", {f: record for f in identities.FAMILY_SERIES})
+    monkeypatch.setattr(identities, "count_oracle_table", record)
+    for kind, relation in RELATIONS.items():
+        for order in range(-1, relation.first_n):
+            for use_oracle in (False, True):
+                with pytest.raises(ValueError, match=f"needs order >= {relation.first_n}"):
+                    verify_relation(kind, order, use_oracle=use_oracle)
+    assert built == []
+
+
 def test_relation_examples():
     # cor1 at n=8: 9 + 7 = 16; cor2 at n=10: 5 + 2 = 7; cor3 at n=8: 11 + 5 = 16
     c = lambda n, fam: count_oracle(n, FAMILY_SPECS[fam])
@@ -321,10 +357,24 @@ def test_verify_all_at_200():
     assert [r.id for r in reports] == sorted(r.id for r in reports)
 
 
-def test_verify_all_at_order_zero():
-    reports = verify_all(0)
+def test_verify_all_at_order_zero(monkeypatch):
+    built = []
+
+    def record(*args):
+        built.append(args)
+        raise RuntimeError("no build expected")
+
+    family_series = identities.FAMILY_SERIES
+    monkeypatch.setattr(identities, "FAMILY_SERIES", {f: record for f in family_series})
+    # cor3 and cor4 start at n = 2, so below that verify_all would pass them vacuously.
+    for order in (0, 1):
+        with pytest.raises(ValueError, match="would compare nothing"):
+            verify_all(order)
+    assert built == []
+    monkeypatch.setattr(identities, "FAMILY_SERIES", family_series)
+    reports = verify_all(2)
+    assert len(reports) == len(registry()) + 4 == 37
     assert all(r.passed for r in reports)
-    assert len(reports) == len(registry()) + 4
 
 
 def test_verify_all_is_deterministic():
