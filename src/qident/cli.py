@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .identities import (
     NEGATIVE_CONTROL_EXPONENT,
@@ -59,8 +59,6 @@ def _fail(message: str) -> int:
 
 
 def cmd_count(family: str, n: int, use_oracle: bool, machine: bool) -> int:
-    if n < 0:
-        return _fail(f"n must be nonnegative (got {n})")
     series_count = family_counts([(family, 0)], n)[family][n]
     if not use_oracle:
         if machine:
@@ -81,8 +79,6 @@ def cmd_count(family: str, n: int, use_oracle: bool, machine: bool) -> int:
 
 
 def cmd_enumerate(family: str, n: int, oracle_limit: int) -> int:
-    if n < 0:
-        return _fail(f"n must be nonnegative (got {n})")
     if n > oracle_limit:
         return _fail(
             f"enumeration is brute force and capped at n <= {oracle_limit}; "
@@ -95,13 +91,19 @@ def cmd_enumerate(family: str, n: int, oracle_limit: int) -> int:
     return 0
 
 
+def _print_listing(rows: List[Tuple[str, str]]) -> None:
+    # Each (name, text) row, the names left-aligned in one column.
+    width = max(len(name) for name, _ in rows)
+    for name, text in rows:
+        print(f"{name:<{width}}  {text}")
+
+
 def _print_reports(reports: List[VerificationReport], machine: bool) -> None:
     if machine:
         for r in reports:
             print(report_record(r))
         return
-    width = max(len(r.id) for r in reports)
-    print(f"{'id':<{width}}  {'status':<6}  first mismatch")
+    rows = [("id", "status  first mismatch")]
     for r in reports:
         if r.status == "pass":
             detail = "-"
@@ -110,7 +112,8 @@ def _print_reports(reports: List[VerificationReport], machine: bool) -> None:
             detail = f"q^{k}: lhs={lhs} rhs={rhs}"
         else:
             detail = r.error
-        print(f"{r.id:<{width}}  {r.status:<6}  {detail}")
+        rows.append((r.id, f"{r.status:<6}  {detail}"))
+    _print_listing(rows)
     passed = sum(r.passed for r in reports)
     print(f"{passed}/{len(reports)} passed at order {reports[0].order}")
 
@@ -149,8 +152,6 @@ def cmd_verify(target: str, order: int, use_oracle: bool, machine: bool) -> int:
 
 
 def cmd_table(max_n: int, machine: bool) -> int:
-    if max_n < 0:
-        return _fail(f"max_n must be nonnegative (got {max_n})")
     counts = family_counts([term for _, terms in TABLE_COLUMNS for term in terms], max_n)
     columns = [side_values(terms, counts, max_n) for _, terms in TABLE_COLUMNS]
     rows = list(zip(range(max_n + 1), *columns))
@@ -170,22 +171,14 @@ def cmd_table(max_n: int, machine: bool) -> int:
 
 
 def cmd_list_identities(machine: bool) -> int:
-    cases = registry()
-    extras = [(kind, relation.statement) for kind, relation in RELATIONS.items()]
-    extras.append(("negative-control", negative_control().description))
+    rows = [(case.id, case.description) for case in registry()]
+    rows += [(kind, relation.statement) for kind, relation in RELATIONS.items()]
+    rows.append(("negative-control", negative_control().description))
     if machine:
-        for case in cases:
-            print(case.id)
-        for name, _ in extras:
+        for name, _ in rows:
             print(name)
     else:
-        width = max(
-            max(len(c.id) for c in cases), max(len(name) for name, _ in extras)
-        )
-        for case in cases:
-            print(f"{case.id:<{width}}  {case.description}")
-        for name, text in extras:
-            print(f"{name:<{width}}  {text}")
+        _print_listing(rows)
     return 0
 
 
@@ -255,10 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    for name in ("order", "oracle_limit"):
-        value = getattr(args, name, 0)
+    for name in ("--order", "--oracle-limit", "n", "max_n"):  # a flag is reported before a count
+        value = getattr(args, name.lstrip("-").replace("-", "_"), 0)
         if value < 0:
-            return _fail(f"--{name.replace('_', '-')} must be nonnegative (got {value})")
+            return _fail(f"{name} must be nonnegative (got {value})")
     if args.command == "count":
         return cmd_count(args.family, args.n, args.oracle, args.machine)
     if args.command == "enumerate":

@@ -429,8 +429,12 @@ def _check_use_oracle(use_oracle) -> None:
 
 def family_counts(terms: Sequence[Term], order: int, use_oracle: bool = False) -> Dict[str, Sequence[int]]:
     """Each family the terms name, counted once for n = 0..order + its largest shift,
-    from its generating function or, with ``use_oracle``, one part-by-part count_oracle_table."""
+    from its generating function or, with ``use_oracle``, one part-by-part count_oracle_table.
+    A negative or non-int order is refused before anything is counted."""
     _check_use_oracle(use_oracle)
+    check_int("order", order)
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
     reach: Dict[str, int] = {}
     for family, shift in terms:
         reach[family] = max(reach.get(family, 0), shift)

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, List, NamedTuple, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .series import (
     QMonomial,
@@ -196,17 +196,15 @@ def _heads(n: int, spec: ConstraintSpec) -> Iterator[Tuple[Tuple[int, ...], int,
             yield (k,), n - k, cap
 
 
-class _Plan(NamedTuple):
-    # What a node of the part tree looks up, for parts and sums up to n.
-    lo: int  # the smallest allowed part size, spec.min_part
-    parts: List[int]  # allowed parts above lo, largest first
-    next_cap: List[int]  # next_cap[k] bounds the parts after a part k
-    first: List[int]  # first[m]: index in parts of the largest part <= m
-    is_part: List[bool]  # is_part[k]: whether k is in parts
-    lo_runs: int  # how many copies of lo may close a tail
-
-
-def _plan(n: int, spec: ConstraintSpec) -> _Plan:
+def _plan(n: int, spec: ConstraintSpec) -> tuple:
+    # What a node of the part tree looks up, for parts and sums up to n, as
+    # (lo, parts, next_cap, first, is_part, lo_runs):
+    #   lo: the smallest allowed part size, spec.min_part;
+    #   parts: the allowed parts above lo, largest first;
+    #   next_cap[k]: the bound on the parts after a part k;
+    #   first[m]: the index in parts of the largest part <= m;
+    #   is_part[k]: whether k is in parts;
+    #   lo_runs: how many copies of lo may close a tail.
     lo, modulus = spec.min_part, spec.regular_modulus
     size = max(n, 0) + 1
     is_part = [k > lo and (modulus is None or k % modulus != 0) for k in range(size)]
@@ -223,10 +221,10 @@ def _plan(n: int, spec: ConstraintSpec) -> _Plan:
         lo_runs = 1
     else:
         lo_runs = size
-    return _Plan(lo, parts, next_cap, first, is_part, lo_runs)
+    return lo, parts, next_cap, first, is_part, lo_runs
 
 
-def _tails(remaining: int, cap: int, plan: _Plan) -> Iterator[Tuple[int, ...]]:
+def _tails(remaining: int, cap: int, plan: tuple) -> Iterator[Tuple[int, ...]]:
     # Nonincreasing part tuples summing to `remaining` with parts <= cap,
     # honoring min_part / regular_modulus / distinct_even.  Descending choice
     # of the next part yields lexicographically decreasing output; the

@@ -27,10 +27,8 @@ def check_int(name: str, value) -> None:
 
 def _check_binomial(sign: int, e: int) -> None:
     """The rule for a valid sign*q^e, and so for a binomial 1 - sign*q^e."""
-    # One type test on the hot path (bool is refused); check_int names the culprit.
-    if not type(sign) is type(e) is int:
-        check_int("sign", sign)
-        check_int("exponent", e)
+    check_int("sign", sign)
+    check_int("exponent", e)
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     if e < 0:
@@ -114,38 +112,26 @@ class TruncatedSeries:
 
     # -- ring operations ----------------------------------------------------
 
-    def _coerce(self, other) -> Optional["TruncatedSeries"]:
-        if isinstance(other, TruncatedSeries):
-            return other
+    def _combine(self, other, op):
+        # op(self[k], other[k]) for each k both know, an int being the
+        # constant series: map stops at the shorter tuple, so the smaller
+        # order is kept.
         if isinstance(other, int):
-            return TruncatedSeries([other], self.order)
-        return None
+            other = TruncatedSeries([other], self.order)
+        elif not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        return TruncatedSeries(list(map(op, self.coeffs, other.coeffs)), min(self.order, other.order))
 
     def __add__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        n = min(self.order, rhs.order)
-        return TruncatedSeries(
-            [self.coeffs[k] + rhs.coeffs[k] for k in range(n + 1)], n
-        )
+        return self._combine(other, add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        n = min(self.order, rhs.order)
-        return TruncatedSeries(
-            [self.coeffs[k] - rhs.coeffs[k] for k in range(n + 1)], n
-        )
+        return self._combine(other, sub)
 
     def __rsub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs.__sub__(self)
+        return self._combine(other, lambda a, b: b - a)
 
     def __neg__(self):
         return TruncatedSeries([-c for c in self.coeffs], self.order)
@@ -185,10 +171,7 @@ class TruncatedSeries:
             out[i:] = [x + ai * y for x, y in zip(out[i:], b[:lim])]
         return TruncatedSeries(out, n)
 
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse, requiring a unit constant term (+1 or -1)."""
@@ -218,8 +201,7 @@ class TruncatedSeries:
             raise IndexError(f"exponent {k} outside known range 0..{self.order}")
         return self.coeffs[k]
 
-    def __getitem__(self, k: int) -> int:
-        return self.coeff(k)
+    __getitem__ = coeff
 
     def truncate(self, order: int) -> "TruncatedSeries":
         """Forget coefficients above the given (smaller or equal) order."""

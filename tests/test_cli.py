@@ -64,17 +64,22 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
     assert flag in captured.err
 
 
-@pytest.mark.parametrize("argv, name", [("count DE1 -1", "n"), ("table -1", "max_n")])
+@pytest.mark.parametrize(
+    "argv, name", [("count DE1 -1", "n"), ("count DE1 -1 --oracle", "n"), ("enumerate DE2 -1", "n"), ("table -1", "max_n")]
+)
 def test_negative_n_is_a_usage_error(capsys, argv, name):
     code, out, err = run(capsys, *argv.split())
-    assert code == 2 and out == "" and f"{name} must be nonnegative (got -1)" in err
+    assert (code, out, err) == (2, "", f"error: {name} must be nonnegative (got -1)\n")
 
 
 def test_negative_order_and_oracle_limit_are_usage_errors(capsys):
     code, _, err = run(capsys, "verify", "main-1", "--order", "-1")
-    assert code == 2 and "--order must be nonnegative (got -1)" in err
+    assert code == 2 and err == "error: --order must be nonnegative (got -1)\n"
     code, _, err = run(capsys, "enumerate", "DE2", "7", "--oracle-limit", "-1")
-    assert code == 2 and "--oracle-limit must be nonnegative (got -1)" in err
+    assert code == 2 and err == "error: --oracle-limit must be nonnegative (got -1)\n"
+    # The flag is reported before the count.
+    code, _, err = run(capsys, "enumerate", "DE2", "-1", "--oracle-limit", "-1")
+    assert code == 2 and err == "error: --oracle-limit must be nonnegative (got -1)\n"
 
 
 # -- count ------------------------------------------------------------------------

@@ -1,0 +1,58 @@
+"""Golden CLI outputs: each command's stdout, byte for byte, and its exit code.
+
+Each file in tests/golden/ is the stdout of one command, written from the
+command line in that directory with
+
+    qident count DE1 8 > count-DE1.out
+    qident count DE2 30 --oracle > count-DE2-oracle.out
+    qident enumerate DE2 7 > enumerate-DE2.out
+    qident table 60 --machine > table-machine.out
+    qident table 60 > table.out
+    qident verify main-2 --order 300 > verify-main-2.out
+    qident verify negative-control > verify-negative-control.out
+    qident verify all --order 200 > verify-all.out
+    qident verify all --order 200 --machine | cut -d, -f1-4 > verify-all-machine.out
+    qident list-identities --machine > list-identities-machine.out
+    qident list-identities > list-identities.out
+
+The last field of a ``--machine`` verify line is a wall-clock time, so that
+file keeps the first four.  A change that alters the output on purpose writes
+the files again the same way, and its diff shows what changed.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from qident.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+COMMANDS = {
+    "count-DE1": ("count DE1 8", 0),
+    "count-DE2-oracle": ("count DE2 30 --oracle", 0),
+    "enumerate-DE2": ("enumerate DE2 7", 0),
+    "table-machine": ("table 60 --machine", 0),
+    "table": ("table 60", 0),
+    "verify-main-2": ("verify main-2 --order 300", 0),
+    "verify-negative-control": ("verify negative-control", 1),
+    "verify-all": ("verify all --order 200", 0),
+    "verify-all-machine": ("verify all --order 200 --machine", 0),
+    "list-identities-machine": ("list-identities --machine", 0),
+    "list-identities": ("list-identities", 0),
+}
+
+
+def test_every_golden_file_has_a_command():
+    assert sorted(p.stem for p in GOLDEN.glob("*.out")) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_output_matches_golden_file(capsys, name):
+    argv, expected_code = COMMANDS[name]
+    code = main(argv.split())
+    out = capsys.readouterr().out
+    if name == "verify-all-machine":
+        out = "".join(",".join(line.split(",")[:4]) + "\n" for line in out.splitlines())
+    assert code == expected_code
+    assert out == (GOLDEN / f"{name}.out").read_text()

@@ -350,6 +350,31 @@ def test_family_counts_refuses_a_non_bool_use_oracle_before_counting(monkeypatch
         identities.family_counts([("DE1", 0)], 5, use_oracle=use_oracle)
 
 
+@pytest.mark.parametrize("use_oracle", [False, True])
+@pytest.mark.parametrize(
+    "order, error, message",
+    [
+        (-1, ValueError, "^order must be nonnegative, got -1$"),
+        (True, TypeError, "^order must be int, got bool$"),
+        (2.0, TypeError, "^order must be int, got float$"),
+    ],
+)
+def test_family_counts_refuses_a_bad_order_before_counting(monkeypatch, use_oracle, order, error, message):
+    # Both routes refuse alike: the oracle route once returned [] for -1, and
+    # True counted to n = 1 on both.
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        raise AssertionError("counted before the order was checked")
+
+    monkeypatch.setattr(identities, "count_oracle_table", record)
+    monkeypatch.setattr(identities, "FAMILY_SERIES", {family: record for family in identities.FAMILY_SERIES})
+    with pytest.raises(error, match=message):
+        identities.family_counts([("DE1", 0)], order, use_oracle=use_oracle)
+    assert calls == []
+
+
 def test_verify_all_at_200():
     reports = verify_all(200)
     assert len(reports) == len(registry()) + 4

@@ -93,9 +93,10 @@ def test_shift_refuses_non_int_exponent():
 
 def test_coeff_refuses_non_int_exponent():
     for k in (True, 1.0):
-        with pytest.raises(TypeError, match="must be int"):
+        message = f"^exponent must be int, got {type(k).__name__}$"
+        with pytest.raises(TypeError, match=message):
             ts(1, 2, 3).coeff(k)
-        with pytest.raises(TypeError, match="must be int"):
+        with pytest.raises(TypeError, match=message):
             ts(1, 2, 3)[k]
 
 
@@ -138,6 +139,28 @@ def test_int_operands():
     assert ts(0, 1, 0) + 1 == ts(1, 1, 0)
     assert 1 - ts(0, 1, 0) == ts(1, -1, 0)
     assert 2 * ts(1, 1) == ts(2, 2)
+    s = ts(3, 1, 0)
+    assert s - 1 == ts(2, 1, 0)
+    assert 1 + s == ts(4, 1, 0)
+    assert s * 2 == 2 * s == ts(6, 2, 0)
+
+
+@pytest.mark.parametrize("other", [2.0, None, "q", True])
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda s, x: s + x,
+        lambda s, x: x + s,
+        lambda s, x: s - x,
+        lambda s, x: x - s,
+        lambda s, x: s * x,
+        lambda s, x: x * s,
+    ],
+    ids=["add", "radd", "sub", "rsub", "mul", "rmul"],
+)
+def test_operators_refuse_operands_that_are_not_int_or_series(op, other):
+    with pytest.raises(TypeError):
+        op(ts(1, 2, 3), other)
 
 
 def test_scale():
@@ -164,6 +187,8 @@ def test_mixed_orders_truncate_to_min():
     assert (a + b).order == 1
     assert (a * b).order == 1
     assert (a - b).coeffs == (0, 1)
+    assert 1 - b == ts(0, -1)
+    assert b - a == ts(0, -1)
 
 
 # -- multiplication and inversion ----------------------------------------------
@@ -224,6 +249,11 @@ def test_coeff():
         s.coeff(3)
     with pytest.raises(IndexError):
         s.coeff(-1)
+    for k in range(3):
+        assert s[k] == s.coeff(k)
+    for k in (3, -1):
+        with pytest.raises(IndexError, match=f"^exponent {k} outside known range 0..2$"):
+            s[k]
 
 
 def test_first_mismatch():
