@@ -3,14 +3,19 @@
 Each :class:`IdentityCase` owns two independent builders that expand the left
 and right side of one equation to a requested truncation order; verification
 is coefficient-by-coefficient integer comparison, so a pass is a mechanical
-proof of agreement up to that order.  The counting relations (``cor1`` ..
-``cor4``), which follow from the main identities, are checked the same way
-but over count sequences, with an optional part-by-part count from the
-partition rules replacing the series coefficients.  Each relation is
-declared once, in :data:`RELATIONS`, as two sums of shifted family counts
-that :func:`family_counts` and :func:`side_values` evaluate, for
-``verify_relation`` and for the pair columns of ``qident table``;
-:func:`family_counts` also gives ``qident count`` both of its counts.
+proof of agreement up to that order.  The registry is one table of cases,
+built once at import.  A side that is one call of a sum or product builder is
+that call, a ``partial`` waiting for its order; a side that does series
+arithmetic, or reads :data:`FAMILY_SERIES` when it is called, is a lambda.
+
+The counting relations (``cor1`` .. ``cor4``), which follow from the main
+identities, are checked the same way but over count sequences, with an
+optional part-by-part count from the partition rules replacing the series
+coefficients.  Each relation is declared once, in :data:`RELATIONS`, as
+two sums of shifted family counts that :func:`family_counts` and
+:func:`side_values` evaluate, for ``verify_relation`` and for the pair
+columns of ``qident table``; :func:`family_counts` also gives ``qident
+count`` both of its counts.
 
 Every check, case or relation, reports through one comparison,
 :func:`_compare`.  It refuses an order that would compare nothing (below a
@@ -21,7 +26,7 @@ side known to a lower order than asked for is a build error, never a pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from time import perf_counter
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -154,21 +159,6 @@ def _help_sum(order: int, first: int, step: int, finite_start: int) -> Truncated
     )
 
 
-def _qbinomial_lhs(a: Optional[QMonomial], z_exp: int, order: int) -> TruncatedSeries:
-    """sum over n of (a;q)_n * q^(n*z_exp) / (q;q)_n, with a = None meaning 0."""
-    return ratio_sum(order, 0, z_exp, num=[] if a is None else [(a, 1)], den=[(QMonomial(1, 1), 1)])
-
-
-def _qbinomial_rhs(a: Optional[QMonomial], z_exp: int, order: int) -> TruncatedSeries:
-    num = [] if a is None else [(a.shifted(z_exp), 1, None)]
-    return binomial_quotient(order, num, [(QMonomial(1, z_exp), 1, None)])
-
-
-def _asv_lhs(step: int, a: QMonomial, b: QMonomial, order: int) -> TruncatedSeries:
-    """sum over n of (a;Q)_n * Q^n / (b;Q)_n with Q = q^step."""
-    return ratio_sum(order, 0, step, num=[(a, step)], den=[(b, step)])
-
-
 def _asv_rhs(step: int, a: QMonomial, b: QMonomial, order: int) -> TruncatedSeries:
     """Q(a;Q)_inf / (b (b;Q)_inf (1 - aQ/b)) + (1 - Q/b)/(1 - aQ/b), Q = q^step.
 
@@ -190,14 +180,43 @@ def _asv_rhs(step: int, a: QMonomial, b: QMonomial, order: int) -> TruncatedSeri
 
 # -- the registry -------------------------------------------------------------
 
-_MONOMIAL_TOKENS = {
-    None: ("a0", "0"),
-    QMonomial(1, 1): ("aq", "q"),
-    QMonomial(-1, 1): ("amq", "-q"),
-    QMonomial(1, 2): ("aq2", "q^2"),
-    QMonomial(-1, 2): ("amq2", "-q^2"),
-    QMonomial(1, 3): ("aq3", "q^3"),
-}
+
+def _qbinomial_case(a: Optional[QMonomial], z_exp: int) -> IdentityCase:
+    """sum over n of (a;q)_n z^n/(q;q)_n = (az;q)_inf/(z;q)_inf at z = q^z_exp, a = None meaning 0.
+
+    The id spells a and z without ``^`` and a minus sign as ``m``: a = -q^2,
+    z = q^3 is ``qbinomial-amq2-zq3``.
+    """
+    astr, zstr = "0" if a is None else str(a), str(QMonomial(1, z_exp))
+    return IdentityCase(
+        id=f"qbinomial-a{astr.replace('-', 'm')}-z{zstr}".replace("^", ""),
+        description=f"q-binomial theorem at a = {astr}, z = {zstr}",
+        lhs=partial(
+            ratio_sum, first=0, step=z_exp, num=() if a is None else ((a, 1),), den=((QMonomial(1, 1), 1),)
+        ),
+        rhs=partial(
+            binomial_quotient,
+            num=() if a is None else ((a.shifted(z_exp), 1, None),),
+            den=((QMonomial(1, z_exp), 1, None),),
+        ),
+        statement=f"sum_{{n>=0}} (a;q)_n z^n/(q;q)_n = (az;q)_inf/(z;q)_inf at a = {astr}, z = {zstr}",
+    )
+
+
+def _asv_case(case_id: str, at: str, step: int, a: QMonomial, b: QMonomial) -> IdentityCase:
+    """sum over n of (a;Q)_n * Q^n / (b;Q)_n against its closed form, Q = q^step."""
+    return IdentityCase(
+        id=case_id,
+        description=f"two-parameter closed form {at} Q = q^{step}, a = {a}, b = {b}",
+        lhs=partial(ratio_sum, first=0, step=step, num=((a, step),), den=((b, step),)),
+        rhs=lambda order: _asv_rhs(step, a, b, order),
+        statement=(
+            "sum_{n>=0} (a;Q)_n Q^n/(b;Q)_n"
+            " = Q(a;Q)_inf/(b (b;Q)_inf (1-aQ/b)) + (1-Q/b)/(1-aQ/b)"
+            f" at Q = {QMonomial(1, step)}, a = {a}, b = {b}"
+        ),
+    )
+
 
 # (id, how the description names Q, step, a, b) for each asv case.
 _ASV_CASES = (
@@ -211,142 +230,101 @@ _ASV_CASES = (
     ("asv-grid-6", "sampled at", 3, QMonomial(1, 1), QMonomial(-1, 2)),
 )
 
+_REGISTRY = (
+    IdentityCase(
+        id="ped-eq-4regular",
+        description="distinct-even-part count equals the 4-regular count",
+        lhs=lambda order: FAMILY_SERIES["ped"](order),
+        rhs=lambda order: FAMILY_SERIES["regular4"](order),
+        statement="(-q^2;q^2)_inf/(q;q^2)_inf = (q^4;q^4)_inf/(q;q)_inf",
+    ),
+    *(
+        _qbinomial_case(a, z_exp)
+        for a in (None, QMonomial(1, 1), QMonomial(-1, 1), QMonomial(1, 2), QMonomial(-1, 2), QMonomial(1, 3))
+        for z_exp in (1, 2, 3)
+    ),
+    *(_asv_case(*row) for row in _ASV_CASES),
+    IdentityCase(
+        id="help-1",
+        description="product-sum evaluation behind the DE1 identity",
+        lhs=partial(_help_sum, first=0, step=2, finite_start=0),
+        rhs=lambda order: binomial_quotient(order, [_Q4_INF], [_ONE_PLUS_Q]).scale(2)
+        - binomial_quotient(order, [_EULER_INF], [_ONE_PLUS_Q]),
+        statement=(
+            "sum_{n>=0} q^(2n) (q^(4n+4);q^4)_inf (q;q)_(2n)"
+            " = 2(q^4;q^4)_inf/(1+q) - (q;q)_inf/(1+q)"
+        ),
+    ),
+    IdentityCase(
+        id="main-1",
+        description="DE1 generating function against the 4-regular product",
+        lhs=lambda order: _one_plus_q_to(1, FAMILY_SERIES["DE1"](order)),
+        rhs=lambda order: FAMILY_SERIES["regular4"](order) - 1,
+        statement=(
+            "(1+q) sum_{n>=0} (-q^2;q^2)_n q^(2n+1)/(q;q^2)_(n+1)"
+            " = (q^4;q^4)_inf/(q;q)_inf - 1"
+        ),
+    ),
+    IdentityCase(
+        id="help-2",
+        description="product-sum evaluation behind the DE2 identity",
+        lhs=partial(_help_sum, first=0, step=2, finite_start=1),
+        rhs=lambda order: binomial_quotient(order, [_Q4_INF, _ONE_MINUS_Q], [_ONE_PLUS_Q3]).scale(2)
+        - binomial_quotient(order, [_EULER_INF], [_ONE_PLUS_Q3]),
+        statement=(
+            "sum_{n>=0} q^(2n) (q^(4n+4);q^4)_inf (q;q)_(2n+1)"
+            " = 2(1-q)(q^4;q^4)_inf/(1+q^3) - (q;q)_inf/(1+q^3)"
+        ),
+    ),
+    IdentityCase(
+        id="main-2",
+        description="DE2 generating function against the min-part-2 product",
+        lhs=lambda order: _one_plus_q_to(3, FAMILY_SERIES["DE2"](order)),
+        rhs=lambda order: FAMILY_SERIES["regular4min2"](order) - 1,
+        statement=(
+            "(1+q^3) sum_{n>=0} (-q^2;q^2)_n q^(4n+2)/(q;q^2)_(n+1)"
+            " = (q^4;q^4)_inf/(q^2;q)_inf - 1"
+        ),
+    ),
+    IdentityCase(
+        id="help-3",
+        description="product-sum evaluation behind the DE3 identity",
+        lhs=partial(_help_sum, first=1, step=4, finite_start=0),
+        rhs=lambda order: binomial_quotient(order, [_Q4_INF], [_ONE_PLUS_Q3]).scale(2).shift(2)
+        + binomial_quotient(order, [_EULER_INF, _ONE_MINUS_Q], [_ONE_PLUS_Q3]).shift(1),
+        statement=(
+            "sum_{n>=0} q^(4n+1) (q^(4n+4);q^4)_inf (q;q)_(2n)"
+            " = 2q^2(q^4;q^4)_inf/(1+q^3) + q(1-q)(q;q)_inf/(1+q^3)"
+        ),
+    ),
+    IdentityCase(
+        id="main-3",
+        description="DE3 generating function against the shifted 4-regular product",
+        lhs=lambda order: _one_plus_q_to(3, FAMILY_SERIES["DE3"](order)),
+        rhs=lambda order: FAMILY_SERIES["regular4"](order).shift(2)
+        - TruncatedSeries.monomial(1, 2, order)
+        + TruncatedSeries.monomial(1, 1, order),
+        statement=(
+            "(1+q^3) sum_{n>=0} (-q^2;q^2)_n q^(2n+1)/(q;q^2)_n"
+            " = q^2(q^4;q^4)_inf/(q;q)_inf - q^2 + q"
+        ),
+    ),
+)
 
-def _qbinomial_cases() -> List[IdentityCase]:
-    cases = []
-    for a, (atok, astr) in _MONOMIAL_TOKENS.items():
-        for z_exp in (1, 2, 3):
-            zstr = "q" if z_exp == 1 else f"q^{z_exp}"
-            cases.append(
-                IdentityCase(
-                    id=f"qbinomial-{atok}-zq{z_exp if z_exp > 1 else ''}",
-                    description=f"q-binomial theorem at a = {astr}, z = {zstr}",
-                    lhs=lambda order, a=a, t=z_exp: _qbinomial_lhs(a, t, order),
-                    rhs=lambda order, a=a, t=z_exp: _qbinomial_rhs(a, t, order),
-                    statement=(
-                        "sum_{n>=0} (a;q)_n z^n/(q;q)_n = (az;q)_inf/(z;q)_inf"
-                        f" at a = {astr}, z = {zstr}"
-                    ),
-                )
-            )
-    return cases
-
-
-def _asv_cases() -> List[IdentityCase]:
-    cases = []
-    for case_id, at, step, a, b in _ASV_CASES:
-        qs = "q" if step == 1 else f"q^{step}"
-        cases.append(
-            IdentityCase(
-                id=case_id,
-                description=f"two-parameter closed form {at} Q = q^{step}, a = {a}, b = {b}",
-                lhs=lambda order, s=step, a=a, b=b: _asv_lhs(s, a, b, order),
-                rhs=lambda order, s=step, a=a, b=b: _asv_rhs(s, a, b, order),
-                statement=(
-                    "sum_{n>=0} (a;Q)_n Q^n/(b;Q)_n"
-                    " = Q(a;Q)_inf/(b (b;Q)_inf (1-aQ/b)) + (1-Q/b)/(1-aQ/b)"
-                    f" at Q = {qs}, a = {a}, b = {b}"
-                ),
-            )
-        )
-    return cases
+_CASES_BY_ID = {case.id: case for case in _REGISTRY}  # definitions, never series
 
 
 def registry() -> List[IdentityCase]:
-    """Every registered statement, as independently buildable LHS/RHS pairs."""
-    cases = [
-        IdentityCase(
-            id="ped-eq-4regular",
-            description="distinct-even-part count equals the 4-regular count",
-            lhs=lambda order: FAMILY_SERIES["ped"](order),
-            rhs=lambda order: FAMILY_SERIES["regular4"](order),
-            statement="(-q^2;q^2)_inf/(q;q^2)_inf = (q^4;q^4)_inf/(q;q)_inf",
-        )
-    ]
-    cases += _qbinomial_cases()
-    cases += _asv_cases()
-    cases += [
-        IdentityCase(
-            id="help-1",
-            description="product-sum evaluation behind the DE1 identity",
-            lhs=lambda order: _help_sum(order, 0, 2, finite_start=0),
-            rhs=lambda order: binomial_quotient(order, [_Q4_INF], [_ONE_PLUS_Q]).scale(2)
-            - binomial_quotient(order, [_EULER_INF], [_ONE_PLUS_Q]),
-            statement=(
-                "sum_{n>=0} q^(2n) (q^(4n+4);q^4)_inf (q;q)_(2n)"
-                " = 2(q^4;q^4)_inf/(1+q) - (q;q)_inf/(1+q)"
-            ),
-        ),
-        IdentityCase(
-            id="main-1",
-            description="DE1 generating function against the 4-regular product",
-            lhs=lambda order: _one_plus_q_to(1, FAMILY_SERIES["DE1"](order)),
-            rhs=lambda order: FAMILY_SERIES["regular4"](order) - 1,
-            statement=(
-                "(1+q) sum_{n>=0} (-q^2;q^2)_n q^(2n+1)/(q;q^2)_(n+1)"
-                " = (q^4;q^4)_inf/(q;q)_inf - 1"
-            ),
-        ),
-        IdentityCase(
-            id="help-2",
-            description="product-sum evaluation behind the DE2 identity",
-            lhs=lambda order: _help_sum(order, 0, 2, finite_start=1),
-            rhs=lambda order: binomial_quotient(order, [_Q4_INF, _ONE_MINUS_Q], [_ONE_PLUS_Q3]).scale(2)
-            - binomial_quotient(order, [_EULER_INF], [_ONE_PLUS_Q3]),
-            statement=(
-                "sum_{n>=0} q^(2n) (q^(4n+4);q^4)_inf (q;q)_(2n+1)"
-                " = 2(1-q)(q^4;q^4)_inf/(1+q^3) - (q;q)_inf/(1+q^3)"
-            ),
-        ),
-        IdentityCase(
-            id="main-2",
-            description="DE2 generating function against the min-part-2 product",
-            lhs=lambda order: _one_plus_q_to(3, FAMILY_SERIES["DE2"](order)),
-            rhs=lambda order: FAMILY_SERIES["regular4min2"](order) - 1,
-            statement=(
-                "(1+q^3) sum_{n>=0} (-q^2;q^2)_n q^(4n+2)/(q;q^2)_(n+1)"
-                " = (q^4;q^4)_inf/(q^2;q)_inf - 1"
-            ),
-        ),
-        IdentityCase(
-            id="help-3",
-            description="product-sum evaluation behind the DE3 identity",
-            lhs=lambda order: _help_sum(order, 1, 4, finite_start=0),
-            rhs=lambda order: binomial_quotient(order, [_Q4_INF], [_ONE_PLUS_Q3]).scale(2).shift(2)
-            + binomial_quotient(order, [_EULER_INF, _ONE_MINUS_Q], [_ONE_PLUS_Q3]).shift(1),
-            statement=(
-                "sum_{n>=0} q^(4n+1) (q^(4n+4);q^4)_inf (q;q)_(2n)"
-                " = 2q^2(q^4;q^4)_inf/(1+q^3) + q(1-q)(q;q)_inf/(1+q^3)"
-            ),
-        ),
-        IdentityCase(
-            id="main-3",
-            description="DE3 generating function against the shifted 4-regular product",
-            lhs=lambda order: _one_plus_q_to(3, FAMILY_SERIES["DE3"](order)),
-            rhs=lambda order: FAMILY_SERIES["regular4"](order).shift(2)
-            - TruncatedSeries.monomial(1, 2, order)
-            + TruncatedSeries.monomial(1, 1, order),
-            statement=(
-                "(1+q^3) sum_{n>=0} (-q^2;q^2)_n q^(2n+1)/(q;q^2)_n"
-                " = q^2(q^4;q^4)_inf/(q;q)_inf - q^2 + q"
-            ),
-        ),
-    ]
-    return cases
+    """Every registered statement, as independently buildable LHS/RHS pairs, in a new list."""
+    return list(_REGISTRY)
 
 
 def registry_ids() -> List[str]:
     return [case.id for case in registry()]
 
 
-@lru_cache(maxsize=None)
-def _cases_by_id() -> Dict[str, IdentityCase]:
-    """Every registry case by id, built once; it holds definitions, never series."""
-    return {case.id: case for case in registry()}
-
-
 def find_case(case_id: str) -> Optional[IdentityCase]:
-    return _cases_by_id().get(case_id)
+    return _CASES_BY_ID.get(case_id)
 
 
 NEGATIVE_CONTROL_EXPONENT = 50

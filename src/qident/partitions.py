@@ -172,10 +172,11 @@ def satisfies(partition: Partition, spec: ConstraintSpec) -> bool:
     return True
 
 
-def _heads(n: int, spec: ConstraintSpec) -> Iterator[Tuple[Tuple[int, ...], int, int]]:
+def _heads(n: int, spec: ConstraintSpec, next_cap: List[int]) -> Iterator[Tuple[Tuple[int, ...], int, int]]:
     # The largest-part choices for n, largest first: (head, budget, cap) where
     # head holds the largest part once (or twice, when at least two copies are
-    # required), budget is n minus the head, and cap bounds every later part.
+    # required), budget is n minus the head, and cap bounds every later part:
+    # _plan's next_cap[k] when the largest part's multiplicity is free.
     # The empty partition is a head of its own; n < 0 yields nothing.
     if n == 0:
         if spec.largest_parity == "any":
@@ -192,8 +193,7 @@ def _heads(n: int, spec: ConstraintSpec) -> Iterator[Tuple[Tuple[int, ...], int,
             if 2 * k <= n:
                 yield (k, k), n - 2 * k, k
         else:
-            cap = k - 1 if (spec.distinct_even and k % 2 == 0) else k
-            yield (k,), n - k, cap
+            yield (k,), n - k, next_cap[k]
 
 
 def _plan(n: int, spec: ConstraintSpec) -> tuple:
@@ -254,7 +254,7 @@ def enumerate_partitions(n: int, spec: ConstraintSpec) -> List[Partition]:
     plan = _plan(n, spec)
     return [
         Partition(head + tail)
-        for head, budget, cap in _heads(n, spec)
+        for head, budget, cap in _heads(n, spec, plan[2])
         for tail in _tails(budget, cap, plan)
     ]
 
@@ -301,13 +301,14 @@ def count_oracle(n: int, spec: ConstraintSpec) -> int:
                 total += tails(r - k, next_cap[k])
         return total
 
-    return sum(tails(budget, cap) if budget else 1 for _, budget, cap in _heads(n, spec))
+    return sum(tails(budget, cap) if budget else 1 for _, budget, cap in _heads(n, spec, next_cap))
 
 
 def count_oracle_table(up_to: int, spec: ConstraintSpec) -> List[int]:
     """``[count_oracle(n, spec) for n in range(up_to + 1)]``, counted part by part.
 
-    The count reads the spec's rules directly and enumerates nothing.  It
+    A negative ``up_to`` is a ``ValueError``, as a negative order is for the
+    ``gf_*`` builders.  The count reads the spec's rules directly and enumerates nothing.  It
     takes the allowed part sizes k in ascending order and keeps T[n], the
     number of partitions of n into the sizes taken so far.  Taking k adds
     T[n - k] to T[n]: for descending n when k is an even part that may be
@@ -322,7 +323,7 @@ def count_oracle_table(up_to: int, spec: ConstraintSpec) -> List[int]:
     check_int("up_to", up_to)
     _check_spec(spec)
     if up_to < 0:
-        return []
+        raise ValueError(f"up_to must be nonnegative, got {up_to}")
     table = [1] + [0] * up_to
     odd_largest = spec.largest_parity == "odd"
     counts = [0] * (up_to + 1) if odd_largest else table

@@ -18,6 +18,13 @@ command line in that directory with
 The last field of a ``--machine`` verify line is a wall-clock time, so that
 file keeps the first four.  A change that alters the output on purpose writes
 the files again the same way, and its diff shows what changed.
+
+No command prints a case's statement, so registry-statements.out pins them
+instead: one ``id: statement`` line for each case of ``registry()``, then
+one for ``negative_control()``, written with
+
+    python -c "from qident.identities import registry, negative_control
+    for c in registry() + [negative_control()]: print(f'{c.id}: {c.statement}')"
 """
 
 from pathlib import Path
@@ -25,6 +32,7 @@ from pathlib import Path
 import pytest
 
 from qident.cli import main
+from qident.identities import negative_control, registry
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -44,7 +52,7 @@ COMMANDS = {
 
 
 def test_every_golden_file_has_a_command():
-    assert sorted(p.stem for p in GOLDEN.glob("*.out")) == sorted(COMMANDS)
+    assert sorted(p.stem for p in GOLDEN.glob("*.out")) == sorted([*COMMANDS, "registry-statements"])
 
 
 @pytest.mark.parametrize("name", COMMANDS)
@@ -56,3 +64,8 @@ def test_output_matches_golden_file(capsys, name):
         out = "".join(",".join(line.split(",")[:4]) + "\n" for line in out.splitlines())
     assert code == expected_code
     assert out == (GOLDEN / f"{name}.out").read_text()
+
+
+def test_statements_match_golden_file():
+    lines = [f"{case.id}: {case.statement}\n" for case in registry() + [negative_control()]]
+    assert "".join(lines) == (GOLDEN / "registry-statements.out").read_text()

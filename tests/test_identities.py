@@ -87,6 +87,10 @@ def test_find_case_looks_up_one_map_of_definitions(monkeypatch):
     assert [find_case(case_id).id for case_id in ids] == ids
     assert find_case("main-1") is find_case("main-1")
     assert find_case("negative-control") is None and find_case("bogus") is None
+    # registry() hands out a new list: clearing it changes no later lookup.
+    registry().clear()
+    assert registry_ids() == [case.id for case in registry()] == ids
+    assert find_case("main-1").id == "main-1"
     # The map holds definitions, not builders fixed at its first lookup.
     monkeypatch.setitem(identities.FAMILY_SERIES, "ped", lambda order: TruncatedSeries.zero(order))
     assert find_case("ped-eq-4regular").lhs(5) == TruncatedSeries.zero(5)

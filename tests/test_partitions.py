@@ -229,8 +229,10 @@ def test_count_oracle_walk_matches_enumeration(distinct_even, parity, mult):
             if n >= 0:
                 counts.append(count)
         assert count_oracle_table(22, spec) == counts, spec
-        for up_to in range(-1, 4):
+        for up_to in range(4):
             assert count_oracle_table(up_to, spec) == counts[: up_to + 1], (spec, up_to)
+        with pytest.raises(ValueError, match=r"^up_to must be nonnegative, got -1$"):
+            count_oracle_table(-1, spec)
 
 
 @pytest.mark.parametrize("distinct_even", [False, True])
