@@ -1,11 +1,13 @@
 """Command-line front end: counting, listing, verifying, tabulating.
 
-Each subcommand takes only the flags it reads: ``--order`` bounds the series
-work of ``verify`` (and the depth of ``verify cor* --oracle``),
-``--oracle-limit`` bounds the brute-force enumeration of ``enumerate``, and
-``--machine`` selects comma-separated output.  ``count`` and ``table`` build
-exactly to their own n, and ``--oracle`` always counts part by part from the
-partition rules instead of reading the generating functions.
+Each subcommand takes only the flags it reads: ``--order`` bounds the work
+of ``verify``, on either route, ``--oracle-limit`` bounds the brute-force
+enumeration of ``enumerate``, and ``--machine`` selects comma-separated
+output.  ``count`` and ``table`` build exactly to their own n, and
+``--oracle`` always counts part by part from the partition rules instead of
+reading the generating functions: ``verify`` takes it for the eight
+statements about family counts (``ped-eq-4regular``, ``main-1`` ..
+``main-3``, ``cor1`` .. ``cor4``) and refuses it for every other target.
 
 ``verify`` reports every case and relation through the library's one
 comparison, which refuses an order that would compare nothing (``verify cor3
@@ -119,10 +121,10 @@ def _print_reports(reports: List[VerificationReport], machine: bool) -> None:
 
 
 def cmd_verify(target: str, order: int, use_oracle: bool, machine: bool) -> int:
-    if use_oracle and target not in RELATION_KINDS:
+    if use_oracle and target not in RELATIONS:
         return _fail(
-            f"verify {target!r} takes no --oracle: only the counting relations "
-            f"{', '.join(RELATION_KINDS)} can be re-checked by part-by-part counts"
+            f"verify {target!r} takes no --oracle: only the statements about family counts "
+            f"{', '.join(RELATIONS)} can be re-checked by part-by-part counts"
         )
     if target == "negative-control" and order < NEGATIVE_CONTROL_EXPONENT:
         return _fail(
@@ -132,7 +134,7 @@ def cmd_verify(target: str, order: int, use_oracle: bool, machine: bool) -> int:
     try:
         if target == "all":
             reports = verify_all(order)
-        elif target in RELATION_KINDS:
+        elif target in RELATIONS:
             reports = [verify_relation(target, order, use_oracle=use_oracle)]
         else:
             case = negative_control() if target == "negative-control" else find_case(target)
@@ -172,7 +174,7 @@ def cmd_table(max_n: int, machine: bool) -> int:
 
 def cmd_list_identities(machine: bool) -> int:
     rows = [(case.id, case.description) for case in registry()]
-    rows += [(kind, relation.statement) for kind, relation in RELATIONS.items()]
+    rows += [(kind, RELATIONS[kind].statement) for kind in RELATION_KINDS]
     rows.append(("negative-control", negative_control().description))
     if machine:
         for name, _ in rows:
@@ -235,8 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--oracle",
         action="store_true",
-        help="cor1..cor4 only: count each family part by part from its partition "
-        "rules instead of its generating function (up to --order)",
+        help="ped-eq-4regular, main-1..main-3 and cor1..cor4 only: count each family "
+        "part by part from its partition rules instead of its generating function (up to --order)",
     )
 
     p = _subcommand(sub, "table", "tabulate counts and paired sums up to max_n", "--machine")

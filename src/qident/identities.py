@@ -4,18 +4,21 @@ Each :class:`IdentityCase` owns two independent builders that expand the left
 and right side of one equation to a requested truncation order; verification
 is coefficient-by-coefficient integer comparison, so a pass is a mechanical
 proof of agreement up to that order.  The registry is one table of cases,
-built once at import.  A side that is one call of a sum or product builder is
-that call, a ``partial`` waiting for its order; a side that does series
-arithmetic, or reads :data:`FAMILY_SERIES` when it is called, is a lambda.
+built once at import.  A side that is one call of a builder is that call, a
+``partial`` waiting for its order; a side that does series arithmetic is a
+lambda.
 
-The counting relations (``cor1`` .. ``cor4``), which follow from the main
-identities, are checked the same way but over count sequences, with an
-optional part-by-part count from the partition rules replacing the series
-coefficients.  Each relation is declared once, in :data:`RELATIONS`, as
-two sums of shifted family counts that :func:`family_counts` and
-:func:`side_values` evaluate, for ``verify_relation`` and for the pair
-columns of ``qident table``; :func:`family_counts` also gives ``qident
-count`` both of its counts.
+Every statement about family counts is declared once, in :data:`RELATIONS`,
+as two sums of shifted family counts plus an integer correction, compared
+from a first n: the paper's theorems ``main-1`` .. ``main-3``, the product
+identity ``ped-eq-4regular`` and the counting relations ``cor1`` ..
+``cor4`` that follow from the theorems.  :func:`_family_side` evaluates
+either side of any of them through :func:`family_counts` and
+:func:`side_values`, from the generating functions or, with ``use_oracle``,
+from one part-by-part count per family.  The first four are also registry
+cases, whose sides are that evaluator on the series route; the pair columns
+of ``qident table`` and both counts of ``qident count`` read the same two
+functions.
 
 Every check, case or relation, reports through one comparison,
 :func:`_compare`.  It refuses an order that would compare nothing (below a
@@ -42,29 +45,48 @@ Builder = Callable[[int], TruncatedSeries]
 
 Term = Tuple[str, int]  # (family, shift): that family's count at n + shift, 0 when n + shift < 0
 
+Correction = Tuple[Tuple[int, int], ...]  # (exponent, coefficient) pairs: the sum of coefficient * [n = exponent]
+
 
 class Relation(NamedTuple):
-    """For every n >= first_n the lhs terms sum to the rhs terms."""
+    """For every n >= first_n the lhs terms sum to the rhs terms plus the correction."""
 
     first_n: int
     lhs: Tuple[Term, ...]
     rhs: Tuple[Term, ...]
+    correction: Correction
     statement: str
 
 
-_DE1_PAIR, _DE3_PAIR = (("DE1", 0), ("DE1", -1)), (("DE3", 2), ("DE3", -1))
+_DE1_PAIR, _DE2_PAIR, _DE3_PAIR = (("DE1", 0), ("DE1", -1)), (("DE2", 0), ("DE2", -3)), (("DE3", 2), ("DE3", -1))
+_B4, _C4 = (("regular4", 0),), (("regular4min2", 0),)
 
+# The theorems hold from n = 0 once their low terms are corrected.  cor1 and
+# cor2 are main-1 and main-2 read from n = 1, and cor3 is main-3 shifted by
+# 2, so none of them needs a correction.
 RELATIONS = {
-    "cor1": Relation(1, _DE1_PAIR, (("regular4", 0),),
-                     "DE1(n) + DE1(n-1) = #(4-regular partitions of n), n >= 1"),
-    "cor2": Relation(1, (("DE2", 0), ("DE2", -3)), (("regular4min2", 0),),
-                     "DE2(n) + DE2(n-3) = #(4-regular partitions of n, parts > 1), n >= 1"),
-    "cor3": Relation(2, _DE3_PAIR, (("regular4", 0),),
-                     "DE3(n+2) + DE3(n-1) = #(4-regular partitions of n), n >= 2"),
-    "cor4": Relation(2, _DE3_PAIR, _DE1_PAIR, "DE3(n+2) + DE3(n-1) = DE1(n) + DE1(n-1), n >= 2"),
+    "ped-eq-4regular": Relation(
+        0, (("ped", 0),), _B4, (), "(-q^2;q^2)_inf/(q;q^2)_inf = (q^4;q^4)_inf/(q;q)_inf"
+    ),
+    "main-1": Relation(
+        0, _DE1_PAIR, _B4, ((0, -1),),
+        "(1+q) sum_{n>=0} (-q^2;q^2)_n q^(2n+1)/(q;q^2)_(n+1) = (q^4;q^4)_inf/(q;q)_inf - 1",
+    ),
+    "main-2": Relation(
+        0, _DE2_PAIR, _C4, ((0, -1),),
+        "(1+q^3) sum_{n>=0} (-q^2;q^2)_n q^(4n+2)/(q;q^2)_(n+1) = (q^4;q^4)_inf/(q^2;q)_inf - 1",
+    ),
+    "main-3": Relation(
+        0, (("DE3", 0), ("DE3", -3)), (("regular4", -2),), ((1, 1), (2, -1)),
+        "(1+q^3) sum_{n>=0} (-q^2;q^2)_n q^(2n+1)/(q;q^2)_n = q^2(q^4;q^4)_inf/(q;q)_inf - q^2 + q",
+    ),
+    "cor1": Relation(1, _DE1_PAIR, _B4, (), "DE1(n) + DE1(n-1) = #(4-regular partitions of n), n >= 1"),
+    "cor2": Relation(1, _DE2_PAIR, _C4, (), "DE2(n) + DE2(n-3) = #(4-regular partitions of n, parts > 1), n >= 1"),
+    "cor3": Relation(2, _DE3_PAIR, _B4, (), "DE3(n+2) + DE3(n-1) = #(4-regular partitions of n), n >= 2"),
+    "cor4": Relation(2, _DE3_PAIR, _DE1_PAIR, (), "DE3(n+2) + DE3(n-1) = DE1(n) + DE1(n-1), n >= 2"),
 }
 
-RELATION_KINDS = tuple(RELATIONS)
+RELATION_KINDS = ("cor1", "cor2", "cor3", "cor4")  # the relations that are not registry cases
 
 
 @dataclass(frozen=True)
@@ -119,18 +141,68 @@ class IdentityBuildError(RuntimeError):
         self.case_id = case_id
 
 
-# -- factors the help and main cases declare ---------------------------------
+# -- sides over family counts ------------------------------------------------
+
+
+def _check_use_oracle(use_oracle) -> None:
+    if type(use_oracle) is not bool:  # a truthy "no" would count part by part
+        raise TypeError(f"use_oracle must be bool, got {type(use_oracle).__name__}")
+
+
+def family_counts(terms: Sequence[Term], order: int, use_oracle: bool = False) -> Dict[str, Sequence[int]]:
+    """Each family the terms name, counted once for n = 0..order + its largest shift,
+    from its generating function or, with ``use_oracle``, one part-by-part count_oracle_table.
+    A negative or non-int order is refused before anything is counted."""
+    _check_use_oracle(use_oracle)
+    check_int("order", order)
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
+    reach: Dict[str, int] = {}
+    for family, shift in terms:
+        reach[family] = max(reach.get(family, 0), shift)
+    if use_oracle:
+        return {f: count_oracle_table(order + s, FAMILY_SPECS[f]) for f, s in reach.items()}
+    return {f: FAMILY_SERIES[f](order + s).coeffs for f, s in reach.items()}
+
+
+def side_values(terms: Sequence[Term], counts: Dict[str, Sequence[int]], order: int) -> List[int]:
+    """The sum of the terms at each n = 0..order, read from :func:`family_counts`."""
+    columns = [
+        counts[f][s : order + 1 + s] if s >= 0 else ([0] * -s + list(counts[f]))[: order + 1]
+        for f, s in terms
+    ]
+    return [sum(values) for values in zip(*columns)]
+
+
+def _family_side(
+    terms: Sequence[Term], first_n: int, correction: Correction, order: int, use_oracle: bool = False
+) -> TruncatedSeries:
+    """One side of a relation to q^order: zero below first_n, then at each n the sum of
+    the terms, read from :func:`family_counts`, plus the correction at n = its exponent."""
+    values = side_values(terms, family_counts(terms, order, use_oracle), order)
+    values = [0] * first_n + values[first_n:]
+    for exponent, coefficient in correction:
+        if exponent <= order:
+            values[exponent] += coefficient
+    return TruncatedSeries(values, order)
+
+
+def _family_sides(kind: str, use_oracle: bool = False) -> Tuple[Builder, Builder]:
+    """The two sides of a relation, each a :func:`_family_side` waiting for its order."""
+    first_n, lhs, rhs, correction, _ = RELATIONS[kind]
+    return (
+        partial(_family_side, lhs, first_n, (), use_oracle=use_oracle),
+        partial(_family_side, rhs, first_n, correction, use_oracle=use_oracle),
+    )
+
+
+# -- factors the help cases declare ------------------------------------------
 
 _EULER_INF = (QMonomial(1, 1), 1, None)  # (q;q)_inf
 _Q4_INF = (QMonomial(1, 4), 4, None)  # (q^4;q^4)_inf
 _ONE_MINUS_Q = (QMonomial(1, 1), 1, 1)
 _ONE_PLUS_Q = (QMonomial(-1, 1), 1, 1)
 _ONE_PLUS_Q3 = (QMonomial(-1, 3), 1, 1)
-
-
-def _one_plus_q_to(e: int, x: TruncatedSeries) -> TruncatedSeries:
-    """(1 + q^e) * x."""
-    return x + x.shift(e)
 
 
 # -- left-hand-side sum builders ---------------------------------------------
@@ -179,6 +251,12 @@ def _asv_rhs(step: int, a: QMonomial, b: QMonomial, order: int) -> TruncatedSeri
 
 
 # -- the registry -------------------------------------------------------------
+
+
+def _family_case(case_id: str, description: str) -> IdentityCase:
+    """A relation that is also a registry case: its sides on the series route."""
+    lhs, rhs = _family_sides(case_id)
+    return IdentityCase(case_id, description, lhs, rhs, RELATIONS[case_id].statement)
 
 
 def _qbinomial_case(a: Optional[QMonomial], z_exp: int) -> IdentityCase:
@@ -231,13 +309,7 @@ _ASV_CASES = (
 )
 
 _REGISTRY = (
-    IdentityCase(
-        id="ped-eq-4regular",
-        description="distinct-even-part count equals the 4-regular count",
-        lhs=lambda order: FAMILY_SERIES["ped"](order),
-        rhs=lambda order: FAMILY_SERIES["regular4"](order),
-        statement="(-q^2;q^2)_inf/(q;q^2)_inf = (q^4;q^4)_inf/(q;q)_inf",
-    ),
+    _family_case("ped-eq-4regular", "distinct-even-part count equals the 4-regular count"),
     *(
         _qbinomial_case(a, z_exp)
         for a in (None, QMonomial(1, 1), QMonomial(-1, 1), QMonomial(1, 2), QMonomial(-1, 2), QMonomial(1, 3))
@@ -255,16 +327,7 @@ _REGISTRY = (
             " = 2(q^4;q^4)_inf/(1+q) - (q;q)_inf/(1+q)"
         ),
     ),
-    IdentityCase(
-        id="main-1",
-        description="DE1 generating function against the 4-regular product",
-        lhs=lambda order: _one_plus_q_to(1, FAMILY_SERIES["DE1"](order)),
-        rhs=lambda order: FAMILY_SERIES["regular4"](order) - 1,
-        statement=(
-            "(1+q) sum_{n>=0} (-q^2;q^2)_n q^(2n+1)/(q;q^2)_(n+1)"
-            " = (q^4;q^4)_inf/(q;q)_inf - 1"
-        ),
-    ),
+    _family_case("main-1", "DE1 generating function against the 4-regular product"),
     IdentityCase(
         id="help-2",
         description="product-sum evaluation behind the DE2 identity",
@@ -276,16 +339,7 @@ _REGISTRY = (
             " = 2(1-q)(q^4;q^4)_inf/(1+q^3) - (q;q)_inf/(1+q^3)"
         ),
     ),
-    IdentityCase(
-        id="main-2",
-        description="DE2 generating function against the min-part-2 product",
-        lhs=lambda order: _one_plus_q_to(3, FAMILY_SERIES["DE2"](order)),
-        rhs=lambda order: FAMILY_SERIES["regular4min2"](order) - 1,
-        statement=(
-            "(1+q^3) sum_{n>=0} (-q^2;q^2)_n q^(4n+2)/(q;q^2)_(n+1)"
-            " = (q^4;q^4)_inf/(q^2;q)_inf - 1"
-        ),
-    ),
+    _family_case("main-2", "DE2 generating function against the min-part-2 product"),
     IdentityCase(
         id="help-3",
         description="product-sum evaluation behind the DE3 identity",
@@ -297,18 +351,7 @@ _REGISTRY = (
             " = 2q^2(q^4;q^4)_inf/(1+q^3) + q(1-q)(q;q)_inf/(1+q^3)"
         ),
     ),
-    IdentityCase(
-        id="main-3",
-        description="DE3 generating function against the shifted 4-regular product",
-        lhs=lambda order: _one_plus_q_to(3, FAMILY_SERIES["DE3"](order)),
-        rhs=lambda order: FAMILY_SERIES["regular4"](order).shift(2)
-        - TruncatedSeries.monomial(1, 2, order)
-        + TruncatedSeries.monomial(1, 1, order),
-        statement=(
-            "(1+q^3) sum_{n>=0} (-q^2;q^2)_n q^(2n+1)/(q;q^2)_n"
-            " = q^2(q^4;q^4)_inf/(q;q)_inf - q^2 + q"
-        ),
-    ),
+    _family_case("main-3", "DE3 generating function against the shifted 4-regular product"),
 )
 
 _CASES_BY_ID = {case.id: case for case in _REGISTRY}  # definitions, never series
@@ -400,65 +443,29 @@ def verify(case: IdentityCase, order: int) -> VerificationReport:
     return _compare(case.id, order, lambda: (case.lhs(order), case.rhs(order)))
 
 
-def _check_use_oracle(use_oracle) -> None:
-    if type(use_oracle) is not bool:  # a truthy "no" would count part by part
-        raise TypeError(f"use_oracle must be bool, got {type(use_oracle).__name__}")
-
-
-def family_counts(terms: Sequence[Term], order: int, use_oracle: bool = False) -> Dict[str, Sequence[int]]:
-    """Each family the terms name, counted once for n = 0..order + its largest shift,
-    from its generating function or, with ``use_oracle``, one part-by-part count_oracle_table.
-    A negative or non-int order is refused before anything is counted."""
-    _check_use_oracle(use_oracle)
-    check_int("order", order)
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
-    reach: Dict[str, int] = {}
-    for family, shift in terms:
-        reach[family] = max(reach.get(family, 0), shift)
-    if use_oracle:
-        return {f: count_oracle_table(order + s, FAMILY_SPECS[f]) for f, s in reach.items()}
-    return {f: FAMILY_SERIES[f](order + s).coeffs for f, s in reach.items()}
-
-
-def side_values(terms: Sequence[Term], counts: Dict[str, Sequence[int]], order: int) -> List[int]:
-    """The sum of the terms at each n = 0..order, read from :func:`family_counts`."""
-    columns = [
-        counts[f][s : order + 1 + s] if s >= 0 else ([0] * -s + list(counts[f]))[: order + 1]
-        for f, s in terms
-    ]
-    return [sum(values) for values in zip(*columns)]
-
-
 def verify_relation(kind: str, order: int, use_oracle: bool = False) -> VerificationReport:
-    """Check one counting relation for every n in its validity range up to order.
+    """Check one relation of :data:`RELATIONS` for every n from its first n up to order.
 
-    The fast path reads counts off the generating functions; with
+    Any of the eight family-count statements may be checked: the theorems
+    ``main-1`` .. ``main-3`` and ``ped-eq-4regular`` as well as ``cor1`` ..
+    ``cor4``.  The fast path reads counts off the generating functions; with
     ``use_oracle`` every count comes instead from one
     :func:`count_oracle_table` per family, a count that goes part by part
     from the family's partition rules and shares no counting code with the
-    generating functions.  It checks all four relations to n = 50 in about
+    generating functions.  It checks all four corollaries to n = 50 in about
     2 ms and to n = 1000 in about 0.8 s (2-core Intel Xeon VM, Python
-    3.11.7).  Both sides and the first n come from :data:`RELATIONS`; they
-    become two series, zero below the first n, compared by the same
-    :func:`_compare` as a case, so a mismatch reports (n, left, right).  An
-    order below the first n, which would compare nothing, is a
-    ``ValueError`` raised before anything is counted, and a failing count
-    builder raises :class:`IdentityBuildError`, as in :func:`verify`.
+    3.11.7).  Both sides are :func:`_family_side` series, zero below the first
+    n, compared by the same :func:`_compare` as a case, so a mismatch reports
+    (n, left, right).  An order below the first n, which would compare
+    nothing, is a ``ValueError`` raised before anything is counted, and a
+    failing count builder raises :class:`IdentityBuildError`, as in
+    :func:`verify`.
     """
-    if kind not in RELATION_KINDS:
-        raise ValueError(f"unknown relation {kind!r}; expected one of {RELATION_KINDS}")
+    if kind not in RELATIONS:
+        raise ValueError(f"unknown relation {kind!r}; expected one of {tuple(RELATIONS)}")
     _check_use_oracle(use_oracle)  # here, or _compare would wrap its TypeError as a build error
-    first_n, lhs, rhs, _ = RELATIONS[kind]
-
-    def sides():
-        counts = family_counts(lhs + rhs, order, use_oracle)
-        return tuple(
-            TruncatedSeries([0] * first_n + side_values(terms, counts, order)[first_n:], order)
-            for terms in (lhs, rhs)
-        )
-
-    return _compare(kind, order, sides, first_n)
+    lhs, rhs = _family_sides(kind, use_oracle)
+    return _compare(kind, order, lambda: (lhs(order), rhs(order)), RELATIONS[kind].first_n)
 
 
 def verify_all(order: int) -> List[VerificationReport]:

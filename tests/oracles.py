@@ -142,6 +142,17 @@ def euler_at(step, order):
     return cs
 
 
+def four_regular_counts(order):
+    """b4(0..order), the 4-regular partition counts, as p(n) times (q^4;q^4)_inf.
+
+    (q^4;q^4)_inf/(q;q)_inf is sum p(n) q^n times the Euler product at q^4,
+    whose few nonzero coefficients come from the pentagonal sums.
+    """
+    p = partition_numbers(order)
+    euler4 = [(e, c) for e, c in enumerate(euler_at(4, order)) if c]
+    return [sum(c * p[n - e] for e, c in euler4 if e <= n) for n in range(order + 1)]
+
+
 def asv_rhs(step, a, b, order):
     """Q(a;Q)_inf/(b (b;Q)_inf (1 - aQ/b)) + (1 - Q/b)/(1 - aQ/b), Q = q^step.
 

@@ -238,14 +238,27 @@ def test_verify_relation_with_oracle_counts_to_order(capsys):
     assert code == 0 and out.startswith("cor3,60,pass,")
 
 
+@pytest.mark.parametrize("target", ["ped-eq-4regular", "main-1", "main-2", "main-3"])
+def test_verify_theorems_with_oracle_build_no_series(capsys, monkeypatch, target):
+    def refuse(order):
+        raise RuntimeError("verify --oracle built a series")
+
+    monkeypatch.setattr(identities, "FAMILY_SERIES", {f: refuse for f in identities.FAMILY_SERIES})
+    code, out, err = run(capsys, "verify", target, "--oracle", "--order", "1000", "--machine")
+    assert code == 0 and err == ""
+    assert out.startswith(f"{target},1000,pass,,")
+
+
 @pytest.mark.parametrize(
-    "target", ["all", "main-1", "ped-eq-4regular", "negative-control", "bogus-id"]
+    "target", ["help-1", "qbinomial-a0-zq", "asv-spec-1", "negative-control", "all", "bogus-id"]
 )
 def test_verify_refuses_oracle_outside_relations(capsys, target):
-    # Only cor1..cor4 have a part-by-part count; the flag must not be a no-op.
+    # Only the statements about family counts have a part-by-part count; the
+    # flag must not be a no-op anywhere else.
     code, out, err = run(capsys, "verify", target, "--oracle", "--order", "60", "--machine")
     assert code == 2 and out == ""
-    assert "--oracle" in err and "cor1, cor2, cor3, cor4" in err and repr(target) in err
+    targets = "ped-eq-4regular, main-1, main-2, main-3, cor1, cor2, cor3, cor4"
+    assert "--oracle" in err and targets in err and repr(target) in err
 
 
 @pytest.mark.parametrize(

@@ -238,32 +238,47 @@ def test_failing_relation_counts_up_to_mismatch(monkeypatch):
     assert reports["cor1"].status == "error" and reports["cor1"].checked == 0
 
 
-@pytest.mark.parametrize("kind", RELATION_KINDS)
-def test_relations_hold_via_series_to_200(kind):
-    report = verify_relation(kind, 200)
+@pytest.mark.parametrize("use_oracle", [False, True])
+@pytest.mark.parametrize("order", [2, 200, 1000])
+@pytest.mark.parametrize("kind", RELATIONS)
+def test_every_relation_holds_on_both_routes(kind, order, use_oracle):
+    # The theorems and ped-eq-4regular as well as cor1..cor4, each from the
+    # generating functions and from part-by-part counts.
+    report = verify_relation(kind, order, use_oracle=use_oracle)
     assert report.passed, report.mismatch
+    assert report.checked == order - RELATIONS[kind].first_n + 1
 
 
-@pytest.mark.parametrize("kind", RELATION_KINDS)
-def test_relations_hold_via_oracle_to_40(kind):
-    report = verify_relation(kind, 40, use_oracle=True)
-    assert report.passed, report.mismatch
+@pytest.mark.parametrize("kind", ["ped-eq-4regular", "main-1", "main-2", "main-3"])
+def test_theorem_cases_are_their_relations(kind):
+    # The registry case reads its relation's sides from the generating
+    # functions; part-by-part counts give the same coefficients, the
+    # corrections at q^0..q^2 included, at the lowest orders and deep.
+    case = find_case(kind)
+    assert case.statement == RELATIONS[kind].statement
+    oracle_lhs, oracle_rhs = identities._family_sides(kind, use_oracle=True)
+    for order in (0, 1, 2, 3, 300):
+        assert case.lhs(order) == oracle_lhs(order), order
+        assert case.rhs(order) == oracle_rhs(order), order
 
 
-@pytest.mark.parametrize("kind", RELATION_KINDS)
-def test_relations_hold_via_oracle_to_1000(kind):
-    report = verify_relation(kind, 1000, use_oracle=True)
-    assert report.passed, report.mismatch
-    assert report.checked == 1000 - RELATIONS[kind].first_n + 1
+def test_theorems_need_their_corrections(monkeypatch):
+    # Without its correction each theorem fails at the corrected exponent:
+    # main-1 and main-2 at q^0, main-3 at q^1.
+    for kind, exponent in (("main-1", 0), ("main-2", 0), ("main-3", 1)):
+        monkeypatch.setitem(RELATIONS, kind, RELATIONS[kind]._replace(correction=()))
+        for use_oracle in (False, True):
+            report = verify_relation(kind, 10, use_oracle=use_oracle)
+            assert report.status == "fail" and report.mismatch[0] == exponent, kind
 
 
-@pytest.mark.parametrize("kind", RELATION_KINDS)
+@pytest.mark.parametrize("kind", RELATIONS)
 def test_oracle_relations_build_no_series(kind, monkeypatch):
     def refuse(order):
         raise RuntimeError("an oracle relation built a series")
 
     monkeypatch.setattr(identities, "FAMILY_SERIES", {f: refuse for f in identities.FAMILY_SERIES})
-    for order in (30, 50):
+    for order in (30, 1000):
         report = verify_relation(kind, order, use_oracle=True)
         assert report.passed, report.mismatch
         assert report.checked == order + 1 - RELATIONS[kind].first_n
@@ -325,8 +340,9 @@ def test_relation_examples():
 
 
 def test_relation_validation():
-    with pytest.raises(ValueError):
-        verify_relation("cor9", 10)
+    for kind in ("cor9", "help-1", "qbinomial-a0-zq", "negative-control"):
+        with pytest.raises(ValueError, match="unknown relation"):
+            verify_relation(kind, 10)
     with pytest.raises(ValueError):
         verify_relation("cor1", -1)
 

@@ -35,7 +35,15 @@ from qident.series import (
     ratio_sum,
 )
 
-from oracles import asv_rhs, divisor_sum_product, help_rhs, partition_numbers, pentagonal_euler_coeffs
+from oracles import (
+    asv_rhs,
+    divisor_sum_product,
+    four_regular_counts,
+    help_rhs,
+    partition_numbers,
+    pentagonal_euler_coeffs,
+    times_binomial,
+)
 
 
 def binomial(sign, e, order):
@@ -611,13 +619,20 @@ def test_euler_product_matches_pentagonal_theorem_to_1000():
     assert list(euler.coeffs) == pentagonal_euler_coeffs(1000)
 
 
-def test_regular4_matches_partition_numbers_to_1000():
-    # (q^4;q^4)_inf / (q;q)_inf = (sum p(n) q^n) * (Euler product at q^4)
-    order = 1000
-    p = partition_numbers(order)
-    euler4 = [(4 * j, c) for j, c in enumerate(pentagonal_euler_coeffs(order // 4)) if c]
-    want = [sum(c * p[n - e] for e, c in euler4 if e <= n) for n in range(order + 1)]
-    assert list(gf_regular4(order).coeffs) == want
+# Each family against the pentagonal reference b4 = sum p(n) q^n * (q^4;q^4)_inf:
+# regular4 is b4, regular4min2 is (1 - q) * b4, and ped equals b4 (Glaisher).
+FOUR_REGULAR = {
+    "regular4": (gf_regular4, lambda b4: b4),
+    "regular4_min2": (gf_regular4_min2, lambda b4: times_binomial(b4, 1, 1)),
+    "ped": (gf_ped, lambda b4: b4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOUR_REGULAR))
+def test_four_regular_families_match_pentagonal_reference_to_3000(name):
+    build, from_b4 = FOUR_REGULAR[name]
+    order = 3000
+    assert list(build(order).coeffs) == from_b4(four_regular_counts(order))
 
 
 def _run(sign, first, step, order):
