@@ -12,11 +12,14 @@ statements about family counts (``ped-eq-4regular``, ``main-1`` ..
 ``verify`` reports every case and relation through the library's one
 comparison, which refuses an order that would compare nothing (``verify cor3
 --order 1``, and so ``verify all --order 1``); that refusal, the library's
-``ValueError``, is a usage error here.
+``ValueError``, is a usage error here.  A side that cannot be built is no
+usage error: it is that check's report with status ``error``, printed as a
+row like any other.
 
 Exit codes: 0 on success with everything passing, 1 when a verification or
-cross-check fails, 2 for usage errors, 141 (128 + SIGPIPE) when the reader
-of stdout closes it early, as ``qident table 1500 | head`` does.
+cross-check fails or a check reports ``error``, 2 for usage errors, 141
+(128 + SIGPIPE) when the reader of stdout closes it early, as
+``qident table 1500 | head`` does.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .identities import (
     NEGATIVE_CONTROL_EXPONENT,
     RELATION_KINDS,
     RELATIONS,
-    IdentityBuildError,
     VerificationReport,
     family_counts,
     find_case,
@@ -144,9 +146,6 @@ def cmd_verify(target: str, order: int, use_oracle: bool, machine: bool) -> int:
                     f"unknown identity {target!r}; valid targets: {', '.join(valid)}"
                 )
             reports = [verify(case, order)]
-    except IdentityBuildError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:  # an order that would compare nothing
         return _fail(str(exc))
     _print_reports(reports, machine)

@@ -20,10 +20,11 @@ cases, whose sides are that evaluator on the series route; the pair columns
 of ``qident table`` and both counts of ``qident count`` read the same two
 functions.
 
-Every check, case or relation, reports through one comparison,
-:func:`_compare`.  It refuses an order that would compare nothing (below a
-relation's first n) with a ``ValueError`` before anything is built, and a
-side known to a lower order than asked for is a build error, never a pass.
+Every check, case or relation, has one outcome, a :class:`VerificationReport`
+from one comparison, :func:`_compare`.  It refuses an order that would
+compare nothing (below a relation's first n) with a ``ValueError`` before
+anything is built; past that, a side that fails to build, or is known to a
+lower order than asked for, is a report with status "error", never a pass.
 """
 
 from __future__ import annotations
@@ -106,7 +107,8 @@ class VerificationReport:
 
     ``mismatch`` is (exponent, lhs coefficient, rhs coefficient) for the
     smallest disagreeing exponent; it is present exactly when status is
-    "fail".  Status "error" means a builder raised before any comparison.
+    "fail".  Status "error" means a side could not be built, so nothing was
+    compared; ``error`` then reads "<id>: <message>" and ``checked`` is 0.
     ``checked`` counts the coefficients (for a case) or values of n (for a
     relation) compared, up to and including a mismatch; on a pass or a fail
     it is at least 1, because an order that would compare nothing is refused.
@@ -131,14 +133,6 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return self.status == "pass"
-
-
-class IdentityBuildError(RuntimeError):
-    """A case's series builder failed; carries the offending case id."""
-
-    def __init__(self, case_id: str, message: str):
-        super().__init__(f"{case_id}: {message}")
-        self.case_id = case_id
 
 
 # -- sides over family counts ------------------------------------------------
@@ -415,8 +409,8 @@ def _compare(
 
     Refuses an order below ``first``, which would compare nothing, before
     anything is built; builds both sides with ``sides()``, where any failure,
-    a side known to a lower order than asked for included, becomes an
-    :class:`IdentityBuildError` carrying ``check_id``; then compares the
+    a side known to a lower order than asked for included, is a status
+    "error" report whose text is "<check_id>: <message>"; then compares the
     coefficients of q^0..q^order.  ``checked`` counts the exponents from
     ``first`` through the mismatch or the order.
     """
@@ -425,7 +419,7 @@ def _compare(
     try:
         lhs, rhs = (side.truncate(order) for side in sides())
     except Exception as exc:
-        raise IdentityBuildError(check_id, str(exc)) from exc
+        return VerificationReport(check_id, order, "error", None, perf_counter() - start, f"{check_id}: {exc}")
     mismatch = lhs.first_mismatch(rhs)
     elapsed = perf_counter() - start
     status = "pass" if mismatch is None else "fail"
@@ -437,8 +431,8 @@ def verify(case: IdentityCase, order: int) -> VerificationReport:
     """Expand both sides to the order and report the first coefficient clash.
 
     A negative order is a ``ValueError``; a builder that fails, or returns a
-    side known to a lower order than asked for, raises
-    :class:`IdentityBuildError` (see :func:`_compare`).
+    side known to a lower order than asked for, gives a status "error"
+    report (see :func:`_compare`).
     """
     return _compare(case.id, order, lambda: (case.lhs(order), case.rhs(order)))
 
@@ -458,12 +452,12 @@ def verify_relation(kind: str, order: int, use_oracle: bool = False) -> Verifica
     n, compared by the same :func:`_compare` as a case, so a mismatch reports
     (n, left, right).  An order below the first n, which would compare
     nothing, is a ``ValueError`` raised before anything is counted, and a
-    failing count builder raises :class:`IdentityBuildError`, as in
+    failing count builder gives a status "error" report, as in
     :func:`verify`.
     """
     if kind not in RELATIONS:
         raise ValueError(f"unknown relation {kind!r}; expected one of {tuple(RELATIONS)}")
-    _check_use_oracle(use_oracle)  # here, or _compare would wrap its TypeError as a build error
+    _check_use_oracle(use_oracle)  # here, or _compare would turn its TypeError into an error report
     lhs, rhs = _family_sides(kind, use_oracle)
     return _compare(kind, order, lambda: (lhs(order), rhs(order)), RELATIONS[kind].first_n)
 
@@ -471,28 +465,16 @@ def verify_relation(kind: str, order: int, use_oracle: bool = False) -> Verifica
 def verify_all(order: int) -> List[VerificationReport]:
     """Verify every registry case plus the four relations; reports sorted by id.
 
-    Builder errors, in a case or a relation, are captured as status-"error"
-    reports rather than aborting the batch.  An order below 2, where some
-    relation would compare nothing, is a ``ValueError`` raised before
+    A side that fails to build, in a case or a relation, is that check's
+    status "error" report, and the batch goes on.  An order below 2, where
+    some relation would compare nothing, is a ``ValueError`` raised before
     anything is built.
     """
     for kind, relation in RELATIONS.items():
         _check_range(kind, order, relation.first_n)
-    checks = [partial(verify, case, order) for case in registry()]
-    checks += [partial(verify_relation, kind, order) for kind in RELATION_KINDS]
-    reports = []
-    for check in checks:
-        start = perf_counter()
-        try:
-            reports.append(check())
-        except IdentityBuildError as exc:
-            reports.append(
-                VerificationReport(
-                    exc.case_id, order, "error", None, perf_counter() - start, str(exc)
-                )
-            )
-    reports.sort(key=lambda r: r.id)
-    return reports
+    reports = [verify(case, order) for case in registry()]
+    reports += [verify_relation(kind, order) for kind in RELATION_KINDS]
+    return sorted(reports, key=lambda r: r.id)
 
 
 def report_record(report: VerificationReport) -> str:

@@ -238,7 +238,7 @@ def test_verify_relation_with_oracle_counts_to_order(capsys):
     assert code == 0 and out.startswith("cor3,60,pass,")
 
 
-@pytest.mark.parametrize("target", ["ped-eq-4regular", "main-1", "main-2", "main-3"])
+@pytest.mark.parametrize("target", ["ped-eq-4regular", "main-1", "main-2", "main-3", "cor2"])
 def test_verify_theorems_with_oracle_build_no_series(capsys, monkeypatch, target):
     def refuse(order):
         raise RuntimeError("verify --oracle built a series")
@@ -247,6 +247,38 @@ def test_verify_theorems_with_oracle_build_no_series(capsys, monkeypatch, target
     code, out, err = run(capsys, "verify", target, "--oracle", "--order", "1000", "--machine")
     assert code == 0 and err == ""
     assert out.startswith(f"{target},1000,pass,,")
+
+
+@pytest.fixture
+def broken_de2(monkeypatch):
+    def broken(order):
+        raise RuntimeError("family build failed")
+
+    monkeypatch.setattr(identities, "FAMILY_SERIES", dict(identities.FAMILY_SERIES, DE2=broken))
+
+
+def test_verify_prints_a_failed_build_as_an_error_row(capsys, broken_de2):
+    # A side that cannot be built is a report like any other, on stdout, exit 1.
+    code, out, err = run(capsys, "verify", "main-2", "--order", "20")
+    assert code == 1 and err == ""
+    assert out.splitlines() == [
+        "id      status  first mismatch",
+        "main-2  error   main-2: family build failed",
+        "0/1 passed at order 20",
+    ]
+    code, out, err = run(capsys, "verify", "main-2", "--order", "20", "--machine")
+    assert code == 1 and err == ""
+    assert re.fullmatch(r"main-2,20,error,,\d+\n", out)
+
+
+def test_verify_all_reports_failed_builds_and_goes_on(capsys, broken_de2):
+    code, out, err = run(capsys, "verify", "all", "--order", "20")
+    assert code == 1 and err == ""
+    rows = {line.split()[0]: line.split()[1] for line in out.splitlines()[1:-1]}
+    assert len(rows) == 37
+    assert sorted(i for i, status in rows.items() if status != "pass") == ["cor2", "main-2"]
+    assert rows["cor2"] == rows["main-2"] == "error"
+    assert out.splitlines()[-1] == "35/37 passed at order 20"
 
 
 @pytest.mark.parametrize(

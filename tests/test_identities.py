@@ -1,10 +1,10 @@
 import pytest
 
+import qident
 from qident import identities
 from qident.identities import (
     RELATION_KINDS,
     RELATIONS,
-    IdentityBuildError,
     IdentityCase,
     VerificationReport,
     find_case,
@@ -36,6 +36,11 @@ NAMED_IDS = {
     "main-2",
     "main-3",
 }
+
+
+def test_every_exported_name_resolves():
+    # A name left in __all__ after its definition goes breaks `from qident import *`.
+    assert [name for name in qident.__all__ if not hasattr(qident, name)] == []
 
 
 def test_registry_shape():
@@ -169,12 +174,14 @@ def test_verify_propagates_builder_failures_with_id(monkeypatch):
         lambda o: TruncatedSeries([1] * (o + 1), o),
         "n/a",
     )
+    # A failed build is that check's one outcome, an error report: nothing
+    # was compared, and the text names the check.
     for case in (IdentityCase("broken-case", "divergent builder", broken, broken, "n/a"), short):
         for order in (10, 200):
-            with pytest.raises(IdentityBuildError) as info:
-                verify(case, order)
-            assert info.value.case_id == case.id
-            assert case.id in str(info.value)
+            report = verify(case, order)
+            assert (report.id, report.order, report.status) == (case.id, order, "error")
+            assert report.mismatch is None and report.checked == 0 and not report.passed
+            assert report.error.startswith(f"{case.id}: ")
         monkeypatch.setattr(identities, "registry", lambda: [case])
         reports = {r.id: r for r in verify_all(10)}
         assert reports[case.id].status == "error" and case.id in reports[case.id].error
@@ -187,9 +194,11 @@ def test_relation_builder_failure_becomes_error_report(monkeypatch):
         raise RuntimeError("family build failed")
 
     monkeypatch.setattr(identities, "FAMILY_SERIES", dict(identities.FAMILY_SERIES, DE2=broken))
-    with pytest.raises(IdentityBuildError) as info:
-        verify_relation("cor2", 20)
-    assert info.value.case_id == "cor2"
+    report = verify_relation("cor2", 20)
+    assert (report.id, report.status, report.mismatch, report.checked) == ("cor2", "error", None, 0)
+    assert report.error == "cor2: family build failed"
+    # The part-by-part route builds no series, so the broken builder is never called.
+    assert verify_relation("cor2", 20, use_oracle=True).passed
     reports = {r.id: r for r in verify_all(20)}
     # main-2 is the identity about the DE2 builder, so it errors with cor2.
     for broken_id in ("cor2", "main-2"):
