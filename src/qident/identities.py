@@ -40,7 +40,7 @@ from .partitions import (  # count_oracle stays a name here: perfbench/tracing.p
     count_oracle,
     count_oracle_table,
 )
-from .series import QMonomial, TruncatedSeries, binomial_quotient, check_int, ratio_sum
+from .series import QMonomial, TruncatedSeries, binomial_quotient, check_int, check_type, ratio_sum
 
 Builder = Callable[[int], TruncatedSeries]
 
@@ -138,19 +138,12 @@ class VerificationReport:
 # -- sides over family counts ------------------------------------------------
 
 
-def _check_use_oracle(use_oracle) -> None:
-    if type(use_oracle) is not bool:  # a truthy "no" would count part by part
-        raise TypeError(f"use_oracle must be bool, got {type(use_oracle).__name__}")
-
-
 def family_counts(terms: Sequence[Term], order: int, use_oracle: bool = False) -> Dict[str, Sequence[int]]:
     """Each family the terms name, counted once for n = 0..order + its largest shift,
     from its generating function or, with ``use_oracle``, one part-by-part count_oracle_table.
     A negative or non-int order is refused before anything is counted."""
-    _check_use_oracle(use_oracle)
-    check_int("order", order)
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
+    check_type("use_oracle", use_oracle, bool)  # a truthy "no" would count part by part
+    check_int("order", order, 0)
     reach: Dict[str, int] = {}
     for family, shift in terms:
         reach[family] = max(reach.get(family, 0), shift)
@@ -373,9 +366,7 @@ def negative_control(exponent: int = NEGATIVE_CONTROL_EXPONENT) -> IdentityCase:
     Verifying it at any order >= exponent must fail with the mismatch at
     exactly that exponent; it is excluded from :func:`registry`.
     """
-    check_int("exponent", exponent)
-    if exponent < 0:
-        raise ValueError(f"exponent must be nonnegative, got {exponent}")
+    check_int("exponent", exponent, 0)
     base = find_case("ped-eq-4regular")
     return IdentityCase(
         id="negative-control",
@@ -457,7 +448,7 @@ def verify_relation(kind: str, order: int, use_oracle: bool = False) -> Verifica
     """
     if kind not in RELATIONS:
         raise ValueError(f"unknown relation {kind!r}; expected one of {tuple(RELATIONS)}")
-    _check_use_oracle(use_oracle)  # here, or _compare would turn its TypeError into an error report
+    check_type("use_oracle", use_oracle, bool)  # here, or _compare would turn its TypeError into an error report
     lhs, rhs = _family_sides(kind, use_oracle)
     return _compare(kind, order, lambda: (lhs(order), rhs(order)), RELATIONS[kind].first_n)
 
