@@ -10,11 +10,12 @@ statements about family counts (``ped-eq-4regular``, ``main-1`` ..
 ``main-3``, ``cor1`` .. ``cor4``) and refuses it for every other target.
 
 ``verify`` reports every case and relation through the library's one
-comparison, which refuses an order that would compare nothing (``verify cor3
---order 1``, and so ``verify all --order 1``); that refusal, the library's
-``ValueError``, is a usage error here.  A side that cannot be built is no
-usage error: it is that check's report with status ``error``, printed as a
-row like any other.
+comparison, ``identities.verify``: a relation is a case whose first n is
+where the comparison starts, and an order below it would compare nothing
+(``verify cor3 --order 1``, and so ``verify all --order 1``).  That
+refusal, the library's ``ValueError``, is a usage error here.  A side that
+cannot be built is no usage error: it is that check's report with status
+``error``, printed as a row like any other.
 
 Exit codes: 0 on success with everything passing, 1 when a verification or
 cross-check fails or a check reports ``error``, 2 for usage errors, 141
@@ -27,7 +28,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .identities import (
     NEGATIVE_CONTROL_EXPONENT,
@@ -62,9 +63,9 @@ def _fail(message: str) -> int:
     return 2
 
 
-def cmd_count(family: str, n: int, use_oracle: bool, machine: bool) -> int:
+def cmd_count(family: str, n: int, oracle: bool, machine: bool) -> int:
     series_count = family_counts([(family, 0)], n)[family][n]
-    if not use_oracle:
+    if not oracle:
         if machine:
             print(f"{family},{n},{series_count}")
         else:
@@ -122,8 +123,8 @@ def _print_reports(reports: List[VerificationReport], machine: bool) -> None:
     print(f"{passed}/{len(reports)} passed at order {reports[0].order}")
 
 
-def cmd_verify(target: str, order: int, use_oracle: bool, machine: bool) -> int:
-    if use_oracle and target not in RELATIONS:
+def cmd_verify(target: str, order: int, oracle: bool, machine: bool) -> int:
+    if oracle and target not in RELATIONS:
         return _fail(
             f"verify {target!r} takes no --oracle: only the statements about family counts "
             f"{', '.join(RELATIONS)} can be re-checked by part-by-part counts"
@@ -137,7 +138,7 @@ def cmd_verify(target: str, order: int, use_oracle: bool, machine: bool) -> int:
         if target == "all":
             reports = verify_all(order)
         elif target in RELATIONS:
-            reports = [verify_relation(target, order, use_oracle=use_oracle)]
+            reports = [verify_relation(target, order, use_oracle=oracle)]
         else:
             case = negative_control() if target == "negative-control" else find_case(target)
             if case is None:
@@ -201,8 +202,10 @@ _FLAGS = {
 """The flags that several subcommands share, each added only where it is read."""
 
 
-def _subcommand(sub, name: str, summary: str, *flags: str) -> argparse.ArgumentParser:
+def _subcommand(sub, name: str, run: Callable[..., int], summary: str, *flags: str) -> argparse.ArgumentParser:
+    """Add subcommand ``name``: :func:`main` calls ``run`` with its parsed values as keywords."""
     p = sub.add_parser(name, help=summary)
+    p.set_defaults(run=run)
     for flag in flags:
         p.add_argument(flag, **_FLAGS[flag])
     return p
@@ -217,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     families = list(FAMILY_SPECS)
-    p = _subcommand(sub, "count", "count partitions of n in a family", "--machine")
+    p = _subcommand(sub, "count", cmd_count, "count partitions of n in a family", "--machine")
     p.add_argument("family", choices=families)
     p.add_argument("n", type=int)
     p.add_argument(
@@ -227,11 +230,11 @@ def build_parser() -> argparse.ArgumentParser:
         "without its generating function, and compare",
     )
 
-    p = _subcommand(sub, "enumerate", "list the partitions of n in a family", "--oracle-limit")
+    p = _subcommand(sub, "enumerate", cmd_enumerate, "list the partitions of n in a family", "--oracle-limit")
     p.add_argument("family", choices=families)
     p.add_argument("n", type=int)
 
-    p = _subcommand(sub, "verify", "verify an identity, relation, or everything", "--order", "--machine")
+    p = _subcommand(sub, "verify", cmd_verify, "verify an identity, relation, or everything", "--order", "--machine")
     p.add_argument("target", help="an identity id, cor1..cor4, negative-control, or 'all'")
     p.add_argument(
         "--oracle",
@@ -240,10 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
         "part by part from its partition rules instead of its generating function (up to --order)",
     )
 
-    p = _subcommand(sub, "table", "tabulate counts and paired sums up to max_n", "--machine")
+    p = _subcommand(sub, "table", cmd_table, "tabulate counts and paired sums up to max_n", "--machine")
     p.add_argument("max_n", type=int)
 
-    _subcommand(sub, "list-identities", "list verifiable targets", "--machine")
+    _subcommand(sub, "list-identities", cmd_list_identities, "list verifiable targets", "--machine")
     return parser
 
 
@@ -253,15 +256,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         value = getattr(args, name.lstrip("-").replace("-", "_"), 0)
         if value < 0:
             return _fail(f"{name} must be nonnegative (got {value})")
-    if args.command == "count":
-        return cmd_count(args.family, args.n, args.oracle, args.machine)
-    if args.command == "enumerate":
-        return cmd_enumerate(args.family, args.n, args.oracle_limit)
-    if args.command == "verify":
-        return cmd_verify(args.target, args.order, args.oracle, args.machine)
-    if args.command == "table":
-        return cmd_table(args.max_n, args.machine)
-    return cmd_list_identities(args.machine)
+    values = vars(args)
+    del values["command"]
+    return values.pop("run")(**values)
 
 
 def entry_point() -> None:

@@ -15,14 +15,15 @@ identity ``ped-eq-4regular`` and the counting relations ``cor1`` ..
 ``cor4`` that follow from the theorems.  :func:`_family_side` evaluates
 either side of any of them through :func:`family_counts` and
 :func:`side_values`, from the generating functions or, with ``use_oracle``,
-from one part-by-part count per family.  The first four are also registry
-cases, whose sides are that evaluator on the series route; the pair columns
-of ``qident table`` and both counts of ``qident count`` read the same two
-functions.
+from one part-by-part count per family.  A relation is checked as an
+:class:`IdentityCase` whose ``first`` is its first n, made by
+:func:`_family_case`; the first four are also registry cases, on the series
+route.  The pair columns of ``qident table`` and both counts of ``qident
+count`` read the same two functions.
 
-Every check, case or relation, has one outcome, a :class:`VerificationReport`
-from one comparison, :func:`_compare`.  It refuses an order that would
-compare nothing (below a relation's first n) with a ``ValueError`` before
+Every check is a case, and :func:`verify` is the one comparison, with one
+outcome, a :class:`VerificationReport`.  It refuses an order that would
+compare nothing (below the case's first n) with a ``ValueError`` before
 anything is built; past that, a side that fails to build, or is known to a
 lower order than asked for, is a report with status "error", never a pass.
 """
@@ -92,13 +93,17 @@ RELATION_KINDS = ("cor1", "cor2", "cor3", "cor4")  # the relations that are not 
 
 @dataclass(frozen=True)
 class IdentityCase:
-    """A named LHS/RHS pair of series builders for one equation."""
+    """A named LHS/RHS pair of series builders for one equation, compared from q^first."""
 
     id: str
     description: str
     lhs: Builder
     rhs: Builder
     statement: str
+    first: int = 0
+
+    def __post_init__(self):
+        check_int("first", self.first, 0)
 
 
 @dataclass(frozen=True)
@@ -161,26 +166,14 @@ def side_values(terms: Sequence[Term], counts: Dict[str, Sequence[int]], order: 
     return [sum(values) for values in zip(*columns)]
 
 
-def _family_side(
-    terms: Sequence[Term], first_n: int, correction: Correction, order: int, use_oracle: bool = False
-) -> TruncatedSeries:
-    """One side of a relation to q^order: zero below first_n, then at each n the sum of
-    the terms, read from :func:`family_counts`, plus the correction at n = its exponent."""
+def _family_side(terms: Sequence[Term], correction: Correction, order: int, use_oracle: bool = False) -> TruncatedSeries:
+    """One side of a relation to q^order: at each n the sum of the terms, read
+    from :func:`family_counts`, plus the correction at n = its exponent."""
     values = side_values(terms, family_counts(terms, order, use_oracle), order)
-    values = [0] * first_n + values[first_n:]
     for exponent, coefficient in correction:
         if exponent <= order:
             values[exponent] += coefficient
     return TruncatedSeries(values, order)
-
-
-def _family_sides(kind: str, use_oracle: bool = False) -> Tuple[Builder, Builder]:
-    """The two sides of a relation, each a :func:`_family_side` waiting for its order."""
-    first_n, lhs, rhs, correction, _ = RELATIONS[kind]
-    return (
-        partial(_family_side, lhs, first_n, (), use_oracle=use_oracle),
-        partial(_family_side, rhs, first_n, correction, use_oracle=use_oracle),
-    )
 
 
 # -- factors the help cases declare ------------------------------------------
@@ -192,30 +185,7 @@ _ONE_PLUS_Q = (QMonomial(-1, 1), 1, 1)
 _ONE_PLUS_Q3 = (QMonomial(-1, 3), 1, 1)
 
 
-# -- left-hand-side sum builders ---------------------------------------------
-
-
-def _help_sum(order: int, first: int, step: int, finite_start: int) -> TruncatedSeries:
-    """sum over n of q^(first + step*n) * (q^(4n+4);q^4)_inf * (q;q)_(2n + finite_start).
-
-    From term n to term n+1 the infinite tail loses 1 - q^(4n+4) and the
-    finite product gains 1 - q^(2n+1+f) and 1 - q^(2n+2+f), f = finite_start.
-    For f in (0, 1) one of these is 1 - q^(2n+2), and by the difference of
-    squares (1 - q^(2n+2))/(1 - q^(4n+4)) = 1/(1 + q^(2n+2)); so the term
-    ratio is (1 - q^(2n+1+2f))/(1 + q^(2n+2)), that of (q^(1+2f);q^2)_n over
-    (-q^2;q^2)_n.
-    """
-    check_int("finite_start", finite_start)
-    if finite_start not in (0, 1):
-        raise ValueError(f"finite_start must be 0 or 1, got {finite_start}")
-    return ratio_sum(
-        order,
-        first,
-        step,
-        start=([_Q4_INF, (QMonomial(1, 1), 1, finite_start)], ()),
-        num=[(QMonomial(1, 1 + 2 * finite_start), 2)],
-        den=[(QMonomial(-1, 2), 2)],
-    )
+# -- right-hand-side builders -------------------------------------------------
 
 
 def _asv_rhs(step: int, a: QMonomial, b: QMonomial, order: int) -> TruncatedSeries:
@@ -240,10 +210,18 @@ def _asv_rhs(step: int, a: QMonomial, b: QMonomial, order: int) -> TruncatedSeri
 # -- the registry -------------------------------------------------------------
 
 
-def _family_case(case_id: str, description: str) -> IdentityCase:
-    """A relation that is also a registry case: its sides on the series route."""
-    lhs, rhs = _family_sides(case_id)
-    return IdentityCase(case_id, description, lhs, rhs, RELATIONS[case_id].statement)
+def _family_case(kind: str, description: str, use_oracle: bool = False) -> IdentityCase:
+    """A relation of :data:`RELATIONS` as a case compared from its first n: each side
+    a :func:`_family_side` waiting for its order, on the route ``use_oracle`` picks."""
+    first_n, lhs, rhs, correction, statement = RELATIONS[kind]
+    return IdentityCase(
+        kind,
+        description,
+        partial(_family_side, lhs, (), use_oracle=use_oracle),
+        partial(_family_side, rhs, correction, use_oracle=use_oracle),
+        statement,
+        first=first_n,
+    )
 
 
 def _qbinomial_case(a: Optional[QMonomial], z_exp: int) -> IdentityCase:
@@ -283,6 +261,33 @@ def _asv_case(case_id: str, at: str, step: int, a: QMonomial, b: QMonomial) -> I
     )
 
 
+def _help_case(family: str, first: int, step: int, finite_start: int, rhs: Builder, statement: str) -> IdentityCase:
+    """sum over n of q^(first + step*n) * (q^(4n+4);q^4)_inf * (q;q)_(2n + finite_start) against rhs.
+
+    The evaluation behind the family's identity, a :func:`ratio_sum`: from
+    term n to term n+1 the infinite tail loses 1 - q^(4n+4) and the finite
+    product gains 1 - q^(2n+1+f) and 1 - q^(2n+2+f), f = finite_start.  For
+    f in (0, 1) one of these is 1 - q^(2n+2), and by the difference of
+    squares (1 - q^(2n+2))/(1 - q^(4n+4)) = 1/(1 + q^(2n+2)); so the term
+    ratio is (1 - q^(2n+1+2f))/(1 + q^(2n+2)), that of (q^(1+2f);q^2)_n over
+    (-q^2;q^2)_n.
+    """
+    return IdentityCase(
+        id=f"help-{family[-1]}",
+        description=f"product-sum evaluation behind the {family} identity",
+        lhs=partial(
+            ratio_sum,
+            first=first,
+            step=step,
+            start=((_Q4_INF, (QMonomial(1, 1), 1, finite_start)), ()),
+            num=((QMonomial(1, 1 + 2 * finite_start), 2),),
+            den=((QMonomial(-1, 2), 2),),
+        ),
+        rhs=rhs,
+        statement=statement,
+    )
+
+
 # (id, how the description names Q, step, a, b) for each asv case.
 _ASV_CASES = (
     ("asv-spec-1", "at", 2, QMonomial(1, 1), QMonomial(-1, 2)),
@@ -303,40 +308,25 @@ _REGISTRY = (
         for z_exp in (1, 2, 3)
     ),
     *(_asv_case(*row) for row in _ASV_CASES),
-    IdentityCase(
-        id="help-1",
-        description="product-sum evaluation behind the DE1 identity",
-        lhs=partial(_help_sum, first=0, step=2, finite_start=0),
-        rhs=lambda order: binomial_quotient(order, [_Q4_INF], [_ONE_PLUS_Q]).scale(2)
+    _help_case(
+        "DE1", 0, 2, 0,
+        lambda order: binomial_quotient(order, [_Q4_INF], [_ONE_PLUS_Q]).scale(2)
         - binomial_quotient(order, [_EULER_INF], [_ONE_PLUS_Q]),
-        statement=(
-            "sum_{n>=0} q^(2n) (q^(4n+4);q^4)_inf (q;q)_(2n)"
-            " = 2(q^4;q^4)_inf/(1+q) - (q;q)_inf/(1+q)"
-        ),
+        "sum_{n>=0} q^(2n) (q^(4n+4);q^4)_inf (q;q)_(2n) = 2(q^4;q^4)_inf/(1+q) - (q;q)_inf/(1+q)",
     ),
     _family_case("main-1", "DE1 generating function against the 4-regular product"),
-    IdentityCase(
-        id="help-2",
-        description="product-sum evaluation behind the DE2 identity",
-        lhs=partial(_help_sum, first=0, step=2, finite_start=1),
-        rhs=lambda order: binomial_quotient(order, [_Q4_INF, _ONE_MINUS_Q], [_ONE_PLUS_Q3]).scale(2)
+    _help_case(
+        "DE2", 0, 2, 1,
+        lambda order: binomial_quotient(order, [_Q4_INF, _ONE_MINUS_Q], [_ONE_PLUS_Q3]).scale(2)
         - binomial_quotient(order, [_EULER_INF], [_ONE_PLUS_Q3]),
-        statement=(
-            "sum_{n>=0} q^(2n) (q^(4n+4);q^4)_inf (q;q)_(2n+1)"
-            " = 2(1-q)(q^4;q^4)_inf/(1+q^3) - (q;q)_inf/(1+q^3)"
-        ),
+        "sum_{n>=0} q^(2n) (q^(4n+4);q^4)_inf (q;q)_(2n+1) = 2(1-q)(q^4;q^4)_inf/(1+q^3) - (q;q)_inf/(1+q^3)",
     ),
     _family_case("main-2", "DE2 generating function against the min-part-2 product"),
-    IdentityCase(
-        id="help-3",
-        description="product-sum evaluation behind the DE3 identity",
-        lhs=partial(_help_sum, first=1, step=4, finite_start=0),
-        rhs=lambda order: binomial_quotient(order, [_Q4_INF], [_ONE_PLUS_Q3]).scale(2).shift(2)
+    _help_case(
+        "DE3", 1, 4, 0,
+        lambda order: binomial_quotient(order, [_Q4_INF], [_ONE_PLUS_Q3]).scale(2).shift(2)
         + binomial_quotient(order, [_EULER_INF, _ONE_MINUS_Q], [_ONE_PLUS_Q3]).shift(1),
-        statement=(
-            "sum_{n>=0} q^(4n+1) (q^(4n+4);q^4)_inf (q;q)_(2n)"
-            " = 2q^2(q^4;q^4)_inf/(1+q^3) + q(1-q)(q;q)_inf/(1+q^3)"
-        ),
+        "sum_{n>=0} q^(4n+1) (q^(4n+4);q^4)_inf (q;q)_(2n) = 2q^2(q^4;q^4)_inf/(1+q^3) + q(1-q)(q;q)_inf/(1+q^3)",
     ),
     _family_case("main-3", "DE3 generating function against the shifted 4-regular product"),
 )
@@ -381,51 +371,38 @@ def negative_control(exponent: int = NEGATIVE_CONTROL_EXPONENT) -> IdentityCase:
 # -- verification -------------------------------------------------------------
 
 
-def _check_range(check_id: str, order: int, first: int) -> None:
+def _check_range(case: IdentityCase, order: int) -> None:
     check_int("order", order)
-    if order < first:
+    if order < case.first:
         raise ValueError(
-            f"{check_id} holds for n >= {first} and would compare nothing: "
-            f"needs order >= {first} (got {order})"
+            f"{case.id} holds for n >= {case.first} and would compare nothing: "
+            f"needs order >= {case.first} (got {order})"
         )
 
 
-def _compare(
-    check_id: str,
-    order: int,
-    sides: Callable[[], Tuple[TruncatedSeries, TruncatedSeries]],
-    first: int = 0,
-) -> VerificationReport:
-    """The one comparison every check reports through.
+def verify(case: IdentityCase, order: int) -> VerificationReport:
+    """The one comparison: expand both sides to the order and report the first coefficient clash.
 
-    Refuses an order below ``first``, which would compare nothing, before
-    anything is built; builds both sides with ``sides()``, where any failure,
-    a side known to a lower order than asked for included, is a status
-    "error" report whose text is "<check_id>: <message>"; then compares the
-    coefficients of q^0..q^order.  ``checked`` counts the exponents from
-    ``first`` through the mismatch or the order.
+    Refuses an order below ``case.first``, which would compare nothing, with
+    a ``ValueError`` before anything is built.  Builds ``case.lhs(order)``,
+    then ``case.rhs(order)``; any failure, a side known to a lower order than
+    asked for included, is a status "error" report whose text is "<id>:
+    <message>".  Then compares the coefficients of q^first..q^order;
+    ``checked`` counts them through the mismatch or the order.
     """
-    _check_range(check_id, order, first)
+    _check_range(case, order)
     start = perf_counter()
     try:
-        lhs, rhs = (side.truncate(order) for side in sides())
+        lhs, rhs = case.lhs(order).truncate(order), case.rhs(order).truncate(order)
     except Exception as exc:
-        return VerificationReport(check_id, order, "error", None, perf_counter() - start, f"{check_id}: {exc}")
+        return VerificationReport(case.id, order, "error", None, perf_counter() - start, f"{case.id}: {exc}")
+    if case.first:  # below q^first the case claims nothing
+        lhs, rhs = (TruncatedSeries((0,) * case.first + side.coeffs[case.first :], order) for side in (lhs, rhs))
     mismatch = lhs.first_mismatch(rhs)
     elapsed = perf_counter() - start
     status = "pass" if mismatch is None else "fail"
-    checked = (order if mismatch is None else mismatch[0]) - first + 1
-    return VerificationReport(check_id, order, status, mismatch, elapsed, checked=checked)
-
-
-def verify(case: IdentityCase, order: int) -> VerificationReport:
-    """Expand both sides to the order and report the first coefficient clash.
-
-    A negative order is a ``ValueError``; a builder that fails, or returns a
-    side known to a lower order than asked for, gives a status "error"
-    report (see :func:`_compare`).
-    """
-    return _compare(case.id, order, lambda: (case.lhs(order), case.rhs(order)))
+    checked = (order if mismatch is None else mismatch[0]) - case.first + 1
+    return VerificationReport(case.id, order, status, mismatch, elapsed, checked=checked)
 
 
 def verify_relation(kind: str, order: int, use_oracle: bool = False) -> VerificationReport:
@@ -439,18 +416,16 @@ def verify_relation(kind: str, order: int, use_oracle: bool = False) -> Verifica
     from the family's partition rules and shares no counting code with the
     generating functions.  It checks all four corollaries to n = 50 in about
     2 ms and to n = 1000 in about 0.8 s (2-core Intel Xeon VM, Python
-    3.11.7).  Both sides are :func:`_family_side` series, zero below the first
-    n, compared by the same :func:`_compare` as a case, so a mismatch reports
-    (n, left, right).  An order below the first n, which would compare
-    nothing, is a ``ValueError`` raised before anything is counted, and a
-    failing count builder gives a status "error" report, as in
-    :func:`verify`.
+    3.11.7).  The relation is a case whose ``first`` is its first n and whose
+    sides are :func:`_family_side` series, and :func:`verify` compares them
+    from there, so a mismatch reports (n, left, right), an order below
+    the first n is a ``ValueError`` raised before anything is counted, and a
+    failing count builder gives a status "error" report.
     """
     if kind not in RELATIONS:
         raise ValueError(f"unknown relation {kind!r}; expected one of {tuple(RELATIONS)}")
-    check_type("use_oracle", use_oracle, bool)  # here, or _compare would turn its TypeError into an error report
-    lhs, rhs = _family_sides(kind, use_oracle)
-    return _compare(kind, order, lambda: (lhs(order), rhs(order)), RELATIONS[kind].first_n)
+    check_type("use_oracle", use_oracle, bool)  # here, or verify would turn its TypeError into an error report
+    return verify(_family_case(kind, RELATIONS[kind].statement, use_oracle), order)
 
 
 def verify_all(order: int) -> List[VerificationReport]:
@@ -461,11 +436,10 @@ def verify_all(order: int) -> List[VerificationReport]:
     some relation would compare nothing, is a ``ValueError`` raised before
     anything is built.
     """
-    for kind, relation in RELATIONS.items():
-        _check_range(kind, order, relation.first_n)
-    reports = [verify(case, order) for case in registry()]
-    reports += [verify_relation(kind, order) for kind in RELATION_KINDS]
-    return sorted(reports, key=lambda r: r.id)
+    cases = registry() + [_family_case(kind, RELATIONS[kind].statement) for kind in RELATION_KINDS]
+    for case in cases:
+        _check_range(case, order)
+    return sorted((verify(case, order) for case in cases), key=lambda r: r.id)
 
 
 def report_record(report: VerificationReport) -> str:

@@ -46,10 +46,13 @@ MUTANTS = [
     ("src/qident/partitions.py", "total += is_part[r]", "total += 0", "count_oracle's part-r-alone leaf dropped"),
     # -- the statements and the comparison
     ("src/qident/identities.py", "(1, 1), (2, -1)", "(1, 1), (2, 1)", "main-3's q^2 correction flipped"),
-    ("src/qident/identities.py", "values = [0] * first_n + values[first_n:]", "values = values[:]", "a relation's sides not zeroed below its first n"),
-    ("src/qident/identities.py", "lhs, rhs = (side.truncate(order) for side in sides())", "lhs, rhs = sides()", "_compare does not truncate: a short side is compared, not refused"),
-    ("src/qident/identities.py", "- first + 1", "+ 1", "_compare's checked count not offset by the first n"),
-    ("src/qident/identities.py", "order < first", "order < first - 1", "the range check off by one: an order that compares nothing passes"),
+    ("src/qident/identities.py", "(0,) * case.first + side.coeffs[case.first :]", "side.coeffs", "verify compares the sides below a case's first n"),
+    ("src/qident/identities.py", "lhs, rhs = case.lhs(order).truncate(order), case.rhs(order).truncate(order)", "lhs, rhs = case.lhs(order), case.rhs(order)", "verify does not truncate: a short side is compared, not refused"),
+    ("src/qident/identities.py", "- case.first + 1", "+ 1", "verify's checked count not offset by the first n"),
+    ("src/qident/identities.py", "order < case.first", "order < case.first - 1", "the range check off by one: an order that compares nothing passes"),
+    ("src/qident/identities.py", "first=first_n,", "first=0,", "_family_case compares a relation from n = 0"),
+    ("src/qident/identities.py", "1 + 2 * finite_start", "1 + finite_start", "_help_case's term ratio without its difference of squares"),
+    ("src/qident/identities.py", "    for case in cases:\n        _check_range(case, order)\n", "", "verify_all builds before its range pre-check"),
     ("src/qident/identities.py", "monomial(1, exponent, order)", "monomial(1, exponent + 1, order)", "the negative control perturbs the wrong exponent"),
     ("src/qident/cli.py", "return 0 if all(r.passed for r in reports) else 1", "return 0", "cmd_verify exits 0 on a failed check"),
     # -- equivalent: listed so the argument is kept, not gated

@@ -76,17 +76,6 @@ def test_help1_agrees_to_100():
     assert case.lhs(100).first_mismatch(case.rhs(100)) is None
 
 
-def test_help_sum_refuses_a_step_without_its_difference_of_squares_factor():
-    # A step divides by 1 + q^(2n+2) in place of (1 - q^(2n+2))/(1 - q^(4n+4)),
-    # so 1 - q^(2n+2) must be among the (q;q) factors the step adds: with
-    # (q;q)_(2n+f) it is for f = 0 and f = 1 only.
-    for finite_start in (2, -1):
-        with pytest.raises(ValueError, match="finite_start must be 0 or 1"):
-            identities._help_sum(6, 0, 2, finite_start)
-    with pytest.raises(TypeError):
-        identities._help_sum(6, 0, 2, True)
-
-
 def test_find_case_looks_up_one_map_of_definitions(monkeypatch):
     ids = registry_ids()
     assert [find_case(case_id).id for case_id in ids] == ids
@@ -113,6 +102,43 @@ def test_forged_case_fails_at_exponent_two():
     report = verify(forged, 2)
     assert report.status == "fail"
     assert report.mismatch == (2, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "first, error, message",
+    [
+        (-1, ValueError, "first must be nonnegative, got -1"),
+        (True, TypeError, "first must be int, got bool"),
+        (1.0, TypeError, "first must be int, got float"),
+    ],
+)
+def test_case_refuses_a_bad_first_when_made(first, error, message):
+    def zero(order):
+        return TruncatedSeries.zero(order)
+
+    with pytest.raises(error) as excinfo:
+        IdentityCase("bad-first", "", zero, zero, "0 = 0", first=first)
+    assert str(excinfo.value) == message
+
+
+def test_user_case_is_compared_from_its_first():
+    # q^0..q^2 differ, so only a comparison that starts at q^3 can pass.
+    built = []
+
+    def side(offset):
+        def build(order):
+            built.append(order)
+            return TruncatedSeries([offset, offset, offset] + [1] * (order - 2), order)
+
+        return build
+
+    case = IdentityCase("from-3", "agrees from q^3", side(0), side(5), "n/a", first=3)
+    with pytest.raises(ValueError, match="^from-3 holds for n >= 3 and would compare nothing: needs order >= 3 \\(got 2\\)$"):
+        verify(case, 2)
+    assert built == []
+    report = verify(case, 6)
+    assert report.passed and report.checked == 4
+    assert built == [6, 6]
 
 
 @pytest.mark.parametrize("exponent", [7, 50])
@@ -264,11 +290,12 @@ def test_theorem_cases_are_their_relations(kind):
     # functions; part-by-part counts give the same coefficients, the
     # corrections at q^0..q^2 included, at the lowest orders and deep.
     case = find_case(kind)
-    assert case.statement == RELATIONS[kind].statement
-    oracle_lhs, oracle_rhs = identities._family_sides(kind, use_oracle=True)
+    oracle = identities._family_case(kind, case.description, use_oracle=True)
+    assert (case.id, case.statement, case.first) == (oracle.id, oracle.statement, oracle.first)
+    assert (case.statement, case.first) == (RELATIONS[kind].statement, RELATIONS[kind].first_n)
     for order in (0, 1, 2, 3, 300):
-        assert case.lhs(order) == oracle_lhs(order), order
-        assert case.rhs(order) == oracle_rhs(order), order
+        assert case.lhs(order) == oracle.lhs(order), order
+        assert case.rhs(order) == oracle.rhs(order), order
 
 
 def test_theorems_need_their_corrections(monkeypatch):
