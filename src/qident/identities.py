@@ -194,11 +194,10 @@ def _asv_rhs(step: int, a: QMonomial, b: QMonomial, order: int) -> TruncatedSeri
     With a = sa*q^alpha and b = sb*q^beta every piece is a power series when
     1 <= beta <= step and alpha >= 1; then aQ/b = sa*sb*q^(alpha+step-beta)
     has positive exponent, so the closed form's pole 1 - aQ/b is a unit.
+    Only the literal rows of _ASV_CASES reach this, and each meets the
+    condition; a row that did not would fail its own case and the recorded
+    builder digests.
     """
-    if not 1 <= b.exp <= step:
-        raise ValueError(f"need 1 <= b.exp <= step for a series-valued form, got {b}")
-    if a.exp < 1:
-        raise ValueError(f"need a.exp >= 1, got {a}")
     # Q/b = sb*q^d; over the common pole the numerator is
     # sb*q^d * (a;Q)_inf/(b;Q)_inf + 1 - sb*q^d.
     d = step - b.exp

@@ -283,9 +283,12 @@ class TruncatedSeries:
 # Horner sum is built in one list, without copying a tail out and back.
 #
 # Two public builders run the passes, and every series in the registry is
-# made by them and plain TruncatedSeries arithmetic: binomial_quotient
-# builds a quotient of products, ratio_sum a sum in basic hypergeometric
-# form.  Callers declare products, never binomials: a triple (a, s, n)
+# made by them and plain TruncatedSeries arithmetic: ratio_sum builds a sum
+# in basic hypergeometric form, and binomial_quotient a quotient of
+# products as the one-term sum.  So one loop in ratio_sum applies every
+# product quotient: a sum's leading product T_0, which for the one-term
+# sum is the whole quotient.
+# Callers declare products, never binomials: a triple (a, s, n)
 # stands for (a; q^s)_n with s >= 1, and a lone binomial 1 - a is the
 # one-factor product (a, 1, 1); a term-ratio pair (a, s) of ratio_sum follows
 # the same rule.  _factors checks each triple once and lists its factors
@@ -332,55 +335,6 @@ def _div_pass(cs: List[int], sign: int, e: int, lo: int) -> None:
     cs[lo:] = out
 
 
-def binomial_quotient(order: int, num: Iterable[Product] = (), den: Iterable[Product] = ()) -> TruncatedSeries:
-    """The product of the Pochhammer products in num over that of those in den.
-
-    Every product is checked first, once, and a divisor must be a unit, so
-    a factor 1 - a*q^0 is refused in den as ``invert`` refuses it.  Then a
-    factor in both lists cancels (as often as it appears in both) and only
-    the rest is applied, by the bare passes.  So
-    (q^4;q^4)_inf/(q;q)_inf divides by the 3N/4 factors the numerator does
-    not share and multiplies by none.
-
-    The rest is applied from the largest exponent down, keeping the list
-    zero at 1..lo-1, where lo is the smallest exponent applied so far.  A
-    factor 1 - s*q^e with e <= lo then changes only coefficient e (by -s)
-    and indices >= lo + e when it multiplies; when it divides, it sets the
-    multiples j*e below lo to s^j, adds s^j to the one in [lo, lo + e) and
-    updates indices >= lo + e.  Either way the index range >= lo + e is
-    the bare pass on the suffix from lo, so a factor above N/2 costs O(1)
-    and (q;q)_inf costs about N^2/4 updates, not N^2/2.
-    """
-    check_int("order", order)
-    num = _factors(num, order, False)
-    unshared = Counter(_factors(den, order, True))  # the divisors not yet cancelled by a numerator factor
-    factors = []
-    for b in num:
-        if unshared.get(b):  # b cancels one copy of itself in den
-            unshared[b] -= 1
-        else:
-            factors.append((b[1], b[0], False))
-    factors += [(e, sign, True) for sign, e in unshared.elements()]
-    factors.sort(reverse=True)
-    cs = [1] + [0] * order
-    lo = order + 1  # cs[1:lo] is zero
-    for e, sign, divide in factors:
-        if e == 0:  # only in num, and last: 1 - sign scales every coefficient
-            _mul_pass(cs, sign, 0, 0)
-            continue
-        if divide:
-            j = -(-lo // e)  # j*e is the first multiple of e at or above lo
-            cs[e : j * e : e] = [sign**i for i in range(1, j)]
-            if j * e <= order:
-                cs[j * e] += sign**j
-        if lo + e <= order:
-            (_div_pass if divide else _mul_pass)(cs, sign, e, lo)
-        if not divide:
-            cs[e] -= sign  # after the suffix update, which reads the old cs[lo] when e == lo
-        lo = e
-    return TruncatedSeries(cs, order)
-
-
 Pochhammer = Tuple[QMonomial, int]
 """A pair (a, s) standing for (a; q^s)_n, whose factor at step n is 1 - a*q^(s*n).
 
@@ -408,18 +362,34 @@ def ratio_sum(
 
         H_M = 1,    H_n = 1 + q^step * R_n * H_(n+1),
 
-    so H_n is the tail sum divided by q^e_n * T_n.  The whole sum lives in
-    one list of length order + 1, with H_n in cs[e_n:], the room its shift
-    leaves: R_n is applied in place to H_(n+1) = cs[e_(n+1):], and the shift
-    and the 1 are the write cs[e_n] = 1 (cs[e_n + 1:e_(n+1)] is still zero),
-    so no step pays a separate pass, a copy or a concatenation to add a term.
-    A factor whose exponent is at or past the length of the suffix it would
-    act on leaves it unchanged, so it is skipped without a pass.
+    so H_n is the tail sum divided by q^e_n * T_n.  H_0 lives in one list
+    cs of length order + 1 - first, cs[k] standing for q^(first + k), with
+    H_n in cs[step*n:], the room its shift leaves: R_n is applied in place
+    to H_(n+1) = cs[step*(n+1):], and the shift and the 1 are the write
+    cs[step*n] = 1 (the cells between are still zero), so no step pays a
+    separate pass, a copy or a concatenation to add a term.  A factor whose
+    exponent is at or past the length of the suffix it would act on leaves
+    it unchanged, so it is skipped without a pass.
+
+    T_0 is then applied to H_0 by the one loop that applies every product
+    quotient here (:func:`binomial_quotient` is the one-term sum).  A factor
+    in both start[0] and start[1] cancels (as often as it appears in both)
+    and only the rest is applied, by the bare passes, from the largest
+    exponent down, keeping the list zero at 1..lo-1.  H_0 is 1 and then zero
+    below step, or below its length for a one-term sum, so lo starts at the
+    smaller of the two and is lowered to each exponent applied below it.  A
+    factor 1 - s*q^e then changes only coefficient e (by -s) and indices
+    >= lo + e when it multiplies; when it divides, it sets the multiples
+    j*e below lo to s^j, adds s^j to the first one at or above lo and
+    updates indices >= lo + e.  Either way the index range >= lo + e is the
+    bare pass on the suffix from lo, so a factor above N/2 costs O(1) and
+    (q;q)_inf costs about N^2/4 updates, not N^2/2.
     """
     check_int("order", order)
     check_int("first exponent", first, 0)
     check_int("exponent step", step, 1)
-    es = range(first, order + 1, step)
+    top = order - first  # the last index of H_0's list
+    es = range(0, top + 1, step)
     # A pair (a, s) is checked as the product (a, s, m): with s >= 1 only its
     # factor at step 0 can be 1 - a*q^0, which the sum reaches when it has a
     # second term, so m = 1 then and 0 otherwise.
@@ -428,25 +398,61 @@ def ratio_sum(
     _factors([(*pair, m) for pair in num], order, False)
     _factors([(*pair, m) for pair in den], order, True)
     ratio = [(a.sign, a.exp, s, _mul_pass) for a, s in num] + [(b.sign, b.exp, t, _div_pass) for b, t in den]
-    # T_0 acts on H_0 = cs[first:], modulo q^(order + 1 - first).
     start_num, start_den = start
-    start = [(sign, e, _mul_pass) for sign, e in _factors(start_num, order - first, False)]
-    start += [(sign, e, _div_pass) for sign, e in _factors(start_den, order - first, True)]
+    start_num = _factors(start_num, top, False)
+    unshared = Counter(_factors(start_den, top, True))  # the divisors not yet cancelled by a numerator factor
     if not es:
         return TruncatedSeries.zero(order)
-    cs = [0] * (order + 1)
+    cs = [0] * (top + 1)
     cs[es[-1]] = 1
     for n in range(len(es) - 2, -1, -1):
         lo = es[n + 1]
-        room = order + 1 - lo  # a factor with e >= room cannot change cs[lo:]
+        room = top + 1 - lo  # a factor with e >= room cannot change cs[lo:]
         for sign, e, s, apply in ratio:
             e += s * n
             if e < room:
                 apply(cs, sign, e, lo)
         cs[es[n]] = 1
-    for sign, e, apply in start:
-        apply(cs, sign, e, first)
-    return TruncatedSeries(cs, order)
+    factors = []
+    for b in start_num:
+        if unshared.get(b):  # b cancels one copy of itself in den
+            unshared[b] -= 1
+        else:
+            factors.append((b[1], b[0], False))
+    factors += [(e, sign, True) for sign, e in unshared.elements()]
+    factors.sort(reverse=True)
+    lo = min(step, top + 1)  # cs[1:lo] is zero
+    for e, sign, divide in factors:
+        if e == 0:  # only in num, and last: 1 - sign scales every coefficient
+            _mul_pass(cs, sign, 0, 0)
+            continue
+        if divide:
+            j = -(-lo // e)  # j*e is the first multiple of e at or above lo
+            cs[e : j * e : e] = [sign**i for i in range(1, j)]
+            if j * e <= top:
+                cs[j * e] += sign**j
+        if lo + e <= top:
+            (_div_pass if divide else _mul_pass)(cs, sign, e, lo)
+        if not divide:
+            cs[e] -= sign  # after the suffix update, which reads the old cs[e] when e >= lo
+        if e < lo:
+            lo = e
+    return TruncatedSeries([0] * first + cs, order)
+
+
+def binomial_quotient(order: int, num: Iterable[Product] = (), den: Iterable[Product] = ()) -> TruncatedSeries:
+    """The product of the Pochhammer products in num over that of those in den.
+
+    The one-term :func:`ratio_sum` whose T_0 is num over den, so it is made
+    by the loop that applies every product quotient: every product is
+    checked first, once, and a divisor must be a unit, so a factor
+    1 - a*q^0 is refused in den as ``invert`` refuses it.  Then a factor in
+    both lists cancels and the rest is applied from the largest exponent
+    down.  So (q^4;q^4)_inf/(q;q)_inf divides by the 3N/4 factors the
+    numerator does not share and multiplies by none.
+    """
+    check_int("order", order)  # before order + 1 is formed
+    return ratio_sum(order, 0, max(order + 1, 1), (num, den))
 
 
 def poch_finite(a: QMonomial, step: int, n: int, order: int) -> TruncatedSeries:

@@ -28,7 +28,9 @@ MUTANTS = [
     # -- the binomial kernel
     ("src/qident/series.py", "map(sub if sign == 1 else add", "map(add if sign == 1 else sub", "_mul_pass's sign flipped"),
     ("src/qident/series.py", "map(add if sign == 1 else sub", "map(sub if sign == 1 else add", "_div_pass's sign flipped"),
-    ("src/qident/series.py", "cs[e] -= sign  #", "cs[e] += sign  #", "binomial_quotient's own term of a multiplied factor flipped"),
+    ("src/qident/series.py", "cs[e] -= sign  #", "cs[e] += sign  #", "the product loop's own term of a multiplied factor flipped"),
+    ("src/qident/series.py", "lo = min(step, top + 1)", "lo = min(step + 1, top + 1)", "the product loop starts a sum's T_0 one past its zero prefix"),
+    ("src/qident/series.py", "if e < lo:\n            lo = e", "lo = e", "the product loop sets lo to a factor above it, not only lowers it"),
     ("src/qident/series.py", "[sign**i for i in range(1, j)]", "[sign for i in range(1, j)]", "a divisor's multiples below lo all get sign, not sign**j"),
     ("src/qident/series.py", "cs[j * e] += sign**j", "cs[j * e] = sign**j", "a divisor's first multiple at or above lo overwritten, not added to"),
     ("src/qident/series.py", "if e < room:", "if e < room - 1:", "ratio_sum's room test skips a factor that still acts"),
@@ -57,13 +59,13 @@ MUTANTS = [
     ("src/qident/cli.py", "return 0 if all(r.passed for r in reports) else 1", "return 0", "cmd_verify exits 0 on a failed check"),
     # -- equivalent: listed so the argument is kept, not gated
     ("src/qident/series.py", "cs[es[n]] = 1", "cs[es[n]] += 1", "ratio_sum's write of the 1"),
-    ("src/qident/series.py", "factors.sort(reverse=True)", "factors.sort(key=lambda f: f[0], reverse=True)", "binomial_quotient's order ignores the sign"),
+    ("src/qident/series.py", "factors.sort(reverse=True)", "factors.sort(key=lambda f: f[0], reverse=True)", "the product loop's order ignores the sign"),
 ]
 
 # why -> the argument that the mutant cannot change any result.
 EQUIVALENT = {
     "ratio_sum's write of the 1": "cs[es[n]] is always 0 before the write, as every pass acts on cs[es[n+1]:] only",
-    "binomial_quotient's order ignores the sign": "factors with equal exponent commute, so their order among themselves is free",
+    "the product loop's order ignores the sign": "factors with equal exponent commute, so their order among themselves is free",
 }
 
 
