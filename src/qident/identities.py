@@ -352,8 +352,12 @@ NEGATIVE_CONTROL_EXPONENT = 50
 def negative_control(exponent: int = NEGATIVE_CONTROL_EXPONENT) -> IdentityCase:
     """A deliberately broken copy of ped-eq-4regular: q^exponent added on the right.
 
-    Verifying it at any order >= exponent must fail with the mismatch at
-    exactly that exponent; it is excluded from :func:`registry`.
+    It claims only that the sides differ at q^exponent, so it is compared
+    from there: :func:`verify` refuses an order below the exponent with a
+    ``ValueError``, as it refuses any order that would compare nothing, and
+    at any order >= exponent it must fail with the mismatch at exactly that
+    exponent (ped-eq-4regular itself checks q^0..q^(exponent-1)).  It is
+    excluded from :func:`registry`.
     """
     check_int("exponent", exponent, 0)
     base = find_case("ped-eq-4regular")
@@ -364,6 +368,7 @@ def negative_control(exponent: int = NEGATIVE_CONTROL_EXPONENT) -> IdentityCase:
         rhs=lambda order: base.rhs(order)
         + TruncatedSeries.monomial(1, exponent, order),
         statement=f"{base.statement}  [right side perturbed by +q^{exponent}]",
+        first=exponent,
     )
 
 
@@ -374,7 +379,7 @@ def _check_range(case: IdentityCase, order: int) -> None:
     check_int("order", order)
     if order < case.first:
         raise ValueError(
-            f"{case.id} holds for n >= {case.first} and would compare nothing: "
+            f"{case.id} is compared from q^{case.first}, so a lower order would compare nothing: "
             f"needs order >= {case.first} (got {order})"
         )
 

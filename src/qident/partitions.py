@@ -70,8 +70,7 @@ class Partition:
     parts: Tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.parts, tuple):
-            raise TypeError(f"parts must be a tuple, got {type(self.parts).__name__}")
+        check_type("parts", self.parts, tuple)
         for i, p in enumerate(self.parts):
             check_int("part", p, 1)
             if i and self.parts[i - 1] < p:
@@ -132,16 +131,10 @@ FAMILY_SPECS = {
 }
 
 
-def _check_spec(spec: ConstraintSpec) -> None:
-    if not isinstance(spec, ConstraintSpec):
-        raise TypeError(f"spec must be a ConstraintSpec, got {type(spec).__name__}")
-
-
 def satisfies(partition: Partition, spec: ConstraintSpec) -> bool:
     """Direct predicate check, independent of how enumeration prunes."""
-    if not isinstance(partition, Partition):
-        raise TypeError(f"partition must be a Partition, got {type(partition).__name__}")
-    _check_spec(spec)
+    check_type("partition", partition, Partition)
+    check_type("spec", spec, ConstraintSpec)
     parts = partition.parts
     if any(p < spec.min_part for p in parts):
         return False
@@ -244,7 +237,7 @@ def enumerate_partitions(n: int, spec: ConstraintSpec) -> List[Partition]:
     :func:`count_oracle_table` is the route for depth.
     """
     check_int("n", n)
-    _check_spec(spec)
+    check_type("spec", spec, ConstraintSpec)
     plan = _plan(n, spec)
     return [
         Partition(head + tail)
@@ -269,7 +262,7 @@ def count_oracle(n: int, spec: ConstraintSpec) -> int:
     it against this walk.
     """
     check_int("n", n)
-    _check_spec(spec)
+    check_type("spec", spec, ConstraintSpec)
     lo, parts, next_cap, first, is_part, lo_runs = _plan(n, spec)
     # Whether r is a leaf child of a node with r left: as a run of lo alone
     # (when lo <= the node's cap), and as the part r - lo closed by one lo
@@ -314,7 +307,7 @@ def count_oracle_table(up_to: int, spec: ConstraintSpec) -> List[int]:
     families to n = 60 take about 1 ms, and to n = 1000 about 0.5 s (2-core
     Intel Xeon VM, Python 3.11.7).
     """
-    _check_spec(spec)
+    check_type("spec", spec, ConstraintSpec)
     check_int("up_to", up_to, 0)
     table = [1] + [0] * up_to
     odd_largest = spec.largest_parity == "odd"

@@ -39,23 +39,22 @@ def check_int(name: str, value, least: Optional[int] = None) -> None:
         raise ValueError(f"{name} must be {bound}, got {value}")
 
 
-def _check_binomial(sign: int, e: int) -> None:
-    """The rule for a valid sign*q^e, and so for a binomial 1 - sign*q^e."""
-    check_int("sign", sign)
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    check_int("exponent", e, 0)
-
-
 @dataclass(frozen=True)
 class QMonomial:
-    """A signed power of q: ``sign * q**exp`` with sign in {+1, -1}."""
+    """A signed power of q: ``sign * q**exp`` with sign in {+1, -1}.
+
+    Its constructor is the one rule for a valid sign*q^e, and so for a
+    binomial 1 - sign*q^e: an int sign of +1 or -1, an int exponent >= 0.
+    """
 
     sign: int
     exp: int
 
     def __post_init__(self):
-        _check_binomial(self.sign, self.exp)
+        check_int("sign", self.sign)
+        if self.sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
+        check_int("exponent", self.exp, 0)
 
     def shifted(self, k: int) -> "QMonomial":
         """The monomial multiplied by q^k."""
@@ -113,7 +112,7 @@ class TruncatedSeries:
     @classmethod
     def monomial(cls, sign: int, exp: int, order: int) -> "TruncatedSeries":
         """The series sign * q^exp; the zero series if exp exceeds order."""
-        _check_binomial(sign, exp)
+        QMonomial(sign, exp)  # the one check of a sign and exponent
         check_int("order", order)
         cs = [0] * (order + 1)
         if exp <= order:

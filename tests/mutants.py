@@ -40,6 +40,7 @@ MUTANTS = [
     ("src/qident/series.py", "a, b = self.coeffs[: n + 1], other.coeffs[: n + 1]", "a, b = self.coeffs[:n], other.coeffs[:n]", "first_mismatch's fast path misses the last coefficient"),
     # -- the one argument rule
     ("src/qident/series.py", "value < least", "value <= least", "check_int refuses its own least"),
+    ("src/qident/series.py", "type(value) is not kind", "not isinstance(value, kind)", "check_type takes a subclass, so True is an int"),
     ("src/qident/partitions.py", 'check_int("up_to", up_to, 0)', 'check_int("up_to", up_to)', "count_oracle_table takes a negative bound"),
     # -- the part-by-part counts
     ("src/qident/partitions.py", "range(up_to, k - 1, -1) if", "range(k, up_to + 1) if", "the knapsack's descending pass: an even part repeats"),
@@ -56,6 +57,7 @@ MUTANTS = [
     ("src/qident/identities.py", "1 + 2 * finite_start", "1 + finite_start", "_help_case's term ratio without its difference of squares"),
     ("src/qident/identities.py", "    for case in cases:\n        _check_range(case, order)\n", "", "verify_all builds before its range pre-check"),
     ("src/qident/identities.py", "monomial(1, exponent, order)", "monomial(1, exponent + 1, order)", "the negative control perturbs the wrong exponent"),
+    ("src/qident/identities.py", "        first=exponent,\n", "", "the negative control compared from q^0: below its exponent it passes vacuously"),
     ("src/qident/cli.py", "return 0 if all(r.passed for r in reports) else 1", "return 0", "cmd_verify exits 0 on a failed check"),
     # -- equivalent: listed so the argument is kept, not gated
     ("src/qident/series.py", "cs[es[n]] = 1", "cs[es[n]] += 1", "ratio_sum's write of the 1"),

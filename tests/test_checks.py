@@ -5,7 +5,15 @@ import re
 import pytest
 
 from qident.identities import family_counts, negative_control
-from qident.partitions import FAMILY_SPECS, ConstraintSpec, Partition, count_oracle_table
+from qident.partitions import (
+    FAMILY_SPECS,
+    ConstraintSpec,
+    Partition,
+    count_oracle,
+    count_oracle_table,
+    enumerate_partitions,
+    satisfies,
+)
 from qident.series import QMonomial, TruncatedSeries, binomial_quotient, check_int, check_type, ratio_sum
 
 Q = QMonomial(1, 1)
@@ -33,6 +41,35 @@ def test_every_bound_site_refuses_one_below_its_least_and_accepts_its_least(call
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(least - 1)
     call(least)
+
+
+class SpecSubclass(ConstraintSpec):
+    """A ConstraintSpec in all but its exact type."""
+
+
+DE1 = FAMILY_SPECS["DE1"]
+
+# (site, call taking the checked value, a value of the wrong class, its refusal).
+# The spec is refused up front, even where the walk would do nothing (n or up_to < 0).
+TYPE_SITES = [
+    ("partition-parts-list", Partition, [3, 1], "parts must be tuple, got list"),
+    ("partition-parts-range", Partition, range(2), "parts must be tuple, got range"),
+    ("partition-parts-str", Partition, "21", "parts must be tuple, got str"),
+    ("satisfies-partition", lambda v: satisfies(v, DE1), (3, 1), "partition must be Partition, got tuple"),
+    ("satisfies-spec", lambda v: satisfies(Partition((3, 1)), v), "DE1", "spec must be ConstraintSpec, got str"),
+    ("enumerate-spec", lambda v: enumerate_partitions(5, v), None, "spec must be ConstraintSpec, got NoneType"),
+    ("count-oracle-spec", lambda v: count_oracle(5, v), {"min_part": 1}, "spec must be ConstraintSpec, got dict"),
+    ("count-oracle-empty-spec", lambda v: count_oracle(-1, v), "DE1", "spec must be ConstraintSpec, got str"),
+    ("oracle-table-spec", lambda v: count_oracle_table(5, v), None, "spec must be ConstraintSpec, got NoneType"),
+    ("oracle-table-negative-spec", lambda v: count_oracle_table(-1, v), {}, "spec must be ConstraintSpec, got dict"),
+    ("spec-subclass", lambda v: count_oracle(5, v), SpecSubclass(), "spec must be ConstraintSpec, got SpecSubclass"),
+]
+
+
+@pytest.mark.parametrize("call, value, message", [row[1:] for row in TYPE_SITES], ids=[row[0] for row in TYPE_SITES])
+def test_every_class_site_refuses_another_class_by_name(call, value, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        call(value)
 
 
 def test_check_type_refuses_a_subclass_and_a_lookalike():

@@ -209,9 +209,13 @@ def test_verify_negative_control_machine(capsys):
 
 @pytest.mark.parametrize("order", ["10", "49"])
 def test_verify_negative_control_refuses_orders_below_perturbation(capsys, order):
+    # The library's refusal, as for a relation: the CLI adds none of its own.
     code, out, err = run(capsys, "verify", "negative-control", "--order", order)
     assert code == 2 and out == ""
-    assert "q^50" in err and "--order >= 50" in err
+    assert err == (
+        "error: negative-control is compared from q^50, so a lower order would compare nothing: "
+        f"needs order >= 50 (got {order})\n"
+    )
 
 
 def test_verify_negative_control_fails_at_order_50(capsys):
@@ -266,9 +270,18 @@ def test_verify_prints_a_failed_build_as_an_error_row(capsys, broken_de2):
         "main-2  error   main-2: family build failed",
         "0/1 passed at order 20",
     ]
+
+
+def test_verify_machine_keeps_an_error_reason_on_stderr(capsys, broken_de2, monkeypatch):
+    # The five-field record stays as it is; the reason goes to stderr, one line per report.
+    monkeypatch.setattr(identities, "perf_counter", lambda: 0.0)
     code, out, err = run(capsys, "verify", "main-2", "--order", "20", "--machine")
-    assert code == 1 and err == ""
-    assert re.fullmatch(r"main-2,20,error,,\d+\n", out)
+    assert code == 1
+    assert out == "main-2,20,error,,0\n"
+    assert err == "main-2: family build failed\n"
+    code, out, err = run(capsys, "verify", "all", "--order", "20", "--machine")
+    assert code == 1 and len(out.splitlines()) == 37
+    assert err == "cor2: family build failed\nmain-2: family build failed\n"
 
 
 def test_verify_all_reports_failed_builds_and_goes_on(capsys, broken_de2):
@@ -304,8 +317,8 @@ def test_verify_refuses_oracle_outside_relations(capsys, target):
 def test_verify_relation_refuses_empty_range(capsys, argv, first):
     code, out, err = run(capsys, "verify", *argv)
     assert code == 2 and out == ""
-    assert f"n >= {first}" in err and "order" in err
-    assert f">= {first} (got {first - 1})" in err
+    assert f"is compared from q^{first}, so a lower order would compare nothing" in err
+    assert f"needs order >= {first} (got {first - 1})" in err
 
 
 def test_verify_relation_at_its_first_n(capsys):

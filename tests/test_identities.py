@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 import qident
@@ -133,7 +135,7 @@ def test_user_case_is_compared_from_its_first():
         return build
 
     case = IdentityCase("from-3", "agrees from q^3", side(0), side(5), "n/a", first=3)
-    with pytest.raises(ValueError, match="^from-3 holds for n >= 3 and would compare nothing: needs order >= 3 \\(got 2\\)$"):
+    with pytest.raises(ValueError, match="^from-3 is compared from q\\^3, so a lower order would compare nothing: needs order >= 3 \\(got 2\\)$"):
         verify(case, 2)
     assert built == []
     report = verify(case, 6)
@@ -147,8 +149,16 @@ def test_negative_control_fails_exactly_at_perturbation(exponent):
     report = verify(case, max(60, exponent + 5))
     assert report.status == "fail"
     assert report.mismatch[0] == exponent
-    # below the perturbed exponent the two sides genuinely agree
-    assert verify(case, exponent - 1).passed
+    # Below the perturbed exponent the control claims nothing: refused
+    # before either side is built, as ped-eq-4regular itself checks q^0..q^(exponent-1).
+    def unbuildable(order):
+        raise AssertionError("no side may be built")
+
+    control = replace(case, lhs=unbuildable, rhs=unbuildable)
+    for order in range(exponent):
+        with pytest.raises(ValueError, match=f"^negative-control is compared from q\\^{exponent}, .*got {order}\\)$"):
+            verify(control, order)
+    assert verify(find_case("ped-eq-4regular"), exponent - 1).passed
 
 
 @pytest.mark.parametrize(
@@ -248,12 +258,12 @@ def test_reports_count_what_they_checked():
     # An order below a relation's first n would compare nothing: refused.
     for use_oracle in (False, True):
         for kind, order in (("cor1", 0), ("cor3", 1)):
-            with pytest.raises(ValueError, match=f"{kind} holds for n >= {order + 1}"):
+            with pytest.raises(ValueError, match=f"{kind} is compared from q\\^{order + 1}"):
                 verify_relation(kind, order, use_oracle=use_oracle)
         assert verify_relation("cor3", 2, use_oracle=use_oracle).checked == 1
     assert verify_relation("cor1", 40).checked == 40
     assert verify(find_case("main-1"), 60).checked == 61
-    assert verify(negative_control(), 200).checked == 51
+    assert verify(negative_control(), 200).checked == 1  # q^50 alone, where it fails
 
 
 def test_failing_relation_counts_up_to_mismatch(monkeypatch):

@@ -551,13 +551,13 @@ def test_every_product_is_checked_once(monkeypatch):
     # 250 factors listed from them.
     calls = 0
 
-    def counting(sign, e):
+    def counting(monomial):
         nonlocal calls
         calls += 1
-        check(sign, e)
+        check(monomial)
 
-    check = series._check_binomial
-    monkeypatch.setattr(series, "_check_binomial", counting)
+    check = series.QMonomial.__post_init__
+    monkeypatch.setattr(series.QMonomial, "__post_init__", counting)
     assert list(gf_regular4(200).coeffs) == divisor_sum_product(_run(1, 4, 4, 200), _run(1, 1, 1, 200), 200)
     assert 0 < calls <= 2
 

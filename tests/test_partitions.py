@@ -366,33 +366,6 @@ def test_partition_refuses_non_int_parts():
             Partition(parts)
 
 
-def test_partition_refuses_parts_that_are_not_a_tuple():
-    for parts in ([3, 1], range(2), "21"):
-        with pytest.raises(TypeError, match="parts must be a tuple"):
-            Partition(parts)
-
-
-def test_walks_refuse_a_spec_that_is_not_a_constraint_spec():
-    # Refused up front, by type name, even where the walk would do nothing.
-    calls = [
-        lambda spec: count_oracle(5, spec),
-        lambda spec: count_oracle(-1, spec),
-        lambda spec: count_oracle_table(5, spec),
-        lambda spec: count_oracle_table(-1, spec),
-        lambda spec: enumerate_partitions(5, spec),
-        lambda spec: satisfies(Partition((3, 1)), spec),
-    ]
-    for spec, name in (("DE1", "str"), (None, "NoneType"), ({"min_part": 1}, "dict")):
-        for call in calls:
-            with pytest.raises(TypeError, match=f"spec must be a ConstraintSpec, got {name}"):
-                call(spec)
-
-
-def test_satisfies_refuses_a_bare_tuple():
-    with pytest.raises(TypeError, match="partition must be a Partition, got tuple"):
-        satisfies((3, 1), FAMILY_SPECS["DE1"])
-
-
 def test_ped_equals_regular4_to_200():
     assert gf_ped(200) == gf_regular4(200)
 
