@@ -14,8 +14,11 @@ comparison, ``identities.verify``: a relation is a case whose first n is
 where the comparison starts, and the negative control is compared from its
 perturbed q^50, so an order below either would compare nothing (``verify
 cor3 --order 1``, and so ``verify all --order 1``, and ``verify
-negative-control --order 10``).  That refusal, the library's
-``ValueError``, is a usage error here; the CLI adds no refusal of its own.
+negative-control --order 10``).  The library refuses that order, a negative
+count, and ``--oracle`` for a target that is no statement about family
+counts, each with a ``ValueError``; one ``except`` in :func:`main` turns it
+into a usage error.  The CLI keeps only the two refusals that need its own
+knowledge: ``enumerate`` beyond ``--oracle-limit``, and an unknown target.
 A side that cannot be built is no usage error: it is that check's report
 with status ``error``, printed as a row like any other, or with
 ``--machine`` as its record, the reason going to stderr.
@@ -128,26 +131,16 @@ def _print_reports(reports: List[VerificationReport], machine: bool) -> None:
 
 
 def cmd_verify(target: str, order: int, oracle: bool, machine: bool) -> int:
-    if oracle and target not in RELATIONS:
-        return _fail(
-            f"verify {target!r} takes no --oracle: only the statements about family counts "
-            f"{', '.join(RELATIONS)} can be re-checked by part-by-part counts"
-        )
-    try:
-        if target == "all":
-            reports = verify_all(order)
-        elif target in RELATIONS:
-            reports = [verify_relation(target, order, use_oracle=oracle)]
-        else:
-            case = negative_control() if target == "negative-control" else find_case(target)
-            if case is None:
-                valid = [c.id for c in registry()] + list(RELATION_KINDS) + ["negative-control", "all"]
-                return _fail(
-                    f"unknown identity {target!r}; valid targets: {', '.join(valid)}"
-                )
-            reports = [verify(case, order)]
-    except ValueError as exc:  # an order that would compare nothing
-        return _fail(str(exc))
+    if oracle or target in RELATIONS:  # verify_relation refuses --oracle for any other target
+        reports = [verify_relation(target, order, use_oracle=oracle)]
+    elif target == "all":
+        reports = verify_all(order)
+    else:
+        case = negative_control() if target == "negative-control" else find_case(target)
+        if case is None:
+            valid = [c.id for c in registry()] + list(RELATION_KINDS) + ["negative-control", "all"]
+            return _fail(f"unknown identity {target!r}; valid targets: {', '.join(valid)}")
+        reports = [verify(case, order)]
     _print_reports(reports, machine)
     return 0 if all(r.passed for r in reports) else 1
 
@@ -250,14 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    for name in ("--order", "--oracle-limit", "n", "max_n"):  # a flag is reported before a count
-        value = getattr(args, name.lstrip("-").replace("-", "_"), 0)
-        if value < 0:
-            return _fail(f"{name} must be nonnegative (got {value})")
-    values = vars(args)
+    values = vars(build_parser().parse_args(argv))
     del values["command"]
-    return values.pop("run")(**values)
+    try:
+        return values.pop("run")(**values)
+    except ValueError as exc:  # the library's refusal of a count, an order or a route
+        return _fail(str(exc))
 
 
 def entry_point() -> None:

@@ -427,7 +427,7 @@ def verify_relation(kind: str, order: int, use_oracle: bool = False) -> Verifica
     failing count builder gives a status "error" report.
     """
     if kind not in RELATIONS:
-        raise ValueError(f"unknown relation {kind!r}; expected one of {tuple(RELATIONS)}")
+        raise ValueError(f"{kind!r} is no statement about family counts; expected one of {', '.join(RELATIONS)}")
     check_type("use_oracle", use_oracle, bool)  # here, or verify would turn its TypeError into an error report
     return verify(_family_case(kind, RELATIONS[kind].statement, use_oracle), order)
 

@@ -164,7 +164,7 @@ def _heads(n: int, spec: ConstraintSpec, next_cap: List[int]) -> Iterator[Tuple[
     # head holds the largest part once (or twice, when at least two copies are
     # required), budget is n minus the head, and cap bounds every later part:
     # _plan's next_cap[k] when the largest part's multiplicity is free.
-    # The empty partition is a head of its own; n < 0 yields nothing.
+    # The empty partition is a head of its own.
     if n == 0:
         if spec.largest_parity == "any":
             yield (), 0, 0
@@ -193,7 +193,7 @@ def _plan(n: int, spec: ConstraintSpec) -> tuple:
     #   is_part[k]: whether k is in parts;
     #   lo_runs: how many copies of lo may close a tail.
     lo, modulus = spec.min_part, spec.regular_modulus
-    size = max(n, 0) + 1
+    size = n + 1
     is_part = [k > lo and (modulus is None or k % modulus != 0) for k in range(size)]
     parts = [k for k in range(size - 1, lo, -1) if is_part[k]]
     next_cap = [k - 1 if spec.distinct_even and k % 2 == 0 else k for k in range(size)]
@@ -232,12 +232,14 @@ def _tails(remaining: int, cap: int, plan: tuple) -> Iterator[Tuple[int, ...]]:
 def enumerate_partitions(n: int, spec: ConstraintSpec) -> List[Partition]:
     """All partitions of n satisfying spec, lexicographically decreasing.
 
-    A small-n reference: the list, and the time, grow exponentially with n.
-    Only ``enumerate`` is capped in the CLI, by ``--oracle-limit``;
+    A negative n is a ``ValueError``, refused after the spec, as
+    :func:`count_oracle_table` refuses a negative bound.  A small-n
+    reference: the list, and the time, grow exponentially with n.  Only
+    ``enumerate`` is capped in the CLI, by ``--oracle-limit``;
     :func:`count_oracle_table` is the route for depth.
     """
-    check_int("n", n)
     check_type("spec", spec, ConstraintSpec)
+    check_int("n", n, 0)
     plan = _plan(n, spec)
     return [
         Partition(head + tail)
@@ -247,7 +249,7 @@ def enumerate_partitions(n: int, spec: ConstraintSpec) -> List[Partition]:
 
 
 def count_oracle(n: int, spec: ConstraintSpec) -> int:
-    """Brute-force count; n < 0 counts nothing (handy for shifted relations).
+    """Brute-force count of the partitions of n that satisfy spec.
 
     Every counted partition is reached by its own path through the tree that
     :func:`enumerate_partitions` walks, but no partition is built.  A node
@@ -259,10 +261,11 @@ def count_oracle(n: int, spec: ConstraintSpec) -> int:
     A small-n reference, like the enumerator: its time grows exponentially
     with n.  Only ``enumerate`` is capped in the CLI, by ``--oracle-limit``;
     :func:`count_oracle_table` is the route for depth, and the tests check
-    it against this walk.
+    it against this walk.  A negative n is a ``ValueError``, refused after
+    the spec, as :func:`count_oracle_table` refuses a negative bound.
     """
-    check_int("n", n)
     check_type("spec", spec, ConstraintSpec)
+    check_int("n", n, 0)
     lo, parts, next_cap, first, is_part, lo_runs = _plan(n, spec)
     # Whether r is a leaf child of a node with r left: as a run of lo alone
     # (when lo <= the node's cap), and as the part r - lo closed by one lo

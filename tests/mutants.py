@@ -42,6 +42,12 @@ MUTANTS = [
     ("src/qident/series.py", "value < least", "value <= least", "check_int refuses its own least"),
     ("src/qident/series.py", "type(value) is not kind", "not isinstance(value, kind)", "check_type takes a subclass, so True is an int"),
     ("src/qident/partitions.py", 'check_int("up_to", up_to, 0)', 'check_int("up_to", up_to)', "count_oracle_table takes a negative bound"),
+    # The two walks' n checks are the same line, so each mutant is anchored on the line after it.
+    ("src/qident/partitions.py", 'check_int("n", n, 0)\n    plan =', 'check_int("n", n)\n    plan =', "enumerate_partitions takes a negative n"),
+    ("src/qident/partitions.py", 'check_int("n", n, 0)\n    lo, parts', 'check_int("n", n)\n    lo, parts', "count_oracle takes a negative n"),
+    ("src/qident/cli.py", "except ValueError", "except KeyError", "main lets the library's refusal escape as a traceback"),
+    # -- the product builders at depth
+    ("src/qident/partitions.py", "(QMonomial(-1, 2), 2, None)", "(QMonomial(-1, 2), 2, 1250)", "gf_ped's numerator cut to 1250 factors, short from q^2502"),
     # -- the part-by-part counts
     ("src/qident/partitions.py", "range(up_to, k - 1, -1) if", "range(k, up_to + 1) if", "the knapsack's descending pass: an even part repeats"),
     ("src/qident/partitions.py", '"at_least_two": (1, -1)', '"at_least_two": (1, 0)', "the knapsack's at_least_two weight without its subtraction"),

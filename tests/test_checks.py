@@ -30,6 +30,8 @@ BOUND_SITES = [
     ("partition-part", lambda v: Partition((1, v)), 1, "part must be >= 1, got 0"),
     ("spec-regular-modulus", lambda v: ConstraintSpec(regular_modulus=v), 2, "regular_modulus must be >= 2, got 1"),
     ("spec-min-part", lambda v: ConstraintSpec(min_part=v), 1, "min_part must be >= 1, got 0"),
+    ("enumerate-n", lambda v: enumerate_partitions(v, FAMILY_SPECS["DE1"]), 0, "n must be nonnegative, got -1"),
+    ("count-oracle-n", lambda v: count_oracle(v, FAMILY_SPECS["DE1"]), 0, "n must be nonnegative, got -1"),
     ("count-oracle-table", lambda v: count_oracle_table(v, FAMILY_SPECS["DE1"]), 0, "up_to must be nonnegative, got -1"),
     ("family-counts", lambda v: family_counts([("DE1", 0)], v), 0, "order must be nonnegative, got -1"),
     ("negative-control", negative_control, 0, "exponent must be nonnegative, got -1"),
@@ -50,7 +52,7 @@ class SpecSubclass(ConstraintSpec):
 DE1 = FAMILY_SPECS["DE1"]
 
 # (site, call taking the checked value, a value of the wrong class, its refusal).
-# The spec is refused up front, even where the walk would do nothing (n or up_to < 0).
+# The spec is refused up front, before a negative n or up_to.
 TYPE_SITES = [
     ("partition-parts-list", Partition, [3, 1], "parts must be tuple, got list"),
     ("partition-parts-range", Partition, range(2), "parts must be tuple, got range"),

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import pytest
@@ -386,8 +387,10 @@ def test_relation_examples():
 
 
 def test_relation_validation():
-    for kind in ("cor9", "help-1", "qbinomial-a0-zq", "negative-control"):
-        with pytest.raises(ValueError, match="unknown relation"):
+    kinds = "ped-eq-4regular, main-1, main-2, main-3, cor1, cor2, cor3, cor4"
+    for kind in ("cor9", "help-1", "qbinomial-a0-zq", "negative-control", "all"):
+        message = f"{kind!r} is no statement about family counts; expected one of {kinds}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             verify_relation(kind, 10)
     with pytest.raises(ValueError):
         verify_relation("cor1", -1)

@@ -168,8 +168,9 @@ def test_empty_partition_semantics():
 
 
 def test_negative_n():
-    assert count_oracle(-3, FAMILY_SPECS["DE2"]) == 0
-    assert enumerate_partitions(-1, FAMILY_SPECS["ped"]) == []
+    for walk in (count_oracle, enumerate_partitions):
+        with pytest.raises(ValueError, match=r"^n must be nonnegative, got -1$"):
+            walk(-1, FAMILY_SPECS["DE2"])
 
 
 # -- enumeration vs direct predicate filtering ------------------------------------
@@ -221,18 +222,20 @@ def test_count_oracle_walk_matches_enumeration(distinct_even, parity, mult):
     for modulus, min_part in itertools.product([None, 2, 3, 4, 5, 6], range(1, 6)):
         spec = ConstraintSpec(distinct_even, parity, mult, modulus, min_part)
         counts = []
-        for n in range(-1, 23):
+        for n in range(23):
             count = count_oracle(n, spec)
             assert count == len(enumerate_partitions(n, spec)), (spec, n)
-            if 0 <= n <= filtered_to:
+            if n <= filtered_to:
                 assert count == sum(satisfies(p, spec) for p in every[n]), (spec, n)
-            if n >= 0:
-                counts.append(count)
+            counts.append(count)
         assert count_oracle_table(22, spec) == counts, spec
         for up_to in range(4):
             assert count_oracle_table(up_to, spec) == counts[: up_to + 1], (spec, up_to)
         with pytest.raises(ValueError, match=r"^up_to must be nonnegative, got -1$"):
             count_oracle_table(-1, spec)
+        for walk in (count_oracle, enumerate_partitions):
+            with pytest.raises(ValueError, match=r"^n must be nonnegative, got -1$"):
+                walk(-1, spec)
 
 
 @pytest.mark.parametrize("distinct_even", [False, True])
