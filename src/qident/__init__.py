@@ -30,7 +30,6 @@ from .identities import (
     negative_control,
     registry,
     registry_ids,
-    report_record,
     verify,
     verify_all,
     verify_relation,
@@ -64,7 +63,6 @@ __all__ = [
     "negative_control",
     "registry",
     "registry_ids",
-    "report_record",
     "verify",
     "verify_all",
     "verify_relation",

@@ -19,9 +19,12 @@ count, and ``--oracle`` for a target that is no statement about family
 counts, each with a ``ValueError``; one ``except`` in :func:`main` turns it
 into a usage error.  The CLI keeps only the two refusals that need its own
 knowledge: ``enumerate`` beyond ``--oracle-limit``, and an unknown target.
-A side that cannot be built is no usage error: it is that check's report
-with status ``error``, printed as a row like any other, or with
-``--machine`` as its record, the reason going to stderr.
+:func:`_print_reports` writes every report: a row of the human table, or
+with ``--machine`` the five-field record
+``id,order,status,mismatch_exponent,elapsed_ms``.  A side that cannot be
+built is no usage error: it is that check's report with status ``error``,
+printed as a row like any other, or with ``--machine`` as its record, the
+reason going to stderr.
 
 Exit codes: 0 on success with everything passing, 1 when a verification or
 cross-check fails or a check reports ``error``, 2 for usage errors, 141
@@ -44,7 +47,6 @@ from .identities import (
     find_case,
     negative_control,
     registry,
-    report_record,
     side_values,
     verify,
     verify_all,
@@ -111,7 +113,8 @@ def _print_listing(rows: List[Tuple[str, str]]) -> None:
 def _print_reports(reports: List[VerificationReport], machine: bool) -> None:
     if machine:
         for r in reports:
-            print(report_record(r))
+            mm = "" if r.mismatch is None else r.mismatch[0]
+            print(f"{r.id},{r.order},{r.status},{mm},{round(r.elapsed * 1000)}")
             if r.status == "error":  # the record has no room for the reason
                 print(r.error, file=sys.stderr)
         return
@@ -191,7 +194,7 @@ _FLAGS = {
     ),
     "--machine": dict(action="store_true", help="emit comma-separated, script-friendly output"),
 }
-"""The flags that several subcommands share, each added only where it is read."""
+"""Option flags by name, each added by :func:`_subcommand` only to the subcommands that read it."""
 
 
 def _subcommand(sub, name: str, run: Callable[..., int], summary: str, *flags: str) -> argparse.ArgumentParser:

@@ -88,9 +88,6 @@ RELATIONS = {
     "cor4": Relation(2, _DE3_PAIR, _DE1_PAIR, (), "DE3(n+2) + DE3(n-1) = DE1(n) + DE1(n-1), n >= 2"),
 }
 
-RELATION_KINDS = ("cor1", "cor2", "cor3", "cor4")  # the relations that are not registry cases
-
-
 @dataclass(frozen=True)
 class IdentityCase:
     """A named LHS/RHS pair of series builders for one equation, compared from q^first."""
@@ -331,6 +328,8 @@ _REGISTRY = (
 )
 
 _CASES_BY_ID = {case.id: case for case in _REGISTRY}  # definitions, never series
+# The relations that are not registry cases.
+RELATION_KINDS = tuple(kind for kind in RELATIONS if kind not in _CASES_BY_ID)
 
 
 def registry() -> List[IdentityCase]:
@@ -445,8 +444,3 @@ def verify_all(order: int) -> List[VerificationReport]:
         _check_range(case, order)
     return sorted((verify(case, order) for case in cases), key=lambda r: r.id)
 
-
-def report_record(report: VerificationReport) -> str:
-    """One line per report: id,order,status,mismatch_exponent,elapsed_ms."""
-    mm = "" if report.mismatch is None else str(report.mismatch[0])
-    return f"{report.id},{report.order},{report.status},{mm},{int(round(report.elapsed * 1000))}"

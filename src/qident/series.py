@@ -67,15 +67,18 @@ class QMonomial:
         return base if self.sign == 1 else f"-{base}"
 
 
+@dataclass(frozen=True, slots=True)
 class TruncatedSeries:
     """A formal power series known modulo q^(order+1).
 
     ``coeffs[k]`` is the exact integer coefficient of q^k, ``0 <= k <= order``.
-    Instances are immutable; every operation returns a new series whose order
-    is the minimum of the operand orders.
+    A frozen dataclass, equal by order and coefficients and hashable; every
+    operation returns a new series whose order is the minimum of the operand
+    orders.  Its own ``__init__`` checks, pads and truncates the coefficients.
     """
 
-    __slots__ = ("coeffs", "order")
+    coeffs: Tuple[int, ...]
+    order: int
 
     def __init__(self, coeffs: Iterable[int], order: Optional[int] = None):
         cs = list(coeffs)
@@ -95,9 +98,6 @@ class TruncatedSeries:
             del cs[order + 1:]
         object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "order", order)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
 
     # -- constructors -------------------------------------------------------
 
@@ -239,14 +239,6 @@ class TruncatedSeries:
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
 
     def __str__(self):
         terms = []

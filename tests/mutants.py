@@ -37,6 +37,7 @@ MUTANTS = [
     ("src/qident/series.py", "if e < room:", "if e <= room:", "ratio_sum's room test runs a pass that changes nothing"),
     ("src/qident/series.py", "_factors([(*pair, m) for pair in den], order, True)", "_factors([(*pair, m) for pair in den], order, False)", "ratio_sum's denominator pairs not checked as divisors"),
     ("src/qident/series.py", "types.count(int) != len(types)", "False", "the constructor's coefficient type test dropped"),
+    ("src/qident/series.py", "@dataclass(frozen=True, slots=True)", "@dataclass(slots=True)", "TruncatedSeries not frozen: assignable and unhashable"),
     ("src/qident/series.py", "a, b = self.coeffs[: n + 1], other.coeffs[: n + 1]", "a, b = self.coeffs[:n], other.coeffs[:n]", "first_mismatch's fast path misses the last coefficient"),
     # -- the one argument rule
     ("src/qident/series.py", "value < least", "value <= least", "check_int refuses its own least"),
@@ -45,6 +46,7 @@ MUTANTS = [
     # The two walks' n checks are the same line, so each mutant is anchored on the line after it.
     ("src/qident/partitions.py", 'check_int("n", n, 0)\n    plan =', 'check_int("n", n)\n    plan =', "enumerate_partitions takes a negative n"),
     ("src/qident/partitions.py", 'check_int("n", n, 0)\n    lo, parts', 'check_int("n", n)\n    lo, parts', "count_oracle takes a negative n"),
+    ("src/qident/partitions.py", "self.largest_multiplicity not in LARGEST_MULTIPLICITIES", "False", "ConstraintSpec takes an unknown largest_multiplicity"),
     ("src/qident/cli.py", "except ValueError", "except KeyError", "main lets the library's refusal escape as a traceback"),
     # -- the product builders at depth
     ("src/qident/partitions.py", "(QMonomial(-1, 2), 2, None)", "(QMonomial(-1, 2), 2, 1250)", "gf_ped's numerator cut to 1250 factors, short from q^2502"),
@@ -64,6 +66,8 @@ MUTANTS = [
     ("src/qident/identities.py", "    for case in cases:\n        _check_range(case, order)\n", "", "verify_all builds before its range pre-check"),
     ("src/qident/identities.py", "monomial(1, exponent, order)", "monomial(1, exponent + 1, order)", "the negative control perturbs the wrong exponent"),
     ("src/qident/identities.py", "        first=exponent,\n", "", "the negative control compared from q^0: below its exponent it passes vacuously"),
+    ("src/qident/identities.py", "kind not in _CASES_BY_ID", "kind in _CASES_BY_ID", "RELATION_KINDS lists the registry's relations, not the others"),
+    ("src/qident/cli.py", "round(r.elapsed * 1000)", "round(r.elapsed)", "the --machine record gives elapsed in seconds, not milliseconds"),
     ("src/qident/cli.py", "return 0 if all(r.passed for r in reports) else 1", "return 0", "cmd_verify exits 0 on a failed check"),
     # -- equivalent: listed so the argument is kept, not gated
     ("src/qident/series.py", "cs[es[n]] = 1", "cs[es[n]] += 1", "ratio_sum's write of the 1"),

@@ -8,7 +8,7 @@ import pytest
 
 import qident
 from qident import identities
-from qident.cli import main
+from qident.cli import _print_reports, main
 from qident.partitions import FAMILY_SPECS, count_oracle, count_oracle_table
 from qident.series import TruncatedSeries
 
@@ -200,6 +200,18 @@ def test_verify_machine_record(capsys):
     case_id, order, status, mismatch, elapsed_ms = out.strip().split(",")
     assert (case_id, order, status, mismatch) == ("ped-eq-4regular", "80", "pass", "")
     assert elapsed_ms.isdigit()
+
+
+def test_print_reports_machine_record(capsys):
+    # The golden files cut elapsed_ms, so its rounding to whole milliseconds is pinned here.
+    _print_reports(
+        [
+            identities.VerificationReport("some-id", 100, "pass", None, 0.01234),
+            identities.VerificationReport("other-id", 60, "fail", (50, 1, 2), 0.002),
+        ],
+        machine=True,
+    )
+    assert capsys.readouterr().out == "some-id,100,pass,,12\nother-id,60,fail,50,2\n"
 
 
 def test_verify_negative_control(capsys):

@@ -14,7 +14,6 @@ from qident.identities import (
     negative_control,
     registry,
     registry_ids,
-    report_record,
     verify,
     verify_all,
     verify_relation,
@@ -475,13 +474,6 @@ def test_verify_all_is_deterministic():
     first = [(r.id, r.order, r.status, r.mismatch) for r in verify_all(40)]
     second = [(r.id, r.order, r.status, r.mismatch) for r in verify_all(40)]
     assert first == second
-
-
-def test_report_record_format():
-    passing = VerificationReport("some-id", 100, "pass", None, 0.01234)
-    assert report_record(passing) == "some-id,100,pass,,12"
-    failing = VerificationReport("other-id", 60, "fail", (50, 1, 2), 0.002)
-    assert report_record(failing) == "other-id,60,fail,50,2"
 
 
 def test_scaled_and_unscaled_de3_forms_agree():

@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import random
+import re
 import sys
 
 import pytest
@@ -131,6 +132,10 @@ def test_constraint_spec_validation():
         ConstraintSpec(regular_modulus=1)
     with pytest.raises(ValueError):
         ConstraintSpec(min_part=0)
+    # The exact text: without its own check an unknown value fails the parity check with another one.
+    message = "largest_multiplicity must be one of ('any', 'at_least_two', 'exactly_one')"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ConstraintSpec(largest_multiplicity="bogus")
 
 
 # -- golden examples --------------------------------------------------------------

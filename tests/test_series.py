@@ -124,6 +124,25 @@ def test_immutable():
     s = ts(1, 2, 3)
     with pytest.raises(AttributeError):
         s.order = 5
+    assert not hasattr(s, "__dict__")
+
+
+def test_equal_series_hash_alike():
+    a, b = ts(1, 2, 0), TruncatedSeries([1, 2], 2)
+    assert a == b and a is not b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+def test_series_is_unequal_to_a_tuple_and_an_int():
+    s = ts(1, 2, 3)
+    assert s.__eq__((1, 2, 3)) is NotImplemented
+    assert s != (1, 2, 3)
+    assert ts(5) != 5 and 5 != ts(5)
+
+
+def test_repr():
+    assert repr(TruncatedSeries([1, 2], 4)) == "<TruncatedSeries 1 + 2q + O(q^5)>"
 
 
 # -- linear operations ---------------------------------------------------------
