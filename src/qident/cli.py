@@ -9,16 +9,19 @@ reading the generating functions: ``verify`` takes it for the eight
 statements about family counts (``ped-eq-4regular``, ``main-1`` ..
 ``main-3``, ``cor1`` .. ``cor4``) and refuses it for every other target.
 
-``verify`` reports every case and relation through the library's one
-comparison, ``identities.verify``: a relation is a case whose first n is
-where the comparison starts, and the negative control is compared from its
-perturbed q^50, so an order below either would compare nothing (``verify
-cor3 --order 1``, and so ``verify all --order 1``, and ``verify
+``verify`` and ``list-identities`` read one target list: the registry,
+``cor1`` .. ``cor4``, then the negative control.  ``verify`` reports each
+through the library's one comparison, ``identities.verify``, and calls
+``verify_relation`` only for ``--oracle``: a relation is a case whose first
+n is where the comparison starts, and the negative control is compared from
+its perturbed q^50, so an order below either would compare nothing
+(``verify cor3 --order 1``, and so ``verify all --order 1``, and ``verify
 negative-control --order 10``).  The library refuses that order, a negative
 count, and ``--oracle`` for a target that is no statement about family
-counts, each with a ``ValueError``; one ``except`` in :func:`main` turns it
-into a usage error.  The CLI keeps only the two refusals that need its own
-knowledge: ``enumerate`` beyond ``--oracle-limit``, and an unknown target.
+counts, each with a ``ValueError``.  The CLI's two refusals of its own,
+``enumerate`` beyond ``--oracle-limit`` and an unknown target, raise
+``ValueError`` too, so one ``except`` in :func:`main` turns every usage
+error into exit 2.
 :func:`_print_reports` writes every report: a row of the human table, or
 with ``--machine`` the five-field record
 ``id,order,status,mismatch_exponent,elapsed_ms``.  A side that cannot be
@@ -64,10 +67,8 @@ TABLE_COLUMNS = [(label, ((family, 0),)) for label, family in _TABLE_FAMILIES] +
 
 TABLE_HEADER = ("n",) + tuple(label for label, _ in TABLE_COLUMNS)
 
-
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
+_TARGETS = {c.id: c for c in registry() + [find_case(kind) for kind in RELATION_KINDS] + [negative_control()]}
+"""The checks ``verify`` and ``list-identities`` name, by id: the registry, cor1..cor4, the negative control."""
 
 
 def cmd_count(family: str, n: int, oracle: bool, machine: bool) -> int:
@@ -92,7 +93,7 @@ def cmd_count(family: str, n: int, oracle: bool, machine: bool) -> int:
 
 def cmd_enumerate(family: str, n: int, oracle_limit: int) -> int:
     if n > oracle_limit:
-        return _fail(
+        raise ValueError(
             f"enumeration is brute force and capped at n <= {oracle_limit}; "
             f"raise --oracle-limit if you really want n = {n}"
         )
@@ -134,16 +135,14 @@ def _print_reports(reports: List[VerificationReport], machine: bool) -> None:
 
 
 def cmd_verify(target: str, order: int, oracle: bool, machine: bool) -> int:
-    if oracle or target in RELATIONS:  # verify_relation refuses --oracle for any other target
-        reports = [verify_relation(target, order, use_oracle=oracle)]
+    if oracle:  # verify_relation refuses --oracle for a target that is no family statement
+        reports = [verify_relation(target, order, use_oracle=True)]
     elif target == "all":
         reports = verify_all(order)
+    elif target in _TARGETS:
+        reports = [verify(_TARGETS[target], order)]
     else:
-        case = negative_control() if target == "negative-control" else find_case(target)
-        if case is None:
-            valid = [c.id for c in registry()] + list(RELATION_KINDS) + ["negative-control", "all"]
-            return _fail(f"unknown identity {target!r}; valid targets: {', '.join(valid)}")
-        reports = [verify(case, order)]
+        raise ValueError(f"unknown identity {target!r}; valid targets: {', '.join([*_TARGETS, 'all'])}")
     _print_reports(reports, machine)
     return 0 if all(r.passed for r in reports) else 1
 
@@ -168,14 +167,10 @@ def cmd_table(max_n: int, machine: bool) -> int:
 
 
 def cmd_list_identities(machine: bool) -> int:
-    rows = [(case.id, case.description) for case in registry()]
-    rows += [(kind, RELATIONS[kind].statement) for kind in RELATION_KINDS]
-    rows.append(("negative-control", negative_control().description))
     if machine:
-        for name, _ in rows:
-            print(name)
+        print("\n".join(_TARGETS))
     else:
-        _print_listing(rows)
+        _print_listing([(case.id, case.description) for case in _TARGETS.values()])
     return 0
 
 
@@ -250,8 +245,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     del values["command"]
     try:
         return values.pop("run")(**values)
-    except ValueError as exc:  # the library's refusal of a count, an order or a route
-        return _fail(str(exc))
+    except ValueError as exc:  # every usage error: the library's refusals and the CLI's own
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry_point() -> None:

@@ -17,9 +17,10 @@ either side of any of them through :func:`family_counts` and
 :func:`side_values`, from the generating functions or, with ``use_oracle``,
 from one part-by-part count per family.  A relation is checked as an
 :class:`IdentityCase` whose ``first`` is its first n, made by
-:func:`_family_case`; the first four are also registry cases, on the series
-route.  The pair columns of ``qident table`` and both counts of ``qident
-count`` read the same two functions.
+:func:`_family_case`.  The first four are registry cases; ``cor1`` ..
+``cor4`` are built once at import beside them, so :func:`find_case` finds
+all eight on the series route.  The pair columns of ``qident table`` and
+both counts of ``qident count`` read the same two functions.
 
 Every check is a case, and :func:`verify` is the one comparison, with one
 outcome, a :class:`VerificationReport`.  It refuses an order that would
@@ -248,7 +249,7 @@ def _asv_case(case_id: str, at: str, step: int, a: QMonomial, b: QMonomial) -> I
         id=case_id,
         description=f"two-parameter closed form {at} Q = q^{step}, a = {a}, b = {b}",
         lhs=partial(ratio_sum, first=0, step=step, num=((a, step),), den=((b, step),)),
-        rhs=lambda order: _asv_rhs(step, a, b, order),
+        rhs=partial(_asv_rhs, step, a, b),
         statement=(
             "sum_{n>=0} (a;Q)_n Q^n/(b;Q)_n"
             " = Q(a;Q)_inf/(b (b;Q)_inf (1-aQ/b)) + (1-Q/b)/(1-aQ/b)"
@@ -328,8 +329,9 @@ _REGISTRY = (
 )
 
 _CASES_BY_ID = {case.id: case for case in _REGISTRY}  # definitions, never series
-# The relations that are not registry cases.
+# The relations that are not registry cases; find_case finds them too.
 RELATION_KINDS = tuple(kind for kind in RELATIONS if kind not in _CASES_BY_ID)
+_CASES_BY_ID.update((kind, _family_case(kind, RELATIONS[kind].statement)) for kind in RELATION_KINDS)
 
 
 def registry() -> List[IdentityCase]:
@@ -342,6 +344,12 @@ def registry_ids() -> List[str]:
 
 
 def find_case(case_id: str) -> Optional[IdentityCase]:
+    """The registry case or relation ``case_id`` names, the same object on every call, or None.
+
+    All eight family statements are found, on the series route: the four
+    registry theorems and ``cor1`` .. ``cor4``, whose cases are built once at
+    import.  The negative control is made by :func:`negative_control`, not found here.
+    """
     return _CASES_BY_ID.get(case_id)
 
 
@@ -423,7 +431,9 @@ def verify_relation(kind: str, order: int, use_oracle: bool = False) -> Verifica
     sides are :func:`_family_side` series, and :func:`verify` compares them
     from there, so a mismatch reports (n, left, right), an order below
     the first n is a ``ValueError`` raised before anything is counted, and a
-    failing count builder gives a status "error" report.
+    failing count builder gives a status "error" report.  The CLI calls it
+    only for ``verify --oracle``; without it, the CLI verifies
+    :func:`find_case`'s case for the relation.
     """
     if kind not in RELATIONS:
         raise ValueError(f"{kind!r} is no statement about family counts; expected one of {', '.join(RELATIONS)}")
@@ -432,14 +442,14 @@ def verify_relation(kind: str, order: int, use_oracle: bool = False) -> Verifica
 
 
 def verify_all(order: int) -> List[VerificationReport]:
-    """Verify every registry case plus the four relations; reports sorted by id.
+    """Verify every registry case plus cor1..cor4, as :func:`find_case` holds them; reports sorted by id.
 
     A side that fails to build, in a case or a relation, is that check's
     status "error" report, and the batch goes on.  An order below 2, where
     some relation would compare nothing, is a ``ValueError`` raised before
     anything is built.
     """
-    cases = registry() + [_family_case(kind, RELATIONS[kind].statement) for kind in RELATION_KINDS]
+    cases = registry() + [find_case(kind) for kind in RELATION_KINDS]
     for case in cases:
         _check_range(case, order)
     return sorted((verify(case, order) for case in cases), key=lambda r: r.id)

@@ -114,10 +114,7 @@ class TruncatedSeries:
         """The series sign * q^exp; the zero series if exp exceeds order."""
         QMonomial(sign, exp)  # the one check of a sign and exponent
         check_int("order", order)
-        cs = [0] * (order + 1)
-        if exp <= order:
-            cs[exp] = sign
-        return cls(cs, order)
+        return cls([0] * min(exp, order + 1) + [sign], order)
 
     # -- ring operations ----------------------------------------------------
 
@@ -153,10 +150,7 @@ class TruncatedSeries:
     def shift(self, e: int) -> "TruncatedSeries":
         """Multiply by q^e: coefficient of q^k moves to q^(k+e)."""
         check_int("shift exponent", e, 0)
-        if e > self.order:
-            return TruncatedSeries.zero(self.order)
-        cs = [0] * e + list(self.coeffs[: self.order + 1 - e])
-        return TruncatedSeries(cs, self.order)
+        return TruncatedSeries([0] * min(e, self.order + 1) + list(self.coeffs), self.order)
 
     def __mul__(self, other):
         if isinstance(other, int):

@@ -67,6 +67,9 @@ MUTANTS = [
     ("src/qident/identities.py", "monomial(1, exponent, order)", "monomial(1, exponent + 1, order)", "the negative control perturbs the wrong exponent"),
     ("src/qident/identities.py", "        first=exponent,\n", "", "the negative control compared from q^0: below its exponent it passes vacuously"),
     ("src/qident/identities.py", "kind not in _CASES_BY_ID", "kind in _CASES_BY_ID", "RELATION_KINDS lists the registry's relations, not the others"),
+    ("src/qident/identities.py", "_CASES_BY_ID.update((kind, _family_case(kind, RELATIONS[kind].statement)) for kind in RELATION_KINDS)\n", "", "find_case does not find cor1..cor4"),
+    ("src/qident/cli.py", "    if oracle:  #", "    if True:  #", "verify counts part by part without --oracle"),
+    ("src/qident/cli.py", " + [negative_control()]", "", "the CLI's target list drops the negative control"),
     ("src/qident/cli.py", "round(r.elapsed * 1000)", "round(r.elapsed)", "the --machine record gives elapsed in seconds, not milliseconds"),
     ("src/qident/cli.py", "return 0 if all(r.passed for r in reports) else 1", "return 0", "cmd_verify exits 0 on a failed check"),
     # -- equivalent: listed so the argument is kept, not gated

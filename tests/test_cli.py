@@ -246,9 +246,11 @@ def test_verify_negative_control_fails_at_order_50(capsys):
 
 
 def test_verify_unknown_id(capsys):
-    code, _, err = run(capsys, "verify", "bogus-id")
-    assert code == 2
-    assert "ped-eq-4regular" in err and "main-3" in err
+    # The refusal names every target verify takes, in listing order, then all.
+    code, out, err = run(capsys, "verify", "bogus-id")
+    valid = qident.registry_ids() + ["cor1", "cor2", "cor3", "cor4", "negative-control", "all"]
+    assert (code, out) == (2, "")
+    assert err == f"error: unknown identity 'bogus-id'; valid targets: {', '.join(valid)}\n"
 
 
 def test_verify_relation_with_oracle(capsys):
@@ -271,6 +273,18 @@ def test_verify_theorems_with_oracle_build_no_series(capsys, monkeypatch, target
     code, out, err = run(capsys, "verify", target, "--oracle", "--order", "1000", "--machine")
     assert code == 0 and err == ""
     assert out.startswith(f"{target},1000,pass,,")
+
+
+@pytest.mark.parametrize("target", list(identities.RELATIONS))
+def test_verify_family_statements_without_oracle_count_no_partitions(capsys, monkeypatch, target):
+    # Without --oracle every family statement, cor1..cor4 included, is read off the series.
+    def refuse(*args):
+        raise RuntimeError("verify without --oracle counted part by part")
+
+    monkeypatch.setattr(identities, "count_oracle_table", refuse)
+    code, out, err = run(capsys, "verify", target, "--order", "300", "--machine")
+    assert code == 0 and err == ""
+    assert out.startswith(f"{target},300,pass,,")
 
 
 @pytest.fixture

@@ -294,12 +294,14 @@ def test_every_relation_holds_on_both_routes(kind, order, use_oracle):
     assert report.checked == order - RELATIONS[kind].first_n + 1
 
 
-@pytest.mark.parametrize("kind", ["ped-eq-4regular", "main-1", "main-2", "main-3"])
+@pytest.mark.parametrize("kind", RELATIONS)
 def test_theorem_cases_are_their_relations(kind):
-    # The registry case reads its relation's sides from the generating
-    # functions; part-by-part counts give the same coefficients, the
-    # corrections at q^0..q^2 included, at the lowest orders and deep.
+    # find_case finds every relation, theorems and cor1..cor4 alike, as one
+    # case that reads its sides from the generating functions; part-by-part
+    # counts give the same coefficients, the corrections at q^0..q^2
+    # included, at the lowest orders and deep.
     case = find_case(kind)
+    assert case is find_case(kind)
     oracle = identities._family_case(kind, case.description, use_oracle=True)
     assert (case.id, case.statement, case.first) == (oracle.id, oracle.statement, oracle.first)
     assert (case.statement, case.first) == (RELATIONS[kind].statement, RELATIONS[kind].first_n)
@@ -468,6 +470,17 @@ def test_verify_all_at_order_zero(monkeypatch):
     reports = verify_all(2)
     assert len(reports) == len(registry()) + 4 == 37
     assert all(r.passed for r in reports)
+
+
+def test_verify_all_reads_the_cases_built_at_import(monkeypatch):
+    # The cor cases are built once, at import: verify_all builds none again.
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_all built a relation case")
+
+    monkeypatch.setattr(identities, "_family_case", refuse)
+    reports = verify_all(2)
+    assert len(reports) == 37 and all(r.passed for r in reports)
+    assert {r.id for r in reports} >= set(RELATIONS)
 
 
 def test_verify_all_is_deterministic():

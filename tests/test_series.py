@@ -43,6 +43,9 @@ def test_monomial_examples():
     assert TruncatedSeries.monomial(1, 0, 4) == ts(1, 0, 0, 0, 0)
     assert TruncatedSeries.monomial(-1, 2, 4) == ts(0, 0, -1, 0, 0)
     assert TruncatedSeries.monomial(1, 7, 4) == TruncatedSeries.zero(4)
+    # The boundary: q^order is the last exponent kept.
+    assert TruncatedSeries.monomial(-1, 4, 4) == ts(0, 0, 0, 0, -1)
+    assert TruncatedSeries.monomial(1, 5, 4) == TruncatedSeries.zero(4)
 
 
 def test_monomial_validation():
@@ -196,6 +199,9 @@ def test_shift():
     assert ts(1, 1, 0, 0, 0).shift(2) == ts(0, 0, 1, 1, 0)
     assert ts(1, 2, 3).shift(0) == ts(1, 2, 3)
     assert ts(1, 2, 3).shift(5) == TruncatedSeries.zero(2)
+    # The boundary: by the order only the constant term survives, at q^order.
+    assert ts(1, 2, 3).shift(2) == ts(0, 0, 1)
+    assert ts(1, 2, 3).shift(3) == TruncatedSeries.zero(2)
     with pytest.raises(ValueError):
         ts(1).shift(-1)
 
