@@ -421,24 +421,26 @@ def verify_relation(kind: str, order: int, use_oracle: bool = False) -> Verifica
 
     Any of the eight family-count statements may be checked: the theorems
     ``main-1`` .. ``main-3`` and ``ped-eq-4regular`` as well as ``cor1`` ..
-    ``cor4``.  The fast path reads counts off the generating functions; with
-    ``use_oracle`` every count comes instead from one
-    :func:`count_oracle_table` per family, a count that goes part by part
-    from the family's partition rules and shares no counting code with the
-    generating functions.  It checks all four corollaries to n = 50 in about
-    2 ms and to n = 1000 in about 0.8 s (2-core Intel Xeon VM, Python
-    3.11.7).  The relation is a case whose ``first`` is its first n and whose
-    sides are :func:`_family_side` series, and :func:`verify` compares them
-    from there, so a mismatch reports (n, left, right), an order below
+    ``cor4``.  The series route verifies :func:`find_case`'s case for the
+    relation, built once at import, whose sides read their counts off the
+    generating functions.  With ``use_oracle`` the relation is built as a
+    case whose every count comes instead from one :func:`count_oracle_table`
+    per family, a count that goes part by part from the family's partition
+    rules and shares no counting code with the generating functions; that
+    route checks all four corollaries to n = 50 in about 1 ms and to
+    n = 1000 in about 0.46 s (medians, shared 2-core Intel Xeon VM, Python
+    3.11.7).  Either case has its first n as ``first`` and
+    :func:`_family_side` series as its sides, and :func:`verify` compares
+    them from there, so a mismatch reports (n, left, right), an order below
     the first n is a ``ValueError`` raised before anything is counted, and a
     failing count builder gives a status "error" report.  The CLI calls it
-    only for ``verify --oracle``; without it, the CLI verifies
-    :func:`find_case`'s case for the relation.
+    only for ``verify --oracle``; without it, the CLI verifies the same
+    :func:`find_case` case.
     """
     if kind not in RELATIONS:
         raise ValueError(f"{kind!r} is no statement about family counts; expected one of {', '.join(RELATIONS)}")
     check_type("use_oracle", use_oracle, bool)  # here, or verify would turn its TypeError into an error report
-    return verify(_family_case(kind, RELATIONS[kind].statement, use_oracle), order)
+    return verify(_family_case(kind, RELATIONS[kind].statement, True) if use_oracle else find_case(kind), order)
 
 
 def verify_all(order: int) -> List[VerificationReport]:

@@ -15,12 +15,13 @@ Intel Xeon VM with Python 3.11.7.
   counted partition is reached by its own path.  It reads a plan built once
   per call, so a node does only list lookups: the allowed parts above the
   smallest part lo, largest first; the cap each part leaves for the parts
-  after it; and, for every m, where the parts <= m start.  A node with r
-  left and parts capped at c adds its leaf children in place, without a
-  call: the run of lo alone, the part r alone, and the part r - lo closed
-  by one lo.  It descends only into parts k <= r - lo - 1, the ones that
-  leave more than lo.  The six families at n = 50 take about 0.04 s, and
-  the time grows exponentially with n.
+  after it; for every m, where the parts <= m start; and, for every r,
+  whether a run of lo alone makes up r.  A node with r left and parts
+  capped at c adds its leaf children in place, without a call: the run of
+  lo alone, the part r alone, and the part r - lo closed by one lo.  It
+  descends only into parts k <= r - lo - 1, the ones that leave more than
+  lo.  The six families at n = 50 take about 0.04 s, and the time grows
+  exponentially with n.
 - :func:`count_oracle_table` counts every n up to a bound part by part,
   straight from the spec's rules, and enumerates nothing: a knapsack over
   the allowed part sizes in ascending order, in which an even part that may
@@ -160,19 +161,17 @@ def satisfies(partition: Partition, spec: ConstraintSpec) -> bool:
 
 
 def _heads(n: int, spec: ConstraintSpec, next_cap: List[int]) -> Iterator[Tuple[Tuple[int, ...], int, int]]:
-    # The largest-part choices for n, largest first: (head, budget, cap) where
-    # head holds the largest part once (or twice, when at least two copies are
-    # required), budget is n minus the head, and cap bounds every later part:
+    # The heads of the partitions of n, largest first, as (head, budget, cap):
+    # budget is n minus the head, and cap bounds every later part.  A spec
+    # with no rule on its largest part has the one head (), n, n: the whole
+    # partition is a tail.  Otherwise head holds an odd largest part k once
+    # (or twice, when at least two copies are required), and cap is
     # _plan's next_cap[k] when the largest part's multiplicity is free.
-    # The empty partition is a head of its own.
-    if n == 0:
-        if spec.largest_parity == "any":
-            yield (), 0, 0
+    if spec.largest_parity == "any":
+        yield (), n, n
         return
     for k in range(n, spec.min_part - 1, -1):
-        if spec.largest_parity == "odd" and k % 2 == 0:
-            continue
-        if spec.regular_modulus is not None and k % spec.regular_modulus == 0:
+        if k % 2 == 0 or spec.regular_modulus is not None and k % spec.regular_modulus == 0:
             continue
         if spec.largest_multiplicity == "exactly_one":
             yield (k,), n - k, k - 1
@@ -185,13 +184,13 @@ def _heads(n: int, spec: ConstraintSpec, next_cap: List[int]) -> Iterator[Tuple[
 
 def _plan(n: int, spec: ConstraintSpec) -> tuple:
     # What a node of the part tree looks up, for parts and sums up to n, as
-    # (lo, parts, next_cap, first, is_part, lo_runs):
+    # (lo, parts, next_cap, first, is_part, run):
     #   lo: the smallest allowed part size, spec.min_part;
     #   parts: the allowed parts above lo, largest first;
     #   next_cap[k]: the bound on the parts after a part k;
     #   first[m]: the index in parts of the largest part <= m;
     #   is_part[k]: whether k is in parts;
-    #   lo_runs: how many copies of lo may close a tail.
+    #   run[r]: whether a run of lo alone can make up r.
     lo, modulus = spec.min_part, spec.regular_modulus
     size = n + 1
     is_part = [k > lo and (modulus is None or k % modulus != 0) for k in range(size)]
@@ -208,7 +207,8 @@ def _plan(n: int, spec: ConstraintSpec) -> tuple:
         lo_runs = 1
     else:
         lo_runs = size
-    return lo, parts, next_cap, first, is_part, lo_runs
+    run = [r % lo == 0 and r // lo <= lo_runs for r in range(size)]
+    return lo, parts, next_cap, first, is_part, run
 
 
 def _tails(remaining: int, cap: int, plan: tuple) -> Iterator[Tuple[int, ...]]:
@@ -219,13 +219,13 @@ def _tails(remaining: int, cap: int, plan: tuple) -> Iterator[Tuple[int, ...]]:
     if remaining == 0:
         yield ()
         return
-    lo, parts, next_cap, first, _, lo_runs = plan
+    lo, parts, next_cap, first, _, run = plan
     top = min(remaining, cap)
     if top > lo:
         for k in parts[first[top]:]:
             for rest in _tails(remaining - k, next_cap[k], plan):
                 yield (k,) + rest
-    if lo <= cap and remaining % lo == 0 and remaining // lo <= lo_runs:
+    if lo <= cap and run[remaining]:
         yield (lo,) * (remaining // lo)
 
 
@@ -266,12 +266,11 @@ def count_oracle(n: int, spec: ConstraintSpec) -> int:
     """
     check_type("spec", spec, ConstraintSpec)
     check_int("n", n, 0)
-    lo, parts, next_cap, first, is_part, lo_runs = _plan(n, spec)
-    # Whether r is a leaf child of a node with r left: as a run of lo alone
-    # (when lo <= the node's cap), and as the part r - lo closed by one lo
-    # (when r - lo <= the cap).
-    run = [r % lo == 0 and r // lo <= lo_runs for r in range(len(is_part))]
-    closed = [lo_runs > 0 and r > lo and is_part[r - lo] for r in range(len(is_part))]
+    lo, parts, next_cap, first, is_part, run = _plan(n, spec)
+    # Whether r is a leaf child of a node with r left: as a run of lo alone,
+    # run[r] (when lo <= the node's cap), and as the part r - lo closed by one
+    # lo, closed[r] (when r - lo <= the cap); r > lo keeps run[lo] in range.
+    closed = [r > lo and run[lo] and is_part[r - lo] for r in range(len(is_part))]
 
     def tails(r: int, c: int) -> int:
         # The tails of a node with r > 0 left and parts <= c: its leaf

@@ -55,6 +55,9 @@ MUTANTS = [
     ("src/qident/partitions.py", '"at_least_two": (1, -1)', '"at_least_two": (1, 0)', "the knapsack's at_least_two weight without its subtraction"),
     ("src/qident/partitions.py", "k - 1 if spec.distinct_even and k % 2 == 0 else k", "k", "the walks let an even part repeat"),
     ("src/qident/partitions.py", "total += is_part[r]", "total += 0", "count_oracle's part-r-alone leaf dropped"),
+    ("src/qident/partitions.py", "yield (), n, n", "yield (), n, n - 1", "a spec with no largest-part rule loses the partition of n into one part"),
+    ("src/qident/partitions.py", "r > lo and run[lo] and", "r > lo and", "count_oracle closes r - lo with a lo that cannot be a part"),
+    ("src/qident/partitions.py", "if k % 2 == 0 or spec", "if spec", "an odd-largest spec takes an even largest part"),
     # -- the statements and the comparison
     ("src/qident/identities.py", "(1, 1), (2, -1)", "(1, 1), (2, 1)", "main-3's q^2 correction flipped"),
     ("src/qident/identities.py", "(0,) * case.first + side.coeffs[case.first :]", "side.coeffs", "verify compares the sides below a case's first n"),
@@ -67,6 +70,7 @@ MUTANTS = [
     ("src/qident/identities.py", "monomial(1, exponent, order)", "monomial(1, exponent + 1, order)", "the negative control perturbs the wrong exponent"),
     ("src/qident/identities.py", "        first=exponent,\n", "", "the negative control compared from q^0: below its exponent it passes vacuously"),
     ("src/qident/identities.py", "kind not in _CASES_BY_ID", "kind in _CASES_BY_ID", "RELATION_KINDS lists the registry's relations, not the others"),
+    ("src/qident/identities.py", "if use_oracle else find_case(kind)", "if use_oracle else _family_case(kind, RELATIONS[kind].statement)", "verify_relation builds a new series case, not find_case's"),
     ("src/qident/identities.py", "_CASES_BY_ID.update((kind, _family_case(kind, RELATIONS[kind].statement)) for kind in RELATION_KINDS)\n", "", "find_case does not find cor1..cor4"),
     ("src/qident/cli.py", "    if oracle:  #", "    if True:  #", "verify counts part by part without --oracle"),
     ("src/qident/cli.py", " + [negative_control()]", "", "the CLI's target list drops the negative control"),

@@ -312,12 +312,24 @@ def test_theorem_cases_are_their_relations(kind):
 
 def test_theorems_need_their_corrections(monkeypatch):
     # Without its correction each theorem fails at the corrected exponent:
-    # main-1 and main-2 at q^0, main-3 at q^1.
+    # main-1 and main-2 at q^0, main-3 at q^1.  The series route checks the
+    # case built at import, so the uncorrected cases are built here.
     for kind, exponent in (("main-1", 0), ("main-2", 0), ("main-3", 1)):
         monkeypatch.setitem(RELATIONS, kind, RELATIONS[kind]._replace(correction=()))
         for use_oracle in (False, True):
-            report = verify_relation(kind, 10, use_oracle=use_oracle)
+            report = verify(identities._family_case(kind, kind, use_oracle), 10)
             assert report.status == "fail" and report.mismatch[0] == exponent, kind
+
+
+def test_verify_relation_checks_the_case_find_case_holds(monkeypatch):
+    # On the series route a relation is the case built at import: no new one is built.
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_relation built a relation case")
+
+    monkeypatch.setattr(identities, "_family_case", refuse)
+    for kind in RELATIONS:
+        report = verify_relation(kind, 40)
+        assert (report.id, report.status) == (kind, "pass"), report
 
 
 @pytest.mark.parametrize("kind", RELATIONS)
@@ -505,3 +517,25 @@ def test_scaled_and_unscaled_de3_forms_agree():
 
     scaled_lhs = one_plus_q3 * gf_de3(order)
     assert scaled_lhs.truncate(order - 1) == low_lhs.shift(1).truncate(order - 1)
+
+
+def test_de_sums_and_help_cases_are_asv_sums():
+    # S(a, b) is the asv sum at Q = q^2.  gf_de3 is q S(-q^2, q), whose
+    # closed form _asv_rhs builds; (1 - q) gf_de1 is q S(-q^2, q^3); and
+    # help-1 and help-2 are asv-spec-1 and asv-spec-2 times unit products.
+    order = 1000
+    q, mq2, q3 = QMonomial(1, 1), QMonomial(-1, 2), QMonomial(1, 3)
+
+    def asv_sum(a, b):
+        return ratio_sum(order, 0, 2, num=((a, 2),), den=((b, 2),))
+
+    de3_sum = asv_sum(mq2, q)
+    assert gf_de3(order) == de3_sum.shift(1)
+    assert identities._asv_rhs(2, mq2, q, order) == de3_sum
+    one_minus_q = TruncatedSeries.one(order) - TruncatedSeries.monomial(1, 1, order)
+    assert one_minus_q * gf_de1(order) == asv_sum(mq2, q3).shift(1)
+    q4_inf = poch_infinite(QMonomial(1, 4), 4, order)
+    for help_id, asv_id, unit in (("help-1", "asv-spec-1", q4_inf), ("help-2", "asv-spec-2", one_minus_q * q4_inf)):
+        help_case, asv_case = find_case(help_id), find_case(asv_id)
+        assert help_case.lhs(order) == asv_case.lhs(order) * unit, help_id
+        assert help_case.rhs(order) == asv_case.rhs(order) * unit, help_id
