@@ -225,11 +225,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
 
     p = _subcommand(sub, "verify", cmd_verify, "verify an identity, relation, or everything", "--order", "--machine")
-    p.add_argument("target", help="an identity id, cor1..cor4, negative-control, or 'all'")
+    p.add_argument("target", help=f"an identity id, {', '.join(RELATION_KINDS)}, negative-control, or 'all'")
     p.add_argument(
         "--oracle",
         action="store_true",
-        help="ped-eq-4regular, main-1..main-3 and cor1..cor4 only: count each family "
+        help=f"{', '.join(RELATIONS)} only: count each family "
         "part by part from its partition rules instead of its generating function (up to --order)",
     )
 

@@ -427,9 +427,8 @@ def verify_relation(kind: str, order: int, use_oracle: bool = False) -> Verifica
     case whose every count comes instead from one :func:`count_oracle_table`
     per family, a count that goes part by part from the family's partition
     rules and shares no counting code with the generating functions; that
-    route checks all four corollaries to n = 50 in about 1 ms and to
-    n = 1000 in about 0.46 s (medians, shared 2-core Intel Xeon VM, Python
-    3.11.7).  Either case has its first n as ``first`` and
+    route's time grows as O(order^2), and the benchmark's ``oracle-40``
+    workload measures it.  Either case has its first n as ``first`` and
     :func:`_family_side` series as its sides, and :func:`verify` compares
     them from there, so a mismatch reports (n, left, right), an order below
     the first n is a ``ValueError`` raised before anything is counted, and a

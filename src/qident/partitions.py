@@ -8,8 +8,7 @@ closed forms are exactly what the identity registry is asked to confirm,
 so the builders must not assume them).
 
 Two ways of counting sit beside the enumerator, neither building a
-partition nor keeping a memo.  Times below are medians on a shared 2-core
-Intel Xeon VM with Python 3.11.7.
+partition nor keeping a memo.
 
 - :func:`count_oracle` counts the enumerator's tree for one n, and each
   counted partition is reached by its own path.  It reads a plan built once
@@ -20,16 +19,16 @@ Intel Xeon VM with Python 3.11.7.
   capped at c adds its leaf children in place, without a call: the run of
   lo alone, the part r alone, and the part r - lo closed by one lo.  It
   descends only into parts k <= r - lo - 1, the ones that leave more than
-  lo.  The six families at n = 50 take about 0.04 s, and the time grows
-  exponentially with n.
+  lo.  Its time grows exponentially with n; the benchmark's ``oracle-40``
+  workload measures it.
 - :func:`count_oracle_table` counts every n up to a bound part by part,
   straight from the spec's rules, and enumerates nothing: a knapsack over
   the allowed part sizes in ascending order, in which an even part that may
   be used once is added for descending n, and the partitions whose largest
   part is an odd k are read off as the count after k less the count
   before it.  It shares no counting code with the walk or the builders, so
-  the tests check each against the others.  The six families to n = 60
-  take about 1 ms, and to n = 1000 about 0.5 s.
+  the tests check each against the others.  Its time grows as O(n^2); the
+  benchmark's ``oracle-40`` workload measures it.
 
 Families, keyed as the CLI spells them:
 
@@ -255,11 +254,11 @@ def count_oracle(n: int, spec: ConstraintSpec) -> int:
     :func:`enumerate_partitions` walks, but no partition is built.  A node
     adds its leaf children (the run of the smallest part lo alone, the rest
     as one part, the rest less one lo closed by that lo) without a call and
-    recurses only into parts that leave more than lo.  Each family at
-    n = 40 takes about 2 ms (2-core Intel Xeon VM, Python 3.11.7).
+    recurses only into parts that leave more than lo.
 
     A small-n reference, like the enumerator: its time grows exponentially
-    with n.  Only ``enumerate`` is capped in the CLI, by ``--oracle-limit``;
+    with n, and the benchmark's ``oracle-40`` workload measures it.  Only
+    ``enumerate`` is capped in the CLI, by ``--oracle-limit``;
     :func:`count_oracle_table` is the route for depth, and the tests check
     it against this walk.  A negative n is a ``ValueError``, refused after
     the spec, as :func:`count_oracle_table` refuses a negative bound.
@@ -305,9 +304,8 @@ def count_oracle_table(up_to: int, spec: ConstraintSpec) -> List[int]:
     be odd, each odd k also adds the partitions whose largest part is k:
     T after k less T before it, of which T-before[n - k] hold k exactly
     once.  It shares no counting code with :func:`count_oracle`, which the
-    tests check it against, nor with the ``gf_*`` builders.  The six
-    families to n = 60 take about 1 ms, and to n = 1000 about 0.5 s (2-core
-    Intel Xeon VM, Python 3.11.7).
+    tests check it against, nor with the ``gf_*`` builders.  Its time
+    grows as O(up_to^2); the benchmark's ``oracle-40`` workload measures it.
     """
     check_type("spec", spec, ConstraintSpec)
     check_int("up_to", up_to, 0)

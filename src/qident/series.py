@@ -119,28 +119,17 @@ class TruncatedSeries:
     # -- ring operations ----------------------------------------------------
 
     def _combine(self, other, op):
-        # op(self[k], other[k]) for each k both know, an int being the
-        # constant series: map stops at the shorter tuple, so the smaller
-        # order is kept.
-        if isinstance(other, int):
-            other = TruncatedSeries([other], self.order)
-        elif not isinstance(other, TruncatedSeries):
+        # op(self[k], other[k]) for each k both know: map stops at the
+        # shorter tuple, so the smaller order is kept.
+        if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return TruncatedSeries(list(map(op, self.coeffs, other.coeffs)), min(self.order, other.order))
 
     def __add__(self, other):
         return self._combine(other, add)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return self._combine(other, sub)
-
-    def __rsub__(self, other):
-        return self._combine(other, lambda a, b: b - a)
-
-    def __neg__(self):
-        return TruncatedSeries([-c for c in self.coeffs], self.order)
 
     def scale(self, c: int) -> "TruncatedSeries":
         """Multiply every coefficient by the integer c."""
@@ -153,8 +142,6 @@ class TruncatedSeries:
         return TruncatedSeries([0] * min(e, self.order + 1) + list(self.coeffs), self.order)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         n = min(self.order, other.order)
@@ -162,8 +149,8 @@ class TruncatedSeries:
         # Schoolbook convolution, iterating the sparser operand on the
         # outside, so a factor with k nonzero terms costs O(k*n).  No builder
         # multiplies densely (they use the binomial kernel below); the swap
-        # serves callers outside them: the tests, the README and the
-        # benchmark's probes.
+        # serves callers outside them: the tests and the benchmark's
+        # series.mul_binomial_ms probe.
         if sum(1 for c in a[: n + 1] if c) > sum(1 for c in b[: n + 1] if c):
             a, b = b, a
         out = [0] * (n + 1)
@@ -174,8 +161,6 @@ class TruncatedSeries:
             lim = n + 1 - i
             out[i:] = [x + ai * y for x, y in zip(out[i:], b[:lim])]
         return TruncatedSeries(out, n)
-
-    __rmul__ = __mul__
 
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse, requiring a unit constant term (+1 or -1)."""
@@ -230,9 +215,6 @@ class TruncatedSeries:
             return None
         k = next(k for k in range(n + 1) if a[k] != b[k])
         return (k, a[k], b[k])
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
 
     def __str__(self):
         terms = []
@@ -453,14 +435,10 @@ def poch_finite(a: QMonomial, step: int, n: int, order: int) -> TruncatedSeries:
 def poch_infinite(a: QMonomial, step: int, order: int) -> TruncatedSeries:
     """The infinite product prod_{j>=0} (1 - a * q^(step*j)), truncated.
 
-    Requires a.exp >= 1 so that factor j only touches exponents at or above
-    a.exp + step*j; the truncated product then stabilizes once that bound
-    passes the order, and the result agrees with the true infinite product
-    modulo q^(order+1).
+    With step s this is the Pochhammer symbol (a; q^s)_inf.  Factor j
+    touches only exponents at or above a.exp + step*j, so the factors past
+    the order are 1 and the result is the infinite product modulo
+    q^(order+1), for a unit parameter a = +-1 as well: (1; q^s)_inf is 0
+    and (-1; q^s)_inf is 2(-q^s; q^s)_inf.
     """
-    check_type("Pochhammer parameter", a, QMonomial)
-    if a.exp < 1:
-        raise ValueError(
-            f"infinite product needs a monomial with exponent >= 1, got {a}"
-        )
     return binomial_quotient(order, [(a, step, None)])

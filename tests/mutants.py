@@ -42,6 +42,8 @@ MUTANTS = [
     # -- the one argument rule
     ("src/qident/series.py", "value < least", "value <= least", "check_int refuses its own least"),
     ("src/qident/series.py", "type(value) is not kind", "not isinstance(value, kind)", "check_type takes a subclass, so True is an int"),
+    # _combine and __mul__ share the refusal, so the mutant is anchored on _combine's return after it.
+    ("src/qident/series.py", "return NotImplemented\n        return TruncatedSeries(list(map(", "other = TruncatedSeries([other], self.order)\n        return TruncatedSeries(list(map(", "_combine takes an int as the constant series"),
     ("src/qident/partitions.py", 'check_int("up_to", up_to, 0)', 'check_int("up_to", up_to)', "count_oracle_table takes a negative bound"),
     # The two walks' n checks are the same line, so each mutant is anchored on the line after it.
     ("src/qident/partitions.py", 'check_int("n", n, 0)\n    plan =', 'check_int("n", n)\n    plan =', "enumerate_partitions takes a negative n"),

@@ -40,6 +40,15 @@ def test_help_lists_only_the_flags_a_subcommand_reads(capsys, command):
     assert listed == SUBCOMMAND_FLAGS[command] | {"--help"}
 
 
+def test_verify_help_names_the_relations_from_the_registry(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "500")  # one line per option, so no name is wrapped
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    out = capsys.readouterr().out
+    assert f"an identity id, {', '.join(identities.RELATION_KINDS)}, negative-control, or 'all'" in out
+    assert f"--oracle {', '.join(identities.RELATIONS)} only: count each family" in " ".join(out.split())
+
+
 @pytest.mark.parametrize(
     "argv",
     [

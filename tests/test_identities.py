@@ -25,7 +25,7 @@ from qident.partitions import (
     gf_de3,
     gf_regular4,
 )
-from qident.series import QMonomial, TruncatedSeries, poch_infinite, ratio_sum
+from qident.series import QMonomial, TruncatedSeries, binomial_quotient, poch_infinite, ratio_sum
 
 NAMED_IDS = {
     "ped-eq-4regular",
@@ -199,7 +199,7 @@ def test_any_perturbed_case_fails_at_perturbation(case_id, exponent):
 
 def test_verify_propagates_builder_failures_with_id(monkeypatch):
     def broken(order):
-        return poch_infinite(QMonomial(1, 0), 1, order)  # refused: needs a.exp >= 1, though (1;q)_inf = 0
+        return binomial_quotient(order, den=[(QMonomial(1, 0), 1, None)])  # refused: (1;q)_inf = 0 is no unit
 
     # A side known only to q^3 agrees with the other up to there, but must not
     # pass at a deeper order as if all of it had been compared.
@@ -510,7 +510,7 @@ def test_scaled_and_unscaled_de3_forms_agree():
     low_lhs = one_plus_q3 * low_sum
     low_rhs = (
         gf_regular4(order).shift(1)
-        + 1
+        + TruncatedSeries.one(order)
         - TruncatedSeries.monomial(1, 1, order)
     )
     assert low_lhs.first_mismatch(low_rhs) is None

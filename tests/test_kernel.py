@@ -339,7 +339,7 @@ def test_ratio_sum_refuses_a_bad_pair_as_binomial_quotient_refuses_its_product(m
         lambda: binomial_quotient(10, (), [((1, 1), 1, 1)]),
         lambda: poch_finite((1, 1), 1, 2, 5),
         lambda: poch_infinite((1, 1), 1, 5),
-        lambda: poch_infinite(SimpleNamespace(sign=1, exp=0), 1, 5),  # before the a.exp >= 1 test
+        lambda: poch_infinite(SimpleNamespace(sign=1, exp=0), 1, 5),  # the fields of the unit parameter 1, but no QMonomial
     ],
 )
 def test_kernel_refuses_a_parameter_that_is_not_a_qmonomial(monkeypatch, call):

@@ -104,7 +104,7 @@ def test_coeff_refuses_non_int_exponent():
 
 
 def test_poch_refuses_non_int_step_or_count():
-    # A count of None is no stand-in for poch_infinite, which refuses a = -1.
+    # A count of None is no stand-in for poch_infinite: poch_finite refuses it.
     with pytest.raises(TypeError, match="^factor count must be int, got NoneType"):
         poch_finite(QMonomial(-1, 0), 1, None, 6)
     a = QMonomial(1, 1)
@@ -154,20 +154,10 @@ def test_repr():
 def test_add_sub_neg():
     assert ts(1, 1) + ts(1, -1) == ts(2, 0)
     assert ts(1, 1) - ts(1, 1) == ts(0, 0)
-    assert -ts(1, -2) == ts(-1, 2)
+    assert ts(1, -2).scale(-1) == ts(-1, 2)
 
 
-def test_int_operands():
-    assert ts(0, 1, 0) + 1 == ts(1, 1, 0)
-    assert 1 - ts(0, 1, 0) == ts(1, -1, 0)
-    assert 2 * ts(1, 1) == ts(2, 2)
-    s = ts(3, 1, 0)
-    assert s - 1 == ts(2, 1, 0)
-    assert 1 + s == ts(4, 1, 0)
-    assert s * 2 == 2 * s == ts(6, 2, 0)
-
-
-@pytest.mark.parametrize("other", [2.0, None, "q", True])
+@pytest.mark.parametrize("other", [2, 2.0, None, "q", True])
 @pytest.mark.parametrize(
     "op",
     [
@@ -180,7 +170,7 @@ def test_int_operands():
     ],
     ids=["add", "radd", "sub", "rsub", "mul", "rmul"],
 )
-def test_operators_refuse_operands_that_are_not_int_or_series(op, other):
+def test_operators_refuse_operands_that_are_not_series(op, other):
     with pytest.raises(TypeError):
         op(ts(1, 2, 3), other)
 
@@ -212,7 +202,7 @@ def test_mixed_orders_truncate_to_min():
     assert (a + b).order == 1
     assert (a * b).order == 1
     assert (a - b).coeffs == (0, 1)
-    assert 1 - b == ts(0, -1)
+    assert TruncatedSeries.one(3) - b == ts(0, -1)
     assert b - a == ts(0, -1)
 
 
@@ -318,7 +308,7 @@ def test_poch_finite_examples():
 
 def test_poch_finite_unit_parameter():
     # (1;q)_n vanishes for n >= 1; (-1;q)_n doubles.
-    assert poch_finite(QMonomial(1, 0), 1, 3, 6).is_zero()
+    assert not any(poch_finite(QMonomial(1, 0), 1, 3, 6).coeffs)
     assert poch_finite(QMonomial(-1, 0), 1, 1, 6) == ts(2, 0, 0, 0, 0, 0, 0)
 
 
@@ -348,9 +338,15 @@ def test_poch_infinite_examples():
     assert poch_infinite(QMonomial(-1, 2), 2, 4) == ts(1, 0, 1, 0, 1)
 
 
-def test_poch_infinite_requires_positive_exponent():
-    with pytest.raises(ValueError):
-        poch_infinite(QMonomial(1, 0), 1, 10)
+def test_poch_infinite_unit_parameter():
+    # (1;q^s)_inf vanishes; (-1;q^s)_inf is 2(-q^s;q^s)_inf, the one product
+    # binomial_quotient builds.
+    order = 200
+    for s in (1, 2, 3):
+        assert not any(poch_infinite(QMonomial(1, 0), s, order).coeffs)
+        doubled = poch_infinite(QMonomial(-1, 0), s, order)
+        assert doubled == poch_infinite(QMonomial(-1, s), s, order).scale(2)
+        assert doubled == binomial_quotient(order, [(QMonomial(-1, 0), s, None)])
 
 
 def test_poch_validation():
