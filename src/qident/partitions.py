@@ -159,13 +159,13 @@ def satisfies(partition: Partition, spec: ConstraintSpec) -> bool:
     return True
 
 
-def _heads(n: int, spec: ConstraintSpec, next_cap: List[int]) -> Iterator[Tuple[Tuple[int, ...], int, int]]:
+def _heads(n: int, spec: ConstraintSpec) -> Iterator[Tuple[Tuple[int, ...], int, int]]:
     # The heads of the partitions of n, largest first, as (head, budget, cap):
     # budget is n minus the head, and cap bounds every later part.  A spec
     # with no rule on its largest part has the one head (), n, n: the whole
     # partition is a tail.  Otherwise head holds an odd largest part k once
-    # (or twice, when at least two copies are required), and cap is
-    # _plan's next_cap[k] when the largest part's multiplicity is free.
+    # (or twice, when at least two copies are required), and cap is k when
+    # the largest part's multiplicity is free: an odd part may repeat.
     if spec.largest_parity == "any":
         yield (), n, n
         return
@@ -178,7 +178,7 @@ def _heads(n: int, spec: ConstraintSpec, next_cap: List[int]) -> Iterator[Tuple[
             if 2 * k <= n:
                 yield (k, k), n - 2 * k, k
         else:
-            yield (k,), n - k, next_cap[k]
+            yield (k,), n - k, k
 
 
 def _plan(n: int, spec: ConstraintSpec) -> tuple:
@@ -242,7 +242,7 @@ def enumerate_partitions(n: int, spec: ConstraintSpec) -> List[Partition]:
     plan = _plan(n, spec)
     return [
         Partition(head + tail)
-        for head, budget, cap in _heads(n, spec, plan[2])
+        for head, budget, cap in _heads(n, spec)
         for tail in _tails(budget, cap, plan)
     ]
 
@@ -289,7 +289,7 @@ def count_oracle(n: int, spec: ConstraintSpec) -> int:
                 total += tails(r - k, next_cap[k])
         return total
 
-    return sum(tails(budget, cap) if budget else 1 for _, budget, cap in _heads(n, spec, next_cap))
+    return sum(tails(budget, cap) if budget else 1 for _, budget, cap in _heads(n, spec))
 
 
 def count_oracle_table(up_to: int, spec: ConstraintSpec) -> List[int]:

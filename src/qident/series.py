@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
+from itertools import cycle, islice
 from operator import add, sub
 from typing import Iterable, List, Optional, Tuple
 
@@ -254,7 +254,8 @@ class TruncatedSeries:
 # in basic hypergeometric form, and binomial_quotient a quotient of
 # products as the one-term sum.  So one loop in ratio_sum applies every
 # product quotient: a sum's leading product T_0, which for the one-term
-# sum is the whole quotient.
+# sum is the whole quotient.  It applies every factor by one rule: a bare
+# pass on the suffix from lo, then the factor's own terms on the head cs[0].
 # Callers declare products, never binomials: a triple (a, s, n)
 # stands for (a; q^s)_n with s >= 1, and a lone binomial 1 - a is the
 # one-factor product (a, 1, 1); a term-ratio pair (a, s) of ratio_sum follows
@@ -341,16 +342,20 @@ def ratio_sum(
     T_0 is then applied to H_0 by the one loop that applies every product
     quotient here (:func:`binomial_quotient` is the one-term sum).  A factor
     in both start[0] and start[1] cancels (as often as it appears in both)
-    and only the rest is applied, by the bare passes, from the largest
-    exponent down, keeping the list zero at 1..lo-1.  H_0 is 1 and then zero
-    below step, or below its length for a one-term sum, so lo starts at the
-    smaller of the two and is lowered to each exponent applied below it.  A
-    factor 1 - s*q^e then changes only coefficient e (by -s) and indices
-    >= lo + e when it multiplies; when it divides, it sets the multiples
-    j*e below lo to s^j, adds s^j to the first one at or above lo and
-    updates indices >= lo + e.  Either way the index range >= lo + e is the
-    bare pass on the suffix from lo, so a factor above N/2 costs O(1) and
-    (q;q)_inf costs about N^2/4 updates, not N^2/2.
+    and only the rest is applied, from the largest exponent down, keeping
+    the list zero at 1..lo-1.  H_0 is 1 and then zero below step, or below
+    its length for a one-term sum, so lo starts at the smaller of the two.
+    The list is then c0 + q^lo*S, and as
+
+        (c0 + q^lo*S) / (1 - s*q^e) = c0 * sum_j s^j*q^(j*e) + q^lo*S / (1 - s*q^e),
+
+    and the same split holds for a product, every factor 1 - s*q^e follows
+    one rule: first the bare pass on the suffix from lo, which updates the
+    indices >= lo + e; then the factor's own terms on c0 = cs[0], -s*c0 at
+    e when it multiplies and s^j at every multiple j*e when it divides.  c0
+    is 1 until the unit factors (e = 0), which sort last and only multiply.
+    lo then falls to e when 0 < e < lo.  So a factor above N/2 costs O(1)
+    and (q;q)_inf costs about N^2/4 updates, not N^2/2.
     """
     check_int("order", order)
     check_int("first exponent", first, 0)
@@ -390,19 +395,14 @@ def ratio_sum(
     factors.sort(reverse=True)
     lo = min(step, top + 1)  # cs[1:lo] is zero
     for e, sign, divide in factors:
-        if e == 0:  # only in num, and last: 1 - sign scales every coefficient
-            _mul_pass(cs, sign, 0, 0)
-            continue
-        if divide:
-            j = -(-lo // e)  # j*e is the first multiple of e at or above lo
-            cs[e : j * e : e] = [sign**i for i in range(1, j)]
-            if j * e <= top:
-                cs[j * e] += sign**j
         if lo + e <= top:
             (_div_pass if divide else _mul_pass)(cs, sign, e, lo)
-        if not divide:
-            cs[e] -= sign  # after the suffix update, which reads the old cs[e] when e >= lo
-        if e < lo:
+        # Then the head cs[0]'s own terms, after the pass, which reads the old cs[e] when e >= lo.
+        if divide:  # cs[0] is 1: the unit factors sort last and only multiply
+            cs[e::e] = map(add, cs[e::e], cycle((sign, 1)))
+        else:
+            cs[e] -= sign * cs[0]
+        if 0 < e < lo:
             lo = e
     return TruncatedSeries([0] * first + cs, order)
 
@@ -415,8 +415,10 @@ def binomial_quotient(order: int, num: Iterable[Product] = (), den: Iterable[Pro
     checked first, once, and a divisor must be a unit, so a factor
     1 - a*q^0 is refused in den as ``invert`` refuses it.  Then a factor in
     both lists cancels and the rest is applied from the largest exponent
-    down.  So (q^4;q^4)_inf/(q;q)_inf divides by the 3N/4 factors the
-    numerator does not share and multiplies by none.
+    down, each by the loop's one rule: a bare pass on the suffix from lo,
+    then the factor's own terms on the constant term.  So
+    (q^4;q^4)_inf/(q;q)_inf divides by the 3N/4 factors the numerator does
+    not share and multiplies by none.
     """
     check_int("order", order)  # before order + 1 is formed
     return ratio_sum(order, 0, max(order + 1, 1), (num, den))

@@ -28,11 +28,12 @@ MUTANTS = [
     # -- the binomial kernel
     ("src/qident/series.py", "map(sub if sign == 1 else add", "map(add if sign == 1 else sub", "_mul_pass's sign flipped"),
     ("src/qident/series.py", "map(add if sign == 1 else sub", "map(sub if sign == 1 else add", "_div_pass's sign flipped"),
-    ("src/qident/series.py", "cs[e] -= sign  #", "cs[e] += sign  #", "the product loop's own term of a multiplied factor flipped"),
+    ("src/qident/series.py", "cs[e] -= sign * cs[0]", "cs[e] += sign * cs[0]", "the product loop's own term of a multiplied factor flipped"),
+    ("src/qident/series.py", "cs[e] -= sign * cs[0]", "cs[e] -= sign", "a multiplied factor's own term taken on 1, not on the head cs[0]"),
+    ("src/qident/series.py", "cycle((sign, 1))", "cycle((sign,))", "a divisor's own terms all sign, not sign**j"),
     ("src/qident/series.py", "lo = min(step, top + 1)", "lo = min(step + 1, top + 1)", "the product loop starts a sum's T_0 one past its zero prefix"),
-    ("src/qident/series.py", "if e < lo:\n            lo = e", "lo = e", "the product loop sets lo to a factor above it, not only lowers it"),
-    ("src/qident/series.py", "[sign**i for i in range(1, j)]", "[sign for i in range(1, j)]", "a divisor's multiples below lo all get sign, not sign**j"),
-    ("src/qident/series.py", "cs[j * e] += sign**j", "cs[j * e] = sign**j", "a divisor's first multiple at or above lo overwritten, not added to"),
+    ("src/qident/series.py", "if 0 < e < lo:\n            lo = e", "lo = e", "the product loop sets lo to a factor above it, not only lowers it"),
+    ("src/qident/series.py", "if 0 < e < lo:", "if e < lo:", "a unit factor lowers lo to 0, so the next one scales the head twice"),
     ("src/qident/series.py", "if e < room:", "if e < room - 1:", "ratio_sum's room test skips a factor that still acts"),
     ("src/qident/series.py", "if e < room:", "if e <= room:", "ratio_sum's room test runs a pass that changes nothing"),
     ("src/qident/series.py", "_factors([(*pair, m) for pair in den], order, True)", "_factors([(*pair, m) for pair in den], order, False)", "ratio_sum's denominator pairs not checked as divisors"),
@@ -60,6 +61,7 @@ MUTANTS = [
     ("src/qident/partitions.py", "yield (), n, n", "yield (), n, n - 1", "a spec with no largest-part rule loses the partition of n into one part"),
     ("src/qident/partitions.py", "r > lo and run[lo] and", "r > lo and", "count_oracle closes r - lo with a lo that cannot be a part"),
     ("src/qident/partitions.py", "if k % 2 == 0 or spec", "if spec", "an odd-largest spec takes an even largest part"),
+    ("src/qident/partitions.py", "yield (k,), n - k, k\n", "yield (k,), n - k, k - 1\n", "a free odd largest part may not repeat"),
     # -- the statements and the comparison
     ("src/qident/identities.py", "(1, 1), (2, -1)", "(1, 1), (2, 1)", "main-3's q^2 correction flipped"),
     ("src/qident/identities.py", "(0,) * case.first + side.coeffs[case.first :]", "side.coeffs", "verify compares the sides below a case's first n"),
@@ -86,7 +88,7 @@ MUTANTS = [
 # why -> the argument that the mutant cannot change any result.
 EQUIVALENT = {
     "ratio_sum's write of the 1": "cs[es[n]] is always 0 before the write, as every pass acts on cs[es[n+1]:] only",
-    "the product loop's order ignores the sign": "factors with equal exponent commute, so their order among themselves is free",
+    "the product loop's order ignores the sign": "factors with equal exponent commute: each is applied exactly by the one rule whatever lo is, and the unit factors still sort after every divisor",
 }
 
 
