@@ -12,15 +12,15 @@ partition nor keeping a memo.
 
 - :func:`count_oracle` counts the enumerator's tree for one n, and each
   counted partition is reached by its own path.  It reads a plan built once
-  per call, so a node does only list lookups: the allowed parts above the
-  smallest part lo, largest first; the cap each part leaves for the parts
-  after it; for every m, where the parts <= m start; and, for every r,
-  whether a run of lo alone makes up r.  A node with r left and parts
-  capped at c adds its leaf children in place, without a call: the run of
-  lo alone, the part r alone, and the part r - lo closed by one lo.  It
-  descends only into parts k <= r - lo - 1, the ones that leave more than
-  lo.  Its time grows exponentially with n; the benchmark's ``oracle-40``
-  workload measures it.
+  per call, so a node does only list lookups: for every m, the allowed
+  parts k with lo < k <= m, where lo is the smallest part, largest first
+  and each paired with the cap it leaves for the parts after it; and, for
+  every r, whether a run of lo alone makes up r.  A node with r left and
+  parts capped at c adds its leaf children in place, without a call: the
+  run of lo alone, the part r alone, and the part r - lo closed by one lo.
+  It descends only into parts k <= r - lo - 1, the ones that leave more
+  than lo.  Its time grows exponentially with n; the benchmark's
+  ``oracle-40`` workload measures it.
 - :func:`count_oracle_table` counts every n up to a bound part by part,
   straight from the spec's rules, and enumerates nothing: a knapsack over
   the allowed part sizes in ascending order, in which an even part that may
@@ -183,31 +183,26 @@ def _heads(n: int, spec: ConstraintSpec) -> Iterator[Tuple[Tuple[int, ...], int,
 
 def _plan(n: int, spec: ConstraintSpec) -> tuple:
     # What a node of the part tree looks up, for parts and sums up to n, as
-    # (lo, parts, next_cap, first, is_part, run):
+    # (lo, below, is_part, run):
     #   lo: the smallest allowed part size, spec.min_part;
-    #   parts: the allowed parts above lo, largest first;
-    #   next_cap[k]: the bound on the parts after a part k;
-    #   first[m]: the index in parts of the largest part <= m;
-    #   is_part[k]: whether k is in parts;
+    #   below[m]: the allowed parts k with lo < k <= m, largest first, each
+    #     paired with the bound it leaves on the parts after it, as (k, cap);
+    #   is_part[k]: whether k is an allowed part above lo;
     #   run[r]: whether a run of lo alone can make up r.
+    # Each below[m] is a slice of below[n]: a Python filter per m would cost O(n^2) steps per call.
     lo, modulus = spec.min_part, spec.regular_modulus
     size = n + 1
     is_part = [k > lo and (modulus is None or k % modulus != 0) for k in range(size)]
-    parts = [k for k in range(size - 1, lo, -1) if is_part[k]]
-    next_cap = [k - 1 if spec.distinct_even and k % 2 == 0 else k for k in range(size)]
-    first, i = [], len(parts)
+    parts = [(k, k - 1 if spec.distinct_even and k % 2 == 0 else k) for k in range(size - 1, lo, -1) if is_part[k]]
+    below, i = [], len(parts)
     for m in range(size):
-        while i and parts[i - 1] <= m:
+        while i and parts[i - 1][0] <= m:
             i -= 1
-        first.append(i)
-    if modulus is not None and lo % modulus == 0:
-        lo_runs = 0
-    elif spec.distinct_even and lo % 2 == 0:
-        lo_runs = 1
-    else:
-        lo_runs = size
+        below.append(parts[i:])
+    # A run holds no lo when lo is a multiple of the modulus, and one when lo is an even part that may not repeat.
+    lo_runs = 0 if modulus is not None and lo % modulus == 0 else 1 if spec.distinct_even and lo % 2 == 0 else size
     run = [r % lo == 0 and r // lo <= lo_runs for r in range(size)]
-    return lo, parts, next_cap, first, is_part, run
+    return lo, below, is_part, run
 
 
 def _tails(remaining: int, cap: int, plan: tuple) -> Iterator[Tuple[int, ...]]:
@@ -218,12 +213,10 @@ def _tails(remaining: int, cap: int, plan: tuple) -> Iterator[Tuple[int, ...]]:
     if remaining == 0:
         yield ()
         return
-    lo, parts, next_cap, first, _, run = plan
-    top = min(remaining, cap)
-    if top > lo:
-        for k in parts[first[top]:]:
-            for rest in _tails(remaining - k, next_cap[k], plan):
-                yield (k,) + rest
+    lo, below, _, run = plan
+    for k, after in below[min(remaining, cap)]:
+        for rest in _tails(remaining - k, after, plan):
+            yield (k,) + rest
     if lo <= cap and run[remaining]:
         yield (lo,) * (remaining // lo)
 
@@ -265,7 +258,7 @@ def count_oracle(n: int, spec: ConstraintSpec) -> int:
     """
     check_type("spec", spec, ConstraintSpec)
     check_int("n", n, 0)
-    lo, parts, next_cap, first, is_part, run = _plan(n, spec)
+    lo, below, is_part, run = _plan(n, spec)
     # Whether r is a leaf child of a node with r left: as a run of lo alone,
     # run[r] (when lo <= the node's cap), and as the part r - lo closed by one
     # lo, closed[r] (when r - lo <= the cap); r > lo keeps run[lo] in range.
@@ -285,11 +278,13 @@ def count_oracle(n: int, spec: ConstraintSpec) -> int:
         else:
             m = c
         if m > lo:
-            for k in parts[first[m]:]:
-                total += tails(r - k, next_cap[k])
+            for k, after in below[m]:
+                total += tails(r - k, after)
         return total
 
-    return sum(tails(budget, cap) if budget else 1 for _, budget, cap in _heads(n, spec))
+    total = sum(tails(budget, cap) if budget else 1 for _, budget, cap in _heads(n, spec))
+    del tails  # tails refers to itself, so the plan would otherwise wait for the cycle collector
+    return total
 
 
 def count_oracle_table(up_to: int, spec: ConstraintSpec) -> List[int]:

@@ -48,7 +48,7 @@ MUTANTS = [
     ("src/qident/partitions.py", 'check_int("up_to", up_to, 0)', 'check_int("up_to", up_to)', "count_oracle_table takes a negative bound"),
     # The two walks' n checks are the same line, so each mutant is anchored on the line after it.
     ("src/qident/partitions.py", 'check_int("n", n, 0)\n    plan =', 'check_int("n", n)\n    plan =', "enumerate_partitions takes a negative n"),
-    ("src/qident/partitions.py", 'check_int("n", n, 0)\n    lo, parts', 'check_int("n", n)\n    lo, parts', "count_oracle takes a negative n"),
+    ("src/qident/partitions.py", 'check_int("n", n, 0)\n    lo, below', 'check_int("n", n)\n    lo, below', "count_oracle takes a negative n"),
     ("src/qident/partitions.py", "self.largest_multiplicity not in LARGEST_MULTIPLICITIES", "False", "ConstraintSpec takes an unknown largest_multiplicity"),
     ("src/qident/cli.py", "except ValueError", "except KeyError", "main lets the library's refusal escape as a traceback"),
     # -- the product builders at depth
@@ -58,6 +58,8 @@ MUTANTS = [
     ("src/qident/partitions.py", '"at_least_two": (1, -1)', '"at_least_two": (1, 0)', "the knapsack's at_least_two weight without its subtraction"),
     ("src/qident/partitions.py", "k - 1 if spec.distinct_even and k % 2 == 0 else k", "k", "the walks let an even part repeat"),
     ("src/qident/partitions.py", "total += is_part[r]", "total += 0", "count_oracle's part-r-alone leaf dropped"),
+    ("src/qident/partitions.py", "parts[i - 1][0] <= m", "parts[i - 1][0] < m", "below[m] leaves out the part m itself"),
+    ("src/qident/partitions.py", "if m > lo:\n            for k, after", "if True:\n            for k, after", "count_oracle descends at a negative m, reading below from its far end"),
     ("src/qident/partitions.py", "yield (), n, n", "yield (), n, n - 1", "a spec with no largest-part rule loses the partition of n into one part"),
     ("src/qident/partitions.py", "r > lo and run[lo] and", "r > lo and", "count_oracle closes r - lo with a lo that cannot be a part"),
     ("src/qident/partitions.py", "if k % 2 == 0 or spec", "if spec", "an odd-largest spec takes an even largest part"),
