@@ -17,11 +17,12 @@ n is where the comparison starts, and the negative control is compared from
 its perturbed q^50, so an order below either would compare nothing
 (``verify cor3 --order 1``, and so ``verify all --order 1``, and ``verify
 negative-control --order 10``).  The library refuses that order, a negative
-count, and ``--oracle`` for a target that is no statement about family
-counts, each with a ``ValueError``.  The CLI's two refusals of its own,
-``enumerate`` beyond ``--oracle-limit`` and an unknown target, raise
-``ValueError`` too, so one ``except`` in :func:`main` turns every usage
-error into exit 2.
+n for ``enumerate``, and ``--oracle`` for a target that is no statement
+about family counts, each with a ``ValueError``.  The CLI's own refusals,
+a negative n for ``count`` or max_n for ``table`` (by the library's
+``check_int``, so the message names the argument given), ``enumerate``
+beyond ``--oracle-limit`` and an unknown target, raise ``ValueError`` too,
+so one ``except`` in :func:`main` turns every usage error into exit 2.
 :func:`_print_reports` writes every report: a row of the human table, or
 with ``--machine`` the five-field record
 ``id,order,status,mismatch_exponent,elapsed_ms``.  A side that cannot be
@@ -56,6 +57,7 @@ from .identities import (
     verify_relation,
 )
 from .partitions import FAMILY_SPECS, enumerate_partitions
+from .series import check_int
 
 _TABLE_FAMILIES = (("DE1", "DE1"), ("DE2", "DE2"), ("DE3", "DE3"), ("b4", "regular4"), ("c4", "regular4min2"))
 TABLE_COLUMNS = [(label, ((family, 0),)) for label, family in _TABLE_FAMILIES] + [
@@ -72,6 +74,7 @@ _TARGETS = {c.id: c for c in registry() + [find_case(kind) for kind in RELATION_
 
 
 def cmd_count(family: str, n: int, oracle: bool, machine: bool) -> int:
+    check_int("n", n, 0)
     series_count = family_counts([(family, 0)], n)[family][n]
     if not oracle:
         if machine:
@@ -148,6 +151,7 @@ def cmd_verify(target: str, order: int, oracle: bool, machine: bool) -> int:
 
 
 def cmd_table(max_n: int, machine: bool) -> int:
+    check_int("max_n", max_n, 0)
     counts = family_counts([term for _, terms in TABLE_COLUMNS for term in terms], max_n)
     columns = [side_values(terms, counts, max_n) for _, terms in TABLE_COLUMNS]
     rows = list(zip(range(max_n + 1), *columns))

@@ -14,13 +14,15 @@ partition nor keeping a memo.
   counted partition is reached by its own path.  It reads a plan built once
   per call, so a node does only list lookups: for every m, the allowed
   parts k with lo < k <= m, where lo is the smallest part, largest first
-  and each paired with the cap it leaves for the parts after it; and, for
-  every r, whether a run of lo alone makes up r.  A node with r left and
-  parts capped at c adds its leaf children in place, without a call: the
-  run of lo alone, the part r alone, and the part r - lo closed by one lo.
-  It descends only into parts k <= r - lo - 1, the ones that leave more
-  than lo.  Its time grows exponentially with n; the benchmark's
-  ``oracle-40`` workload measures it.
+  and each paired with the cap it leaves for the parts after it; and two
+  per-r leaf tables.  ``near[r]`` counts the run of lo alone and the part
+  r - lo closed by one lo, and ``full[r]`` adds the part r alone.  A node
+  with r left and parts capped at c adds its own leaves and those of each
+  child from these tables, whichever the cap allows, and calls only for its
+  grandchildren, the nodes with more than lo left two levels down.  Each
+  table entry sums at most three indicators of distinct leaf partitions,
+  so every counted partition is still one indicator.  Its time grows
+  exponentially with n; the benchmark's ``oracle-40`` workload measures it.
 - :func:`count_oracle_table` counts every n up to a bound part by part,
   straight from the spec's rules, and enumerates nothing: a knapsack over
   the allowed part sizes in ascending order, in which an even part that may
@@ -244,10 +246,12 @@ def count_oracle(n: int, spec: ConstraintSpec) -> int:
     """Brute-force count of the partitions of n that satisfy spec.
 
     Every counted partition is reached by its own path through the tree that
-    :func:`enumerate_partitions` walks, but no partition is built.  A node
-    adds its leaf children (the run of the smallest part lo alone, the rest
-    as one part, the rest less one lo closed by that lo) without a call and
-    recurses only into parts that leave more than lo.
+    :func:`enumerate_partitions` walks, but no partition is built.  The
+    leaves of a node are the run of the smallest part lo alone, the rest as
+    one part and the rest less one lo closed by that lo; two per-r tables,
+    ``near`` and ``full``, sum their indicators.  A node adds its own and
+    its children's leaves from them, one indicator per counted partition,
+    and calls only for its grandchildren, so each call walks two levels.
 
     A small-n reference, like the enumerator: its time grows exponentially
     with n, and the benchmark's ``oracle-40`` workload measures it.  Only
@@ -259,30 +263,41 @@ def count_oracle(n: int, spec: ConstraintSpec) -> int:
     check_type("spec", spec, ConstraintSpec)
     check_int("n", n, 0)
     lo, below, is_part, run = _plan(n, spec)
-    # Whether r is a leaf child of a node with r left: as a run of lo alone,
-    # run[r] (when lo <= the node's cap), and as the part r - lo closed by one
-    # lo, closed[r] (when r - lo <= the cap); r > lo keeps run[lo] in range.
-    closed = [r > lo and run[lo] and is_part[r - lo] for r in range(len(is_part))]
+    # The leaves of a node with r left, as sums of indicators of distinct
+    # partitions: near[r] counts the run of lo alone and the part r - lo
+    # closed by one lo (r > lo keeps run[lo] in range), and full[r] also the
+    # part r alone.  A node with parts <= c adds full[r] when r <= c, near[r]
+    # when r - lo <= c < r, and only run[r] otherwise; no table tests lo <= c,
+    # so the node's cap must be at least lo.
+    near = [run[r] + (r > lo and run[lo] and is_part[r - lo]) for r in range(len(run))]
+    full = [near[r] + is_part[r] for r in range(len(run))]
 
     def tails(r: int, c: int) -> int:
-        # The tails of a node with r > 0 left and parts <= c: its leaf
-        # children are added here, and only parts k <= r - lo - 1, whose
-        # nodes have more than lo left, are descended into.
-        total = run[r] if lo <= c else 0
-        if r <= c:
-            total += is_part[r]
-        m = r - lo
-        if m <= c:
-            total += closed[r]
-            m -= 1
+        # The tails of a node with r > 0 left and parts <= c, where c >= lo:
+        # it adds its own leaves and its children's, and calls only for its
+        # grandchildren.  Only parts k <= r - lo - 1 are descended into; a
+        # larger part leaves lo or less, a leaf or nothing.  So every node
+        # below has more than lo left, and a cap of at least lo as k > lo.
+        if r - lo > c:
+            total, m = run[r], c
         else:
-            m = c
+            total, m = full[r] if r <= c else near[r], r - lo - 1
         if m > lo:
             for k, after in below[m]:
-                total += tails(r - k, after)
+                r2 = r - k
+                if r2 - lo > after:
+                    total += run[r2]
+                    m2 = after
+                else:
+                    total += full[r2] if r2 <= after else near[r2]
+                    m2 = r2 - lo - 1
+                if m2 > lo:
+                    for k2, after2 in below[m2]:
+                        total += tails(r2 - k2, after2)
         return total
 
-    total = sum(tails(budget, cap) if budget else 1 for _, budget, cap in _heads(n, spec))
+    # Only a head can have a cap below lo, and then no part fits its budget.
+    total = sum((tails(budget, cap) if cap >= lo else 0) if budget else 1 for _, budget, cap in _heads(n, spec))
     del tails  # tails refers to itself, so the plan would otherwise wait for the cycle collector
     return total
 

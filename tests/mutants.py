@@ -57,7 +57,12 @@ MUTANTS = [
     ("src/qident/partitions.py", "range(up_to, k - 1, -1) if", "range(k, up_to + 1) if", "the knapsack's descending pass: an even part repeats"),
     ("src/qident/partitions.py", '"at_least_two": (1, -1)', '"at_least_two": (1, 0)', "the knapsack's at_least_two weight without its subtraction"),
     ("src/qident/partitions.py", "k - 1 if spec.distinct_even and k % 2 == 0 else k", "k", "the walks let an even part repeat"),
-    ("src/qident/partitions.py", "total += is_part[r]", "total += 0", "count_oracle's part-r-alone leaf dropped"),
+    ("src/qident/partitions.py", "near[r] + is_part[r]", "near[r] + 0", "count_oracle's part-r-alone leaf dropped"),
+    ("src/qident/partitions.py", "total, m = full[r] if r <= c else near[r],", "total, m = near[r],", "a node adds near where full applies: its part r alone dropped"),
+    ("src/qident/partitions.py", "total += full[r2] if r2 <= after else near[r2]", "total += near[r2]", "the child level adds near where full applies"),
+    ("src/qident/partitions.py", "m2 = after", "m2 = r2 - lo - 1", "a child with r2 - lo over its cap descends past the cap"),
+    ("src/qident/partitions.py", "(tails(budget, cap) if cap >= lo else 0)", "tails(budget, cap)", "a head with a cap below lo is walked and counts its run of lo"),
+    ("src/qident/partitions.py", "    del tails  #", "    #", "count_oracle leaves the walk's self-reference for the cycle collector"),
     ("src/qident/partitions.py", "parts[i - 1][0] <= m", "parts[i - 1][0] < m", "below[m] leaves out the part m itself"),
     ("src/qident/partitions.py", "if m > lo:\n            for k, after", "if True:\n            for k, after", "count_oracle descends at a negative m, reading below from its far end"),
     ("src/qident/partitions.py", "yield (), n, n", "yield (), n, n - 1", "a spec with no largest-part rule loses the partition of n into one part"),
@@ -85,12 +90,14 @@ MUTANTS = [
     # -- equivalent: listed so the argument is kept, not gated
     ("src/qident/series.py", "cs[es[n]] = 1", "cs[es[n]] += 1", "ratio_sum's write of the 1"),
     ("src/qident/series.py", "factors.sort(reverse=True)", "factors.sort(key=lambda f: f[0], reverse=True)", "the product loop's order ignores the sign"),
+    ("src/qident/partitions.py", "if m2 > lo:\n", "if True:\n", "count_oracle's child level loops over below[m2] for m2 <= lo"),
 ]
 
 # why -> the argument that the mutant cannot change any result.
 EQUIVALENT = {
     "ratio_sum's write of the 1": "cs[es[n]] is always 0 before the write, as every pass acts on cs[es[n+1]:] only",
     "the product loop's order ignores the sign": "factors with equal exponent commute: each is applied exactly by the one rule whatever lo is, and the unit factors still sort after every divisor",
+    "count_oracle's child level loops over below[m2] for m2 <= lo": "a child has r2 > lo and a cap of at least lo, so m2 >= 0 and below[m2] is empty; the guard only saves the empty loop",
 }
 
 

@@ -73,11 +73,11 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
     assert flag in captured.err
 
 
-# The library names the argument it refuses: count and table build to their n
-# through family_counts' order, enumerate walks to enumerate_partitions' n.
+# The refusal names the subcommand's own argument: count and table check their
+# n and max_n before building, enumerate walks to enumerate_partitions' n.
 @pytest.mark.parametrize(
     "argv, name",
-    [("count DE1 -1", "order"), ("count DE1 -1 --oracle", "order"), ("enumerate DE2 -1", "n"), ("table -1", "order")],
+    [("count DE1 -1", "n"), ("count DE1 -1 --oracle", "n"), ("enumerate DE2 -1", "n"), ("table -1", "max_n")],
 )
 def test_negative_n_is_a_usage_error(capsys, argv, name):
     code, out, err = run(capsys, *argv.split())

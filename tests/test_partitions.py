@@ -1,3 +1,4 @@
+import gc
 import inspect
 import itertools
 import random
@@ -221,7 +222,9 @@ def test_count_oracle_walk_matches_enumeration(distinct_even, parity, mult):
     # smallest part that the modulus excludes, where the trailing run of the
     # smallest part must not be taken.  Up to n = 12 both walks are also
     # checked against filtering every partition with the direct predicate,
-    # and the part-by-part table against the per-n counts.
+    # and the part-by-part table against the per-n counts.  From 23 to 30,
+    # where count_oracle's trees are three or more levels deep for every
+    # min_part, the walk is checked against the table alone.
     filtered_to = 12
     every = [[Partition(t) for t in all_partitions(n)] for n in range(filtered_to + 1)]
     for modulus, min_part in itertools.product([None, 2, 3, 4, 5, 6], range(1, 6)):
@@ -234,6 +237,8 @@ def test_count_oracle_walk_matches_enumeration(distinct_even, parity, mult):
                 assert count == sum(satisfies(p, spec) for p in every[n]), (spec, n)
             counts.append(count)
         assert count_oracle_table(22, spec) == counts, spec
+        table = count_oracle_table(30, spec)
+        assert [count_oracle(n, spec) for n in range(23, 31)] == table[23:], spec
         for up_to in range(4):
             assert count_oracle_table(up_to, spec) == counts[: up_to + 1], (spec, up_to)
         with pytest.raises(ValueError, match=r"^up_to must be nonnegative, got -1$"):
@@ -329,6 +334,18 @@ def test_oracle_table_needs_no_recursion_depth_that_grows_with_up_to():
             assert count_oracle_table(order, spec) == want[family], family
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_count_oracle_leaves_no_reference_cycle():
+    # The walk's recursive closure refers to itself; count_oracle breaks that
+    # cycle on return, so the plan is freed without the cycle collector.
+    gc.collect()
+    gc.disable()
+    try:
+        count_oracle(20, FAMILY_SPECS["DE1"])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_count_oracle_refuses_non_int_n():
