@@ -32,7 +32,10 @@ partition nor keeping a memo.
   the tests check each against the others.  Its time grows as O(n^2); the
   benchmark's ``oracle-40`` workload measures it.
 
-Families, keyed as the CLI spells them:
+Families, keyed as the CLI spells them.  Each is a :class:`ConstraintSpec`
+in ``FAMILY_SPECS``, and the rule on its largest part is the one field
+``largest``: "odd" for DE1, "odd_at_least_two" for DE2, "odd_exactly_one"
+for DE3 and "any" for the other three.
 
 ==============  =====================================================
 key             partitions of n counted
@@ -61,8 +64,7 @@ from .series import (
     ratio_sum,
 )
 
-LARGEST_PARITIES = ("any", "odd")
-LARGEST_MULTIPLICITIES = ("any", "at_least_two", "exactly_one")
+LARGEST_RULES = ("any", "odd", "odd_at_least_two", "odd_exactly_one")
 
 
 @dataclass(frozen=True)
@@ -90,43 +92,31 @@ class Partition:
 class ConstraintSpec:
     """Declarative restriction on which partitions count.
 
-    ``largest_multiplicity`` only has meaning once a largest part is pinned
-    down, so it may differ from "any" only when ``largest_parity`` is "odd".
-    The empty partition has no largest part at all: it satisfies a spec only
-    when ``largest_parity`` is "any".
+    ``largest`` is the rule on the largest part, one of ``LARGEST_RULES``:
+    "any" (no rule), "odd", "odd_at_least_two" (odd, and it appears at
+    least twice) or "odd_exactly_one" (odd, and it appears once).  The
+    empty partition has no largest part at all: it satisfies a spec only
+    when ``largest`` is "any".
     """
 
     distinct_even: bool = False
-    largest_parity: str = "any"
-    largest_multiplicity: str = "any"
+    largest: str = "any"
     regular_modulus: Optional[int] = None
     min_part: int = 1
 
     def __post_init__(self):
         check_type("distinct_even", self.distinct_even, bool)
-        if self.largest_parity not in LARGEST_PARITIES:
-            raise ValueError(f"largest_parity must be one of {LARGEST_PARITIES}")
-        if self.largest_multiplicity not in LARGEST_MULTIPLICITIES:
-            raise ValueError(
-                f"largest_multiplicity must be one of {LARGEST_MULTIPLICITIES}"
-            )
-        if self.largest_multiplicity != "any" and self.largest_parity != "odd":
-            raise ValueError(
-                "largest_multiplicity constraints require largest_parity='odd'"
-            )
+        if self.largest not in LARGEST_RULES:
+            raise ValueError(f"largest must be one of {LARGEST_RULES}")
         if self.regular_modulus is not None:
             check_int("regular_modulus", self.regular_modulus, 2)
         check_int("min_part", self.min_part, 1)
 
 
 FAMILY_SPECS = {
-    "DE1": ConstraintSpec(distinct_even=True, largest_parity="odd"),
-    "DE2": ConstraintSpec(
-        distinct_even=True, largest_parity="odd", largest_multiplicity="at_least_two"
-    ),
-    "DE3": ConstraintSpec(
-        distinct_even=True, largest_parity="odd", largest_multiplicity="exactly_one"
-    ),
+    "DE1": ConstraintSpec(distinct_even=True, largest="odd"),
+    "DE2": ConstraintSpec(distinct_even=True, largest="odd_at_least_two"),
+    "DE3": ConstraintSpec(distinct_even=True, largest="odd_exactly_one"),
     "ped": ConstraintSpec(distinct_even=True),
     "regular4": ConstraintSpec(regular_modulus=4),
     "regular4min2": ConstraintSpec(regular_modulus=4, min_part=2),
@@ -147,16 +137,16 @@ def satisfies(partition: Partition, spec: ConstraintSpec) -> bool:
         counts = Counter(parts)
         if any(p % 2 == 0 and c > 1 for p, c in counts.items()):
             return False
-    if spec.largest_parity == "odd":
+    if spec.largest != "any":
         if not parts:
             return False  # no largest part to be odd
         top = parts[0]
         if top % 2 == 0:
             return False
         mult = parts.count(top)
-        if spec.largest_multiplicity == "at_least_two" and mult < 2:
+        if spec.largest == "odd_at_least_two" and mult < 2:
             return False
-        if spec.largest_multiplicity == "exactly_one" and mult != 1:
+        if spec.largest == "odd_exactly_one" and mult != 1:
             return False
     return True
 
@@ -165,28 +155,25 @@ def _heads(n: int, spec: ConstraintSpec) -> Iterator[Tuple[Tuple[int, ...], int,
     # The heads of the partitions of n, largest first, as (head, budget, cap):
     # budget is n minus the head, and cap bounds every later part.  A spec
     # with no rule on its largest part has the one head (), n, n: the whole
-    # partition is a tail.  Otherwise head holds an odd largest part k once
-    # (or twice, when at least two copies are required), and cap is k when
-    # the largest part's multiplicity is free: an odd part may repeat.
-    if spec.largest_parity == "any":
+    # partition is a tail.  Otherwise head holds `copies` of an odd largest
+    # part k, and cap is k less `cap_drop`: 1 when k may appear only once,
+    # 0 when it may repeat, as an odd part may.
+    if spec.largest == "any":
         yield (), n, n
         return
+    copies, cap_drop = {"odd": (1, 0), "odd_at_least_two": (2, 0), "odd_exactly_one": (1, 1)}[spec.largest]
     for k in range(n, spec.min_part - 1, -1):
         if k % 2 == 0 or spec.regular_modulus is not None and k % spec.regular_modulus == 0:
             continue
-        if spec.largest_multiplicity == "exactly_one":
-            yield (k,), n - k, k - 1
-        elif spec.largest_multiplicity == "at_least_two":
-            if 2 * k <= n:
-                yield (k, k), n - 2 * k, k
-        else:
-            yield (k,), n - k, k
+        if copies * k <= n:
+            yield (k,) * copies, n - copies * k, k - cap_drop
 
 
 def _plan(n: int, spec: ConstraintSpec) -> tuple:
     # What a node of the part tree looks up, for parts and sums up to n, as
     # (lo, below, is_part, run):
-    #   lo: the smallest allowed part size, spec.min_part;
+    #   lo: spec.min_part, the smallest allowed part size unless it is a
+    #     multiple of the modulus: then lo is no part, and run holds r = 0 alone;
     #   below[m]: the allowed parts k with lo < k <= m, largest first, each
     #     paired with the bound it leaves on the parts after it, as (k, cap);
     #   is_part[k]: whether k is an allowed part above lo;
@@ -320,12 +307,12 @@ def count_oracle_table(up_to: int, spec: ConstraintSpec) -> List[int]:
     check_type("spec", spec, ConstraintSpec)
     check_int("up_to", up_to, 0)
     table = [1] + [0] * up_to
-    odd_largest = spec.largest_parity == "odd"
+    odd_largest = spec.largest != "any"
     counts = [0] * (up_to + 1) if odd_largest else table
     # Of the partitions of n with largest part k (the table after k less the
     # table before it), before[n - k] hold k once: the weights pick the ones
-    # the multiplicity rule counts.
-    new, once = {"any": (1, 0), "exactly_one": (0, 1), "at_least_two": (1, -1)}[spec.largest_multiplicity]
+    # the largest-part rule counts.
+    new, once = {"any": (1, 0), "odd": (1, 0), "odd_exactly_one": (0, 1), "odd_at_least_two": (1, -1)}[spec.largest]
     for k in range(spec.min_part, up_to + 1):
         if spec.regular_modulus is not None and k % spec.regular_modulus == 0:
             continue

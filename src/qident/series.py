@@ -209,6 +209,7 @@ class TruncatedSeries:
         Comparison runs over 0..min(order); returns None when all those
         coefficients agree.
         """
+        check_type("other", other, TruncatedSeries)
         n = min(self.order, other.order)
         a, b = self.coeffs[: n + 1], other.coeffs[: n + 1]
         if a == b:

@@ -49,13 +49,14 @@ MUTANTS = [
     # The two walks' n checks are the same line, so each mutant is anchored on the line after it.
     ("src/qident/partitions.py", 'check_int("n", n, 0)\n    plan =', 'check_int("n", n)\n    plan =', "enumerate_partitions takes a negative n"),
     ("src/qident/partitions.py", 'check_int("n", n, 0)\n    lo, below', 'check_int("n", n)\n    lo, below', "count_oracle takes a negative n"),
-    ("src/qident/partitions.py", "self.largest_multiplicity not in LARGEST_MULTIPLICITIES", "False", "ConstraintSpec takes an unknown largest_multiplicity"),
+    ("src/qident/partitions.py", "self.largest not in LARGEST_RULES", "False", "ConstraintSpec takes an unknown largest rule"),
     ("src/qident/cli.py", "except ValueError", "except KeyError", "main lets the library's refusal escape as a traceback"),
     # -- the product builders at depth
     ("src/qident/partitions.py", "(QMonomial(-1, 2), 2, None)", "(QMonomial(-1, 2), 2, 1250)", "gf_ped's numerator cut to 1250 factors, short from q^2502"),
     # -- the part-by-part counts
     ("src/qident/partitions.py", "range(up_to, k - 1, -1) if", "range(k, up_to + 1) if", "the knapsack's descending pass: an even part repeats"),
-    ("src/qident/partitions.py", '"at_least_two": (1, -1)', '"at_least_two": (1, 0)', "the knapsack's at_least_two weight without its subtraction"),
+    ("src/qident/partitions.py", '"odd_at_least_two": (1, -1)', '"odd_at_least_two": (1, 0)', "the knapsack's at_least_two weight without its subtraction"),
+    ("src/qident/partitions.py", '"any": (1, 0), "odd": (1, 0)', '"any": (1, 0), "odd": (0, 1)', "the knapsack's odd weight counts only a largest part that appears once"),
     ("src/qident/partitions.py", "k - 1 if spec.distinct_even and k % 2 == 0 else k", "k", "the walks let an even part repeat"),
     ("src/qident/partitions.py", "near[r] + is_part[r]", "near[r] + 0", "count_oracle's part-r-alone leaf dropped"),
     ("src/qident/partitions.py", "total, m = full[r] if r <= c else near[r],", "total, m = near[r],", "a node adds near where full applies: its part r alone dropped"),
@@ -68,7 +69,11 @@ MUTANTS = [
     ("src/qident/partitions.py", "yield (), n, n", "yield (), n, n - 1", "a spec with no largest-part rule loses the partition of n into one part"),
     ("src/qident/partitions.py", "r > lo and run[lo] and", "r > lo and", "count_oracle closes r - lo with a lo that cannot be a part"),
     ("src/qident/partitions.py", "if k % 2 == 0 or spec", "if spec", "an odd-largest spec takes an even largest part"),
-    ("src/qident/partitions.py", "yield (k,), n - k, k\n", "yield (k,), n - k, k - 1\n", "a free odd largest part may not repeat"),
+    ("src/qident/partitions.py", '{"odd": (1, 0)', '{"odd": (1, 1)', "a free odd largest part may not repeat"),
+    ("src/qident/partitions.py", '"odd_at_least_two": (2, 0)', '"odd_at_least_two": (1, 0)', "an at-least-two head holds its largest part once"),
+    ("src/qident/partitions.py", '"odd_at_least_two": (2, 0)', '"odd_at_least_two": (2, 1)', "an at-least-two head bars a third copy of its largest part"),
+    ("src/qident/partitions.py", '"odd_exactly_one": (1, 1)', '"odd_exactly_one": (1, 0)', "an exactly-one largest part may repeat"),
+    ("src/qident/partitions.py", "        if copies * k <= n:\n            yield", "        if True:\n            yield", "a head larger than n is yielded with a negative budget"),
     # -- the statements and the comparison
     ("src/qident/identities.py", "(1, 1), (2, -1)", "(1, 1), (2, 1)", "main-3's q^2 correction flipped"),
     ("src/qident/identities.py", "(0,) * case.first + side.coeffs[case.first :]", "side.coeffs", "verify compares the sides below a case's first n"),

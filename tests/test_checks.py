@@ -65,6 +65,7 @@ TYPE_SITES = [
     ("oracle-table-spec", lambda v: count_oracle_table(5, v), None, "spec must be ConstraintSpec, got NoneType"),
     ("oracle-table-negative-spec", lambda v: count_oracle_table(-1, v), {}, "spec must be ConstraintSpec, got dict"),
     ("spec-subclass", lambda v: count_oracle(5, v), SpecSubclass(), "spec must be ConstraintSpec, got SpecSubclass"),
+    ("first-mismatch-int", lambda v: TruncatedSeries([1, 2, 3]).first_mismatch(v), 3, "other must be TruncatedSeries, got int"),
 ]
 
 

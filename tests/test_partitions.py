@@ -11,6 +11,7 @@ from qident.partitions import (
     ConstraintSpec,
     FAMILY_SERIES,
     FAMILY_SPECS,
+    LARGEST_RULES,
     Partition,
     count_oracle,
     count_oracle_table,
@@ -126,17 +127,14 @@ def test_partition_validation():
 
 def test_constraint_spec_validation():
     with pytest.raises(ValueError):
-        ConstraintSpec(largest_multiplicity="exactly_one")  # needs odd parity
-    with pytest.raises(ValueError):
-        ConstraintSpec(largest_parity="even")
-    with pytest.raises(ValueError):
         ConstraintSpec(regular_modulus=1)
     with pytest.raises(ValueError):
         ConstraintSpec(min_part=0)
-    # The exact text: without its own check an unknown value fails the parity check with another one.
-    message = "largest_multiplicity must be one of ('any', 'at_least_two', 'exactly_one')"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        ConstraintSpec(largest_multiplicity="bogus")
+    # The exact text, for a value outside the rules and for each half of a rule alone.
+    message = "largest must be one of ('any', 'odd', 'odd_at_least_two', 'odd_exactly_one')"
+    for largest in ("even", "exactly_one", "at_least_two", "bogus"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ConstraintSpec(largest=largest)
 
 
 # -- golden examples --------------------------------------------------------------
@@ -183,12 +181,9 @@ def test_negative_n():
 
 
 def sample_specs(rng):
-    parity = rng.choice(["any", "odd"])
-    mult = rng.choice(["any", "at_least_two", "exactly_one"]) if parity == "odd" else "any"
     return ConstraintSpec(
         distinct_even=rng.choice([True, False]),
-        largest_parity=parity,
-        largest_multiplicity=mult,
+        largest=rng.choice(LARGEST_RULES),
         regular_modulus=rng.choice([None, 2, 3, 4, 5]),
         min_part=rng.choice([1, 1, 1, 2, 3]),
     )
@@ -207,17 +202,9 @@ def test_enumeration_matches_filtered_brute_force():
         assert len(set(got)) == len(got)
 
 
-LARGEST_SHAPES = [
-    ("any", "any"),
-    ("odd", "any"),
-    ("odd", "at_least_two"),
-    ("odd", "exactly_one"),
-]
-
-
 @pytest.mark.parametrize("distinct_even", [False, True])
-@pytest.mark.parametrize("parity,mult", LARGEST_SHAPES)
-def test_count_oracle_walk_matches_enumeration(distinct_even, parity, mult):
+@pytest.mark.parametrize("largest", LARGEST_RULES)
+def test_count_oracle_walk_matches_enumeration(distinct_even, largest):
     # The grid includes an even smallest part under distinct_even and a
     # smallest part that the modulus excludes, where the trailing run of the
     # smallest part must not be taken.  Up to n = 12 both walks are also
@@ -228,7 +215,7 @@ def test_count_oracle_walk_matches_enumeration(distinct_even, parity, mult):
     filtered_to = 12
     every = [[Partition(t) for t in all_partitions(n)] for n in range(filtered_to + 1)]
     for modulus, min_part in itertools.product([None, 2, 3, 4, 5, 6], range(1, 6)):
-        spec = ConstraintSpec(distinct_even, parity, mult, modulus, min_part)
+        spec = ConstraintSpec(distinct_even, largest, modulus, min_part)
         counts = []
         for n in range(23):
             count = count_oracle(n, spec)
@@ -249,8 +236,8 @@ def test_count_oracle_walk_matches_enumeration(distinct_even, parity, mult):
 
 
 @pytest.mark.parametrize("distinct_even", [False, True])
-@pytest.mark.parametrize("parity,mult", LARGEST_SHAPES)
-def test_both_walks_match_filtered_partitions_to_16(distinct_even, parity, mult):
+@pytest.mark.parametrize("largest", LARGEST_RULES)
+def test_both_walks_match_filtered_partitions_to_16(distinct_even, largest):
     # Every partition of n <= 16, unpruned, filtered by the direct predicate:
     # covers the leaf children that count_oracle tallies without descending
     # (the run of the smallest part, the remainder as one part, the remainder
@@ -258,7 +245,7 @@ def test_both_walks_match_filtered_partitions_to_16(distinct_even, parity, mult)
     up_to = 16
     every = [[Partition(t) for t in all_partitions(n)] for n in range(up_to + 1)]
     for modulus, min_part in itertools.product([None, 2, 3, 4, 5, 6], range(1, 6)):
-        spec = ConstraintSpec(distinct_even, parity, mult, modulus, min_part)
+        spec = ConstraintSpec(distinct_even, largest, modulus, min_part)
         want = [sum(satisfies(p, spec) for p in every[n]) for n in range(up_to + 1)]
         assert [count_oracle(n, spec) for n in range(up_to + 1)] == want, spec
         assert count_oracle_table(up_to, spec) == want, spec

@@ -295,6 +295,8 @@ def test_str():
     assert str(ts(1, -1, 0, 0, 0, 1)) == "1 - q + q^5 + O(q^6)"
     assert str(TruncatedSeries.zero(3)) == "0 + O(q^4)"
     assert str(ts(-2, 0, 3)) == "-2 + 3q^2 + O(q^3)"
+    assert str(QMonomial(1, 0)) == "1"
+    assert str(QMonomial(-1, 0)) == "-1"
 
 
 # -- Pochhammer products ----------------------------------------------------------
