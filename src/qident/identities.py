@@ -144,11 +144,14 @@ class VerificationReport:
 def family_counts(terms: Sequence[Term], order: int, use_oracle: bool = False) -> Dict[str, Sequence[int]]:
     """Each family the terms name, counted once for n = 0..order + its largest shift,
     from its generating function or, with ``use_oracle``, one part-by-part count_oracle_table.
-    A negative or non-int order is refused before anything is counted."""
+    A negative or non-int order, a non-int shift or an unknown family is refused before anything is counted."""
     check_type("use_oracle", use_oracle, bool)  # a truthy "no" would count part by part
     check_int("order", order, 0)
     reach: Dict[str, int] = {}
     for family, shift in terms:
+        check_int("shift", shift)
+        if family not in FAMILY_SPECS:
+            raise ValueError(f"unknown family {family!r}; expected one of {', '.join(FAMILY_SPECS)}")
         reach[family] = max(reach.get(family, 0), shift)
     if use_oracle:
         return {f: count_oracle_table(order + s, FAMILY_SPECS[f]) for f, s in reach.items()}
@@ -383,6 +386,7 @@ def negative_control(exponent: int = NEGATIVE_CONTROL_EXPONENT) -> IdentityCase:
 
 
 def _check_range(case: IdentityCase, order: int) -> None:
+    check_type("case", case, IdentityCase)
     check_int("order", order)
     if order < case.first:
         raise ValueError(
@@ -394,8 +398,9 @@ def _check_range(case: IdentityCase, order: int) -> None:
 def verify(case: IdentityCase, order: int) -> VerificationReport:
     """The one comparison: expand both sides to the order and report the first coefficient clash.
 
-    Refuses an order below ``case.first``, which would compare nothing, with
-    a ``ValueError`` before anything is built.  Builds ``case.lhs(order)``,
+    Refuses a case that is not an :class:`IdentityCase` with a ``TypeError``,
+    and an order below ``case.first``, which would compare nothing, with a
+    ``ValueError``, both before anything is built.  Builds ``case.lhs(order)``,
     then ``case.rhs(order)``; any failure, a side known to a lower order than
     asked for included, is a status "error" report whose text is "<id>:
     <message>".  Then compares the coefficients of q^first..q^order;

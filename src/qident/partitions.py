@@ -151,27 +151,16 @@ def satisfies(partition: Partition, spec: ConstraintSpec) -> bool:
     return True
 
 
-def _heads(n: int, spec: ConstraintSpec) -> Iterator[Tuple[Tuple[int, ...], int, int]]:
-    # The heads of the partitions of n, largest first, as (head, budget, cap):
-    # budget is n minus the head, and cap bounds every later part.  A spec
-    # with no rule on its largest part has the one head (), n, n: the whole
-    # partition is a tail.  Otherwise head holds `copies` of an odd largest
-    # part k, and cap is k less `cap_drop`: 1 when k may appear only once,
-    # 0 when it may repeat, as an odd part may.
-    if spec.largest == "any":
-        yield (), n, n
-        return
-    copies, cap_drop = {"odd": (1, 0), "odd_at_least_two": (2, 0), "odd_exactly_one": (1, 1)}[spec.largest]
-    for k in range(n, spec.min_part - 1, -1):
-        if k % 2 == 0 or spec.regular_modulus is not None and k % spec.regular_modulus == 0:
-            continue
-        if copies * k <= n:
-            yield (k,) * copies, n - copies * k, k - cap_drop
-
-
 def _plan(n: int, spec: ConstraintSpec) -> tuple:
-    # What a node of the part tree looks up, for parts and sums up to n, as
-    # (lo, below, is_part, run):
+    # The walks' one reading of the spec and n, refused in that order, as
+    # (heads, lo, below, is_part, run) for parts and sums up to n:
+    #   heads: the heads of the partitions of n, largest first, as (head,
+    #     budget, cap): budget is n minus the head, and cap bounds every later
+    #     part.  A spec with no rule on its largest part has the one head
+    #     (), n, n: the whole partition is a tail.  Otherwise head holds
+    #     `copies` of an odd largest part k <= n // copies, and cap is k less
+    #     `cap_drop`: 1 when k may appear only once, 0 when it may repeat, as
+    #     an odd part may;
     #   lo: spec.min_part, the smallest allowed part size unless it is a
     #     multiple of the modulus: then lo is no part, and run holds r = 0 alone;
     #   below[m]: the allowed parts k with lo < k <= m, largest first, each
@@ -179,7 +168,18 @@ def _plan(n: int, spec: ConstraintSpec) -> tuple:
     #   is_part[k]: whether k is an allowed part above lo;
     #   run[r]: whether a run of lo alone can make up r.
     # Each below[m] is a slice of below[n]: a Python filter per m would cost O(n^2) steps per call.
+    check_type("spec", spec, ConstraintSpec)
+    check_int("n", n, 0)
     lo, modulus = spec.min_part, spec.regular_modulus
+    if spec.largest == "any":
+        heads = [((), n, n)]
+    else:
+        copies, cap_drop = {"odd": (1, 0), "odd_at_least_two": (2, 0), "odd_exactly_one": (1, 1)}[spec.largest]
+        heads = [
+            ((k,) * copies, n - copies * k, k - cap_drop)
+            for k in range(n // copies, lo - 1, -1)
+            if k % 2 == 1 and (modulus is None or k % modulus != 0)
+        ]
     size = n + 1
     is_part = [k > lo and (modulus is None or k % modulus != 0) for k in range(size)]
     parts = [(k, k - 1 if spec.distinct_even and k % 2 == 0 else k) for k in range(size - 1, lo, -1) if is_part[k]]
@@ -191,7 +191,7 @@ def _plan(n: int, spec: ConstraintSpec) -> tuple:
     # A run holds no lo when lo is a multiple of the modulus, and one when lo is an even part that may not repeat.
     lo_runs = 0 if modulus is not None and lo % modulus == 0 else 1 if spec.distinct_even and lo % 2 == 0 else size
     run = [r % lo == 0 and r // lo <= lo_runs for r in range(size)]
-    return lo, below, is_part, run
+    return heads, lo, below, is_part, run
 
 
 def _tails(remaining: int, cap: int, plan: tuple) -> Iterator[Tuple[int, ...]]:
@@ -202,7 +202,7 @@ def _tails(remaining: int, cap: int, plan: tuple) -> Iterator[Tuple[int, ...]]:
     if remaining == 0:
         yield ()
         return
-    lo, below, _, run = plan
+    _, lo, below, _, run = plan
     for k, after in below[min(remaining, cap)]:
         for rest in _tails(remaining - k, after, plan):
             yield (k,) + rest
@@ -219,14 +219,8 @@ def enumerate_partitions(n: int, spec: ConstraintSpec) -> List[Partition]:
     ``enumerate`` is capped in the CLI, by ``--oracle-limit``;
     :func:`count_oracle_table` is the route for depth.
     """
-    check_type("spec", spec, ConstraintSpec)
-    check_int("n", n, 0)
     plan = _plan(n, spec)
-    return [
-        Partition(head + tail)
-        for head, budget, cap in _heads(n, spec)
-        for tail in _tails(budget, cap, plan)
-    ]
+    return [Partition(head + tail) for head, budget, cap in plan[0] for tail in _tails(budget, cap, plan)]
 
 
 def count_oracle(n: int, spec: ConstraintSpec) -> int:
@@ -247,9 +241,7 @@ def count_oracle(n: int, spec: ConstraintSpec) -> int:
     it against this walk.  A negative n is a ``ValueError``, refused after
     the spec, as :func:`count_oracle_table` refuses a negative bound.
     """
-    check_type("spec", spec, ConstraintSpec)
-    check_int("n", n, 0)
-    lo, below, is_part, run = _plan(n, spec)
+    heads, lo, below, is_part, run = _plan(n, spec)
     # The leaves of a node with r left, as sums of indicators of distinct
     # partitions: near[r] counts the run of lo alone and the part r - lo
     # closed by one lo (r > lo keeps run[lo] in range), and full[r] also the
@@ -284,7 +276,7 @@ def count_oracle(n: int, spec: ConstraintSpec) -> int:
         return total
 
     # Only a head can have a cap below lo, and then no part fits its budget.
-    total = sum((tails(budget, cap) if cap >= lo else 0) if budget else 1 for _, budget, cap in _heads(n, spec))
+    total = sum((tails(budget, cap) if cap >= lo else 0) if budget else 1 for _, budget, cap in heads)
     del tails  # tails refers to itself, so the plan would otherwise wait for the cycle collector
     return total
 

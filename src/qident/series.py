@@ -58,6 +58,7 @@ class QMonomial:
 
     def shifted(self, k: int) -> "QMonomial":
         """The monomial multiplied by q^k."""
+        check_int("shift", k)
         return QMonomial(self.sign, self.exp + k)
 
     def __str__(self):

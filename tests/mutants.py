@@ -46,10 +46,12 @@ MUTANTS = [
     # _combine and __mul__ share the refusal, so the mutant is anchored on _combine's return after it.
     ("src/qident/series.py", "return NotImplemented\n        return TruncatedSeries(list(map(", "other = TruncatedSeries([other], self.order)\n        return TruncatedSeries(list(map(", "_combine takes an int as the constant series"),
     ("src/qident/partitions.py", 'check_int("up_to", up_to, 0)', 'check_int("up_to", up_to)', "count_oracle_table takes a negative bound"),
-    # The two walks' n checks are the same line, so each mutant is anchored on the line after it.
-    ("src/qident/partitions.py", 'check_int("n", n, 0)\n    plan =', 'check_int("n", n)\n    plan =', "enumerate_partitions takes a negative n"),
-    ("src/qident/partitions.py", 'check_int("n", n, 0)\n    lo, below', 'check_int("n", n)\n    lo, below', "count_oracle takes a negative n"),
+    ("src/qident/partitions.py", 'check_int("n", n, 0)', 'check_int("n", n)', "_plan takes a negative n, so both walks do"),
     ("src/qident/partitions.py", "self.largest not in LARGEST_RULES", "False", "ConstraintSpec takes an unknown largest rule"),
+    ("src/qident/series.py", 'check_int("shift", k)\n', "", "QMonomial.shifted takes True as a shift of 1"),
+    ("src/qident/identities.py", 'check_type("case", case, IdentityCase)\n', "", "verify takes a non-case and fails inside it"),
+    ("src/qident/identities.py", 'check_int("shift", shift)\n', "", "family_counts takes True as a shift of 1"),
+    ("src/qident/identities.py", "if family not in FAMILY_SPECS:", "if False:", "family_counts builds the families before it meets an unknown one"),
     ("src/qident/cli.py", "except ValueError", "except KeyError", "main lets the library's refusal escape as a traceback"),
     # -- the product builders at depth
     ("src/qident/partitions.py", "(QMonomial(-1, 2), 2, None)", "(QMonomial(-1, 2), 2, 1250)", "gf_ped's numerator cut to 1250 factors, short from q^2502"),
@@ -66,14 +68,14 @@ MUTANTS = [
     ("src/qident/partitions.py", "    del tails  #", "    #", "count_oracle leaves the walk's self-reference for the cycle collector"),
     ("src/qident/partitions.py", "parts[i - 1][0] <= m", "parts[i - 1][0] < m", "below[m] leaves out the part m itself"),
     ("src/qident/partitions.py", "if m > lo:\n            for k, after", "if True:\n            for k, after", "count_oracle descends at a negative m, reading below from its far end"),
-    ("src/qident/partitions.py", "yield (), n, n", "yield (), n, n - 1", "a spec with no largest-part rule loses the partition of n into one part"),
+    ("src/qident/partitions.py", "heads = [((), n, n)]", "heads = [((), n, n - 1)]", "a spec with no largest-part rule loses the partition of n into one part"),
     ("src/qident/partitions.py", "r > lo and run[lo] and", "r > lo and", "count_oracle closes r - lo with a lo that cannot be a part"),
-    ("src/qident/partitions.py", "if k % 2 == 0 or spec", "if spec", "an odd-largest spec takes an even largest part"),
+    ("src/qident/partitions.py", "if k % 2 == 1 and (", "if (", "an odd-largest spec takes an even largest part"),
     ("src/qident/partitions.py", '{"odd": (1, 0)', '{"odd": (1, 1)', "a free odd largest part may not repeat"),
     ("src/qident/partitions.py", '"odd_at_least_two": (2, 0)', '"odd_at_least_two": (1, 0)', "an at-least-two head holds its largest part once"),
     ("src/qident/partitions.py", '"odd_at_least_two": (2, 0)', '"odd_at_least_two": (2, 1)', "an at-least-two head bars a third copy of its largest part"),
     ("src/qident/partitions.py", '"odd_exactly_one": (1, 1)', '"odd_exactly_one": (1, 0)', "an exactly-one largest part may repeat"),
-    ("src/qident/partitions.py", "        if copies * k <= n:\n            yield", "        if True:\n            yield", "a head larger than n is yielded with a negative budget"),
+    ("src/qident/partitions.py", "range(n // copies", "range(n", "a head larger than n is listed with a negative budget"),
     # -- the statements and the comparison
     ("src/qident/identities.py", "(1, 1), (2, -1)", "(1, 1), (2, 1)", "main-3's q^2 correction flipped"),
     ("src/qident/identities.py", "(0,) * case.first + side.coeffs[case.first :]", "side.coeffs", "verify compares the sides below a case's first n"),

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from qident.identities import family_counts, negative_control
+from qident.identities import family_counts, negative_control, verify
 from qident.partitions import (
     FAMILY_SPECS,
     ConstraintSpec,
@@ -66,6 +66,9 @@ TYPE_SITES = [
     ("oracle-table-negative-spec", lambda v: count_oracle_table(-1, v), {}, "spec must be ConstraintSpec, got dict"),
     ("spec-subclass", lambda v: count_oracle(5, v), SpecSubclass(), "spec must be ConstraintSpec, got SpecSubclass"),
     ("first-mismatch-int", lambda v: TruncatedSeries([1, 2, 3]).first_mismatch(v), 3, "other must be TruncatedSeries, got int"),
+    ("verify-case", lambda v: verify(v, 200), "main-1", "case must be IdentityCase, got str"),
+    ("family-counts-shift", lambda v: family_counts([("DE1", v)], 5), True, "shift must be int, got bool"),
+    ("monomial-shifted", lambda v: QMonomial(1, 2).shifted(v), True, "shift must be int, got bool"),
 ]
 
 

@@ -457,6 +457,25 @@ def test_family_counts_refuses_a_bad_order_before_counting(monkeypatch, use_orac
     assert calls == []
 
 
+@pytest.mark.parametrize("use_oracle", [False, True])
+@pytest.mark.parametrize(
+    "terms, error, message",
+    [
+        ([("DE1", 0), ("bogus", 0)], ValueError, "unknown family 'bogus'; expected one of DE1, DE2, DE3, ped, regular4, regular4min2"),
+        ([("DE1", 0), ("DE2", 1.0)], TypeError, "shift must be int, got float"),
+    ],
+)
+def test_family_counts_refuses_a_bad_term_before_counting(monkeypatch, use_oracle, terms, error, message):
+    # DE1 comes first, so a term checked while counting would be refused only after DE1 was built.
+    def refuse(*args):
+        raise AssertionError("counted before the terms were checked")
+
+    monkeypatch.setattr(identities, "count_oracle_table", refuse)
+    monkeypatch.setattr(identities, "FAMILY_SERIES", {family: refuse for family in identities.FAMILY_SERIES})
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        identities.family_counts(terms, 3000, use_oracle=use_oracle)
+
+
 def test_verify_all_at_200():
     reports = verify_all(200)
     assert len(reports) == len(registry()) + 4
