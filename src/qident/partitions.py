@@ -53,6 +53,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, List, Optional, Tuple
 
 from .series import (
@@ -183,11 +184,8 @@ def _plan(n: int, spec: ConstraintSpec) -> tuple:
     size = n + 1
     is_part = [k > lo and (modulus is None or k % modulus != 0) for k in range(size)]
     parts = [(k, k - 1 if spec.distinct_even and k % 2 == 0 else k) for k in range(size - 1, lo, -1) if is_part[k]]
-    below, i = [], len(parts)
-    for m in range(size):
-        while i and parts[i - 1][0] <= m:
-            i -= 1
-        below.append(parts[i:])
+    # accumulate(is_part) counts the allowed parts above lo up to each m: the last that many of parts.
+    below = [parts[len(parts) - j :] for j in accumulate(is_part)]
     # A run holds no lo when lo is a multiple of the modulus, and one when lo is an even part that may not repeat.
     lo_runs = 0 if modulus is not None and lo % modulus == 0 else 1 if spec.distinct_even and lo % 2 == 0 else size
     run = [r % lo == 0 and r // lo <= lo_runs for r in range(size)]
@@ -220,7 +218,11 @@ def enumerate_partitions(n: int, spec: ConstraintSpec) -> List[Partition]:
     :func:`count_oracle_table` is the route for depth.
     """
     plan = _plan(n, spec)
-    return [Partition(head + tail) for head, budget, cap in plan[0] for tail in _tails(budget, cap, plan)]
+    return [
+        Partition(head + tail)
+        for head, budget, cap in plan[0]
+        for tail in _tails(budget, cap, plan)
+    ]
 
 
 def count_oracle(n: int, spec: ConstraintSpec) -> int:

@@ -66,7 +66,7 @@ MUTANTS = [
     ("src/qident/partitions.py", "m2 = after", "m2 = r2 - lo - 1", "a child with r2 - lo over its cap descends past the cap"),
     ("src/qident/partitions.py", "(tails(budget, cap) if cap >= lo else 0)", "tails(budget, cap)", "a head with a cap below lo is walked and counts its run of lo"),
     ("src/qident/partitions.py", "    del tails  #", "    #", "count_oracle leaves the walk's self-reference for the cycle collector"),
-    ("src/qident/partitions.py", "parts[i - 1][0] <= m", "parts[i - 1][0] < m", "below[m] leaves out the part m itself"),
+    ("src/qident/partitions.py", "for j in accumulate(is_part)]", "for j in [0, *accumulate(is_part)]]", "below[m] leaves out the part m itself"),
     ("src/qident/partitions.py", "if m > lo:\n            for k, after", "if True:\n            for k, after", "count_oracle descends at a negative m, reading below from its far end"),
     ("src/qident/partitions.py", "heads = [((), n, n)]", "heads = [((), n, n - 1)]", "a spec with no largest-part rule loses the partition of n into one part"),
     ("src/qident/partitions.py", "r > lo and run[lo] and", "r > lo and", "count_oracle closes r - lo with a lo that cannot be a part"),

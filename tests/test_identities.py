@@ -434,46 +434,29 @@ def test_family_counts_refuses_a_non_bool_use_oracle_before_counting(monkeypatch
 
 @pytest.mark.parametrize("use_oracle", [False, True])
 @pytest.mark.parametrize(
-    "order, error, message",
+    "terms, order, error, message",
     [
-        (-1, ValueError, "^order must be nonnegative, got -1$"),
-        (True, TypeError, "^order must be int, got bool$"),
-        (2.0, TypeError, "^order must be int, got float$"),
+        ([("DE1", 0)], -1, ValueError, "order must be nonnegative, got -1"),
+        ([("DE1", 0)], True, TypeError, "order must be int, got bool"),
+        ([("DE1", 0)], 2.0, TypeError, "order must be int, got float"),
+        ([("DE1", 0), ("bogus", 0)], 3000, ValueError, "unknown family 'bogus'; expected one of DE1, DE2, DE3, ped, regular4, regular4min2"),
     ],
 )
-def test_family_counts_refuses_a_bad_order_before_counting(monkeypatch, use_oracle, order, error, message):
+def test_family_counts_refuses_bad_input_before_counting(monkeypatch, use_oracle, terms, order, error, message):
     # Both routes refuse alike: the oracle route once returned [] for -1, and
-    # True counted to n = 1 on both.
+    # True counted to n = 1 on both.  DE1 comes before the unknown family, so
+    # a family checked while counting would be refused only after DE1 was built.
     calls = []
 
     def record(*args):
         calls.append(args)
-        raise AssertionError("counted before the order was checked")
+        raise AssertionError("counted before the input was checked")
 
     monkeypatch.setattr(identities, "count_oracle_table", record)
     monkeypatch.setattr(identities, "FAMILY_SERIES", {family: record for family in identities.FAMILY_SERIES})
-    with pytest.raises(error, match=message):
-        identities.family_counts([("DE1", 0)], order, use_oracle=use_oracle)
-    assert calls == []
-
-
-@pytest.mark.parametrize("use_oracle", [False, True])
-@pytest.mark.parametrize(
-    "terms, error, message",
-    [
-        ([("DE1", 0), ("bogus", 0)], ValueError, "unknown family 'bogus'; expected one of DE1, DE2, DE3, ped, regular4, regular4min2"),
-        ([("DE1", 0), ("DE2", 1.0)], TypeError, "shift must be int, got float"),
-    ],
-)
-def test_family_counts_refuses_a_bad_term_before_counting(monkeypatch, use_oracle, terms, error, message):
-    # DE1 comes first, so a term checked while counting would be refused only after DE1 was built.
-    def refuse(*args):
-        raise AssertionError("counted before the terms were checked")
-
-    monkeypatch.setattr(identities, "count_oracle_table", refuse)
-    monkeypatch.setattr(identities, "FAMILY_SERIES", {family: refuse for family in identities.FAMILY_SERIES})
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
-        identities.family_counts(terms, 3000, use_oracle=use_oracle)
+        identities.family_counts(terms, order, use_oracle=use_oracle)
+    assert calls == []
 
 
 def test_verify_all_at_200():
