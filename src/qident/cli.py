@@ -41,13 +41,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from .identities import (
     RELATION_KINDS,
     RELATIONS,
     VerificationReport,
-    family_counts,
     find_case,
     negative_control,
     registry,
@@ -75,14 +74,14 @@ _TARGETS = {c.id: c for c in registry() + [find_case(kind) for kind in RELATION_
 
 def cmd_count(family: str, n: int, oracle: bool, machine: bool) -> int:
     check_int("n", n, 0)
-    series_count = family_counts([(family, 0)], n)[family][n]
+    series_count = side_values([[(family, 0)]], n)[0][n]
     if not oracle:
         if machine:
             print(f"{family},{n},{series_count}")
         else:
             print(series_count)
         return 0
-    oracle_count = family_counts([(family, 0)], n, use_oracle=True)[family][n]
+    oracle_count = side_values([[(family, 0)]], n, use_oracle=True)[0][n]
     agree = series_count == oracle_count
     if machine:
         flag = "agree" if agree else "disagree"
@@ -107,11 +106,14 @@ def cmd_enumerate(family: str, n: int, oracle_limit: int) -> int:
     return 0
 
 
-def _print_listing(rows: List[Tuple[str, str]]) -> None:
-    # Each (name, text) row, the names left-aligned in one column.
-    width = max(len(name) for name, _ in rows)
-    for name, text in rows:
-        print(f"{name:<{width}}  {text}")
+def _print_rows(rows: List[Sequence[str]], align: Callable[[str, int], str] = str.ljust) -> None:
+    # Each row's cells two blanks apart, every column aligned to its widest cell.  A left-aligned
+    # last column is not padded, so a row ends where its text ends.
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    if align is str.ljust:
+        widths[-1] = 0
+    for row in rows:
+        print("  ".join(map(align, row, widths)))
 
 
 def _print_reports(reports: List[VerificationReport], machine: bool) -> None:
@@ -122,7 +124,7 @@ def _print_reports(reports: List[VerificationReport], machine: bool) -> None:
             if r.status == "error":  # the record has no room for the reason
                 print(r.error, file=sys.stderr)
         return
-    rows = [("id", "status  first mismatch")]
+    rows = [("id", "status", "first mismatch")]
     for r in reports:
         if r.status == "pass":
             detail = "-"
@@ -131,8 +133,8 @@ def _print_reports(reports: List[VerificationReport], machine: bool) -> None:
             detail = f"q^{k}: lhs={lhs} rhs={rhs}"
         else:
             detail = r.error
-        rows.append((r.id, f"{r.status:<6}  {detail}"))
-    _print_listing(rows)
+        rows.append((r.id, r.status, detail))
+    _print_rows(rows)
     passed = sum(r.passed for r in reports)
     print(f"{passed}/{len(reports)} passed at order {reports[0].order}")
 
@@ -152,21 +154,14 @@ def cmd_verify(target: str, order: int, oracle: bool, machine: bool) -> int:
 
 def cmd_table(max_n: int, machine: bool) -> int:
     check_int("max_n", max_n, 0)
-    counts = family_counts([term for _, terms in TABLE_COLUMNS for term in terms], max_n)
-    columns = [side_values(terms, counts, max_n) for _, terms in TABLE_COLUMNS]
-    rows = list(zip(range(max_n + 1), *columns))
+    columns = side_values([terms for _, terms in TABLE_COLUMNS], max_n)
+    rows = [[str(v) for v in row] for row in zip(range(max_n + 1), *columns)]
     if machine:
         print(",".join(TABLE_HEADER))
         for row in rows:
-            print(",".join(str(v) for v in row))
+            print(",".join(row))
     else:
-        widths = [
-            max(len(h), max(len(str(row[i])) for row in rows))
-            for i, h in enumerate(TABLE_HEADER)
-        ]
-        print("  ".join(h.rjust(w) for h, w in zip(TABLE_HEADER, widths)))
-        for row in rows:
-            print("  ".join(str(v).rjust(w) for v, w in zip(row, widths)))
+        _print_rows([TABLE_HEADER, *rows], str.rjust)
     return 0
 
 
@@ -174,7 +169,7 @@ def cmd_list_identities(machine: bool) -> int:
     if machine:
         print("\n".join(_TARGETS))
     else:
-        _print_listing([(case.id, case.description) for case in _TARGETS.values()])
+        _print_rows([(case.id, case.description) for case in _TARGETS.values()])
     return 0
 
 

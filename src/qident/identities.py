@@ -12,15 +12,16 @@ Every statement about family counts is declared once, in :data:`RELATIONS`,
 as two sums of shifted family counts plus an integer correction, compared
 from a first n: the paper's theorems ``main-1`` .. ``main-3``, the product
 identity ``ped-eq-4regular`` and the counting relations ``cor1`` ..
-``cor4`` that follow from the theorems.  :func:`_family_side` evaluates
-either side of any of them through :func:`family_counts` and
-:func:`side_values`, from the generating functions or, with ``use_oracle``,
-from one part-by-part count per family.  A relation is checked as an
+``cor4`` that follow from the theorems.  :func:`side_values` is the one
+call from such sums to their values: it counts each family the sums name
+once, from its generating function or, with ``use_oracle``, part by part,
+and adds up each sum at every n.  :func:`_family_side` evaluates either side
+of a relation through it.  A relation is checked as an
 :class:`IdentityCase` whose ``first`` is its first n, made by
 :func:`_family_case`.  The first four are registry cases; ``cor1`` ..
 ``cor4`` are built once at import beside them, so :func:`find_case` finds
-all eight on the series route.  The pair columns of ``qident table`` and
-both counts of ``qident count`` read the same two functions.
+all eight on the series route.  Every column of ``qident table``, in one
+call, and both counts of ``qident count`` read :func:`side_values` too.
 
 Every check is a case, and :func:`verify` is the one comparison, with one
 outcome, a :class:`VerificationReport`.  It refuses an order that would
@@ -141,36 +142,35 @@ class VerificationReport:
 # -- sides over family counts ------------------------------------------------
 
 
-def family_counts(terms: Sequence[Term], order: int, use_oracle: bool = False) -> Dict[str, Sequence[int]]:
-    """Each family the terms name, counted once for n = 0..order + its largest shift,
-    from its generating function or, with ``use_oracle``, one part-by-part count_oracle_table.
-    A negative or non-int order, a non-int shift or an unknown family is refused before anything is counted."""
+def side_values(sides: Sequence[Sequence[Term]], order: int, use_oracle: bool = False) -> List[List[int]]:
+    """Each side's sum of its terms at every n = 0..order.  Each family the sides name is counted once,
+    for n = 0..order + its largest shift, from its generating function or, with ``use_oracle``, one
+    part-by-part count_oracle_table.  A non-bool use_oracle, a negative or non-int order, a non-int
+    shift or an unknown family is refused, in that order, before anything is counted."""
     check_type("use_oracle", use_oracle, bool)  # a truthy "no" would count part by part
     check_int("order", order, 0)
     reach: Dict[str, int] = {}
-    for family, shift in terms:
+    for family, shift in (term for terms in sides for term in terms):
         check_int("shift", shift)
         if family not in FAMILY_SPECS:
             raise ValueError(f"unknown family {family!r}; expected one of {', '.join(FAMILY_SPECS)}")
         reach[family] = max(reach.get(family, 0), shift)
     if use_oracle:
-        return {f: count_oracle_table(order + s, FAMILY_SPECS[f]) for f, s in reach.items()}
-    return {f: FAMILY_SERIES[f](order + s).coeffs for f, s in reach.items()}
+        counts = {f: count_oracle_table(order + s, FAMILY_SPECS[f]) for f, s in reach.items()}
+    else:
+        counts = {f: FAMILY_SERIES[f](order + s).coeffs for f, s in reach.items()}
 
+    def column(f: str, s: int) -> Sequence[int]:  # family f's count at n + s for n = 0..order, 0 below n = 0
+        return counts[f][s : order + 1 + s] if s >= 0 else ([0] * -s + list(counts[f]))[: order + 1]
 
-def side_values(terms: Sequence[Term], counts: Dict[str, Sequence[int]], order: int) -> List[int]:
-    """The sum of the terms at each n = 0..order, read from :func:`family_counts`."""
-    columns = [
-        counts[f][s : order + 1 + s] if s >= 0 else ([0] * -s + list(counts[f]))[: order + 1]
-        for f, s in terms
-    ]
-    return [sum(values) for values in zip(*columns)]
+    zeros = [0] * (order + 1)  # the sum of no terms: an empty side still has a value at every n
+    return [[sum(values) for values in zip(zeros, *(column(*term) for term in terms))] for terms in sides]
 
 
 def _family_side(terms: Sequence[Term], correction: Correction, order: int, use_oracle: bool = False) -> TruncatedSeries:
     """One side of a relation to q^order: at each n the sum of the terms, read
-    from :func:`family_counts`, plus the correction at n = its exponent."""
-    values = side_values(terms, family_counts(terms, order, use_oracle), order)
+    from :func:`side_values`, plus the correction at n = its exponent."""
+    values = side_values([terms], order, use_oracle)[0]
     for exponent, coefficient in correction:
         if exponent <= order:
             values[exponent] += coefficient
@@ -352,7 +352,9 @@ def find_case(case_id: str) -> Optional[IdentityCase]:
     All eight family statements are found, on the series route: the four
     registry theorems and ``cor1`` .. ``cor4``, whose cases are built once at
     import.  The negative control is made by :func:`negative_control`, not found here.
+    A ``case_id`` that is not a ``str`` is refused with a ``TypeError``.
     """
+    check_type("case_id", case_id, str)
     return _CASES_BY_ID.get(case_id)
 
 
@@ -441,6 +443,7 @@ def verify_relation(kind: str, order: int, use_oracle: bool = False) -> Verifica
     only for ``verify --oracle``; without it, the CLI verifies the same
     :func:`find_case` case.
     """
+    check_type("kind", kind, str)  # before the lookup, which a list fails as unhashable
     if kind not in RELATIONS:
         raise ValueError(f"{kind!r} is no statement about family counts; expected one of {', '.join(RELATIONS)}")
     check_type("use_oracle", use_oracle, bool)  # here, or verify would turn its TypeError into an error report

@@ -50,8 +50,11 @@ MUTANTS = [
     ("src/qident/partitions.py", "self.largest not in LARGEST_RULES", "False", "ConstraintSpec takes an unknown largest rule"),
     ("src/qident/series.py", 'check_int("shift", k)\n', "", "QMonomial.shifted takes True as a shift of 1"),
     ("src/qident/identities.py", 'check_type("case", case, IdentityCase)\n', "", "verify takes a non-case and fails inside it"),
-    ("src/qident/identities.py", 'check_int("shift", shift)\n', "", "family_counts takes True as a shift of 1"),
-    ("src/qident/identities.py", "if family not in FAMILY_SPECS:", "if False:", "family_counts builds the families before it meets an unknown one"),
+    ("src/qident/identities.py", 'check_int("shift", shift)\n', "", "side_values takes True as a shift of 1"),
+    ("src/qident/identities.py", "if family not in FAMILY_SPECS:", "if False:", "side_values builds the families before it meets an unknown one"),
+    ("src/qident/identities.py", "zip(zeros, *(", "zip(*(", "side_values returns no values for a side with no terms"),
+    ("src/qident/identities.py", 'check_type("case_id", case_id, str)\n', "", "find_case takes a non-str id and returns None"),
+    ("src/qident/identities.py", 'check_type("kind", kind, str)  #', "#", "verify_relation takes a list and fails its lookup as unhashable"),
     ("src/qident/cli.py", "except ValueError", "except KeyError", "main lets the library's refusal escape as a traceback"),
     # -- the product builders at depth
     ("src/qident/partitions.py", "(QMonomial(-1, 2), 2, None)", "(QMonomial(-1, 2), 2, 1250)", "gf_ped's numerator cut to 1250 factors, short from q^2502"),
@@ -94,6 +97,9 @@ MUTANTS = [
     ("src/qident/cli.py", " + [negative_control()]", "", "the CLI's target list drops the negative control"),
     ("src/qident/cli.py", "round(r.elapsed * 1000)", "round(r.elapsed)", "the --machine record gives elapsed in seconds, not milliseconds"),
     ("src/qident/cli.py", "return 0 if all(r.passed for r in reports) else 1", "return 0", "cmd_verify exits 0 on a failed check"),
+    ("src/qident/cli.py", "columns = side_values([terms for _, terms in TABLE_COLUMNS], max_n)", "columns = [side_values([terms], max_n)[0] for _, terms in TABLE_COLUMNS]", "cmd_table counts once per column, building DE1 and DE3 twice"),
+    ("src/qident/cli.py", "print(\"  \".join(map(align, row, widths)))", "print(\"  \".join(map(align, row, widths)).rstrip())", "_print_rows strips every row, so an error text loses its last blank"),
+    ("src/qident/cli.py", "if align is str.ljust:\n        widths[-1] = 0\n", "", "_print_rows pads a left-aligned last column: listings gain trailing blanks"),
     # -- equivalent: listed so the argument is kept, not gated
     ("src/qident/series.py", "cs[es[n]] = 1", "cs[es[n]] += 1", "ratio_sum's write of the 1"),
     ("src/qident/series.py", "factors.sort(reverse=True)", "factors.sort(key=lambda f: f[0], reverse=True)", "the product loop's order ignores the sign"),

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from qident.identities import family_counts, negative_control, verify
+from qident.identities import find_case, negative_control, side_values, verify, verify_relation
 from qident.partitions import (
     FAMILY_SPECS,
     ConstraintSpec,
@@ -33,7 +33,7 @@ BOUND_SITES = [
     ("enumerate-n", lambda v: enumerate_partitions(v, FAMILY_SPECS["DE1"]), 0, "n must be nonnegative, got -1"),
     ("count-oracle-n", lambda v: count_oracle(v, FAMILY_SPECS["DE1"]), 0, "n must be nonnegative, got -1"),
     ("count-oracle-table", lambda v: count_oracle_table(v, FAMILY_SPECS["DE1"]), 0, "up_to must be nonnegative, got -1"),
-    ("family-counts", lambda v: family_counts([("DE1", 0)], v), 0, "order must be nonnegative, got -1"),
+    ("side-values", lambda v: side_values([[("DE1", 0)]], v), 0, "order must be nonnegative, got -1"),
     ("negative-control", negative_control, 0, "exponent must be nonnegative, got -1"),
 ]
 
@@ -67,7 +67,9 @@ TYPE_SITES = [
     ("spec-subclass", lambda v: count_oracle(5, v), SpecSubclass(), "spec must be ConstraintSpec, got SpecSubclass"),
     ("first-mismatch-int", lambda v: TruncatedSeries([1, 2, 3]).first_mismatch(v), 3, "other must be TruncatedSeries, got int"),
     ("verify-case", lambda v: verify(v, 200), "main-1", "case must be IdentityCase, got str"),
-    ("family-counts-shift", lambda v: family_counts([("DE1", v)], 5), True, "shift must be int, got bool"),
+    ("side-values-shift", lambda v: side_values([[("DE1", v)]], 5), True, "shift must be int, got bool"),
+    ("find-case-id", find_case, 3, "case_id must be str, got int"),
+    ("verify-relation-kind", lambda v: verify_relation(v, 10), ["main-1"], "kind must be str, got list"),
     ("monomial-shifted", lambda v: QMonomial(1, 2).shifted(v), True, "shift must be int, got bool"),
 ]
 

@@ -315,6 +315,16 @@ def test_verify_prints_a_failed_build_as_an_error_row(capsys, broken_de2):
     ]
 
 
+def test_verify_prints_an_error_text_as_it_is(capsys, monkeypatch):
+    # Only the columns before the last are padded, so a reason that ends in a blank keeps it.
+    def broken(order):
+        raise RuntimeError("failed ")
+
+    monkeypatch.setattr(identities, "FAMILY_SERIES", dict(identities.FAMILY_SERIES, DE2=broken))
+    code, out, _ = run(capsys, "verify", "main-2", "--order", "20")
+    assert code == 1 and out.splitlines()[1] == "main-2  error   main-2: failed "
+
+
 def test_verify_machine_keeps_an_error_reason_on_stderr(capsys, broken_de2, monkeypatch):
     # The five-field record stays as it is; the reason goes to stderr, one line per report.
     monkeypatch.setattr(identities, "perf_counter", lambda: 0.0)
@@ -435,6 +445,24 @@ def test_table_builds_to_its_own_max_n(capsys):
     lines = out.splitlines()
     assert code == 0 and len(lines) == 302
     assert lines[-1].split(",")[:2] == ["300", str(count_oracle_table(300, FAMILY_SPECS["DE1"])[300])]
+
+
+def test_table_counts_each_family_once(capsys, monkeypatch):
+    # One count for all seven columns: DE1 and DE3 each appear in two columns and are built once,
+    # DE3 to max_n + 2 for the n + 2 term of its pair.
+    builds = []
+
+    def recording(family, build):
+        def record(order):
+            builds.append((family, order))
+            return build(order)
+
+        return record
+
+    monkeypatch.setattr(identities, "FAMILY_SERIES", {f: recording(f, b) for f, b in identities.FAMILY_SERIES.items()})
+    code, _, _ = run(capsys, "table", "60")
+    assert code == 0
+    assert sorted(builds) == [("DE1", 60), ("DE2", 60), ("DE3", 62), ("regular4", 60), ("regular4min2", 60)]
 
 
 # -- list-identities -------------------------------------------------------------------

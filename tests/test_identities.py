@@ -421,31 +421,45 @@ def test_verify_relation_refuses_a_non_bool_use_oracle_before_counting(monkeypat
         verify_relation("cor1", 10, use_oracle=use_oracle)
 
 
+@pytest.mark.parametrize("use_oracle", [False, True])
+def test_side_values_sums_each_side_at_every_n(use_oracle):
+    # DE1 at n = 0..6 is 0, 1, 1, 2, 2, 4, 5: a term reads it at n + shift, 0 below
+    # n = 0, and a side with no terms sums to 0 at every n.
+    sides = [[("DE1", 0)], [("DE1", 1), ("DE1", -2)], []]
+    assert identities.side_values(sides, 5, use_oracle=use_oracle) == [
+        [0, 1, 1, 2, 2, 4],
+        [1, 1, 2, 3, 5, 7],
+        [0, 0, 0, 0, 0, 0],
+    ]
+
+
 @pytest.mark.parametrize("use_oracle", ["no", "", 1, 0, None])
-def test_family_counts_refuses_a_non_bool_use_oracle_before_counting(monkeypatch, use_oracle):
+def test_side_values_refuses_a_non_bool_use_oracle_before_counting(monkeypatch, use_oracle):
     def refuse(*args):
         raise AssertionError("counted before use_oracle was checked")
 
     monkeypatch.setattr(identities, "count_oracle_table", refuse)
     monkeypatch.setattr(identities, "FAMILY_SERIES", {family: refuse for family in identities.FAMILY_SERIES})
     with pytest.raises(TypeError, match="^use_oracle must be bool, got "):
-        identities.family_counts([("DE1", 0)], 5, use_oracle=use_oracle)
+        identities.side_values([[("DE1", 0)]], 5, use_oracle=use_oracle)
 
 
 @pytest.mark.parametrize("use_oracle", [False, True])
 @pytest.mark.parametrize(
-    "terms, order, error, message",
+    "sides, order, error, message",
     [
-        ([("DE1", 0)], -1, ValueError, "order must be nonnegative, got -1"),
-        ([("DE1", 0)], True, TypeError, "order must be int, got bool"),
-        ([("DE1", 0)], 2.0, TypeError, "order must be int, got float"),
-        ([("DE1", 0), ("bogus", 0)], 3000, ValueError, "unknown family 'bogus'; expected one of DE1, DE2, DE3, ped, regular4, regular4min2"),
+        ([[("DE1", 0)]], -1, ValueError, "order must be nonnegative, got -1"),
+        ([[("DE1", 0)]], True, TypeError, "order must be int, got bool"),
+        ([[("DE1", 0)]], 2.0, TypeError, "order must be int, got float"),
+        ([[("DE1", 0), ("bogus", 0)]], 3000, ValueError, "unknown family 'bogus'; expected one of DE1, DE2, DE3, ped, regular4, regular4min2"),
+        ([[("DE1", 0)], [("bogus", 0)]], 3000, ValueError, "unknown family 'bogus'; expected one of DE1, DE2, DE3, ped, regular4, regular4min2"),
     ],
 )
-def test_family_counts_refuses_bad_input_before_counting(monkeypatch, use_oracle, terms, order, error, message):
+def test_side_values_refuses_bad_input_before_counting(monkeypatch, use_oracle, sides, order, error, message):
     # Both routes refuse alike: the oracle route once returned [] for -1, and
-    # True counted to n = 1 on both.  DE1 comes before the unknown family, so
-    # a family checked while counting would be refused only after DE1 was built.
+    # True counted to n = 1 on both.  DE1 comes before the unknown family, in
+    # its side or in an earlier one, so a family checked while counting, or a
+    # side counted before the next is checked, would build DE1 first.
     calls = []
 
     def record(*args):
@@ -455,7 +469,7 @@ def test_family_counts_refuses_bad_input_before_counting(monkeypatch, use_oracle
     monkeypatch.setattr(identities, "count_oracle_table", record)
     monkeypatch.setattr(identities, "FAMILY_SERIES", {family: record for family in identities.FAMILY_SERIES})
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
-        identities.family_counts(terms, order, use_oracle=use_oracle)
+        identities.side_values(sides, order, use_oracle=use_oracle)
     assert calls == []
 
 
