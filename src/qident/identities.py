@@ -9,7 +9,7 @@ built once at import.  A side that is one call of a builder is that call, a
 lambda.
 
 Every statement about family counts is declared once, in :data:`RELATIONS`,
-as two sums of shifted family counts plus an integer correction, compared
+as two sums of shifted family counts plus a correction polynomial, compared
 from a first n: the paper's theorems ``main-1`` .. ``main-3``, the product
 identity ``ped-eq-4regular`` and the counting relations ``cor1`` ..
 ``cor4`` that follow from the theorems.  :func:`side_values` is the one
@@ -49,7 +49,7 @@ Builder = Callable[[int], TruncatedSeries]
 
 Term = Tuple[str, int]  # (family, shift): that family's count at n + shift, 0 when n + shift < 0
 
-Correction = Tuple[Tuple[int, int], ...]  # (exponent, coefficient) pairs: the sum of coefficient * [n = exponent]
+Correction = Tuple[int, ...]  # coefficients from q^0: at n the correction adds its coefficient of q^n
 
 
 class Relation(NamedTuple):
@@ -73,15 +73,15 @@ RELATIONS = {
         0, (("ped", 0),), _B4, (), "(-q^2;q^2)_inf/(q;q^2)_inf = (q^4;q^4)_inf/(q;q)_inf"
     ),
     "main-1": Relation(
-        0, _DE1_PAIR, _B4, ((0, -1),),
+        0, _DE1_PAIR, _B4, (-1,),
         "(1+q) sum_{n>=0} (-q^2;q^2)_n q^(2n+1)/(q;q^2)_(n+1) = (q^4;q^4)_inf/(q;q)_inf - 1",
     ),
     "main-2": Relation(
-        0, _DE2_PAIR, _C4, ((0, -1),),
+        0, _DE2_PAIR, _C4, (-1,),
         "(1+q^3) sum_{n>=0} (-q^2;q^2)_n q^(4n+2)/(q;q^2)_(n+1) = (q^4;q^4)_inf/(q^2;q)_inf - 1",
     ),
     "main-3": Relation(
-        0, (("DE3", 0), ("DE3", -3)), (("regular4", -2),), ((1, 1), (2, -1)),
+        0, (("DE3", 0), ("DE3", -3)), (("regular4", -2),), (0, 1, -1),
         "(1+q^3) sum_{n>=0} (-q^2;q^2)_n q^(2n+1)/(q;q^2)_n = q^2(q^4;q^4)_inf/(q;q)_inf - q^2 + q",
     ),
     "cor1": Relation(1, _DE1_PAIR, _B4, (), "DE1(n) + DE1(n-1) = #(4-regular partitions of n), n >= 1"),
@@ -150,7 +150,9 @@ def side_values(sides: Sequence[Sequence[Term]], order: int, use_oracle: bool = 
     check_type("use_oracle", use_oracle, bool)  # a truthy "no" would count part by part
     check_int("order", order, 0)
     reach: Dict[str, int] = {}
-    for family, shift in (term for terms in sides for term in terms):
+    for term in (term for terms in sides for term in terms):
+        check_type("term", term, tuple)  # a flat list of terms would fail to unpack a family name
+        family, shift = term
         check_int("shift", shift)
         if family not in FAMILY_SPECS:
             raise ValueError(f"unknown family {family!r}; expected one of {', '.join(FAMILY_SPECS)}")
@@ -161,20 +163,16 @@ def side_values(sides: Sequence[Sequence[Term]], order: int, use_oracle: bool = 
         counts = {f: FAMILY_SERIES[f](order + s).coeffs for f, s in reach.items()}
 
     def column(f: str, s: int) -> Sequence[int]:  # family f's count at n + s for n = 0..order, 0 below n = 0
-        return counts[f][s : order + 1 + s] if s >= 0 else ([0] * -s + list(counts[f]))[: order + 1]
+        return ([0] * min(-s, order + 1) + list(counts[f][max(s, 0) :]))[: order + 1]
 
     zeros = [0] * (order + 1)  # the sum of no terms: an empty side still has a value at every n
     return [[sum(values) for values in zip(zeros, *(column(*term) for term in terms))] for terms in sides]
 
 
 def _family_side(terms: Sequence[Term], correction: Correction, order: int, use_oracle: bool = False) -> TruncatedSeries:
-    """One side of a relation to q^order: at each n the sum of the terms, read
-    from :func:`side_values`, plus the correction at n = its exponent."""
-    values = side_values([terms], order, use_oracle)[0]
-    for exponent, coefficient in correction:
-        if exponent <= order:
-            values[exponent] += coefficient
-    return TruncatedSeries(values, order)
+    """One side of a relation to q^order: the series of the terms' sums, read
+    from :func:`side_values`, plus the correction polynomial cut to q^order."""
+    return TruncatedSeries(side_values([terms], order, use_oracle)[0], order) + TruncatedSeries(correction, order)
 
 
 # -- factors the help cases declare ------------------------------------------
@@ -414,8 +412,8 @@ def verify(case: IdentityCase, order: int) -> VerificationReport:
         lhs, rhs = case.lhs(order).truncate(order), case.rhs(order).truncate(order)
     except Exception as exc:
         return VerificationReport(case.id, order, "error", None, perf_counter() - start, f"{case.id}: {exc}")
-    if case.first:  # below q^first the case claims nothing
-        lhs, rhs = (TruncatedSeries((0,) * case.first + side.coeffs[case.first :], order) for side in (lhs, rhs))
+    # Below q^first the case claims nothing, so both sides read 0 there.
+    lhs, rhs = (TruncatedSeries((0,) * case.first + side.coeffs[case.first :], order) for side in (lhs, rhs))
     mismatch = lhs.first_mismatch(rhs)
     elapsed = perf_counter() - start
     status = "pass" if mismatch is None else "fail"

@@ -53,6 +53,8 @@ MUTANTS = [
     ("src/qident/identities.py", 'check_int("shift", shift)\n', "", "side_values takes True as a shift of 1"),
     ("src/qident/identities.py", "if family not in FAMILY_SPECS:", "if False:", "side_values builds the families before it meets an unknown one"),
     ("src/qident/identities.py", "zip(zeros, *(", "zip(*(", "side_values returns no values for a side with no terms"),
+    ("src/qident/identities.py", "[0] * min(-s, order + 1)", "[0] * -s", "side_values pads a negative shift with |shift| zeros, not at most order + 1"),
+    ("src/qident/identities.py", 'check_type("term", term, tuple)  #', "#", "side_values takes a flat term list and fails to unpack a family name"),
     ("src/qident/identities.py", 'check_type("case_id", case_id, str)\n', "", "find_case takes a non-str id and returns None"),
     ("src/qident/identities.py", 'check_type("kind", kind, str)  #', "#", "verify_relation takes a list and fails its lookup as unhashable"),
     ("src/qident/cli.py", "except ValueError", "except KeyError", "main lets the library's refusal escape as a traceback"),
@@ -80,7 +82,8 @@ MUTANTS = [
     ("src/qident/partitions.py", '"odd_exactly_one": (1, 1)', '"odd_exactly_one": (1, 0)', "an exactly-one largest part may repeat"),
     ("src/qident/partitions.py", "range(n // copies", "range(n", "a head larger than n is listed with a negative budget"),
     # -- the statements and the comparison
-    ("src/qident/identities.py", "(1, 1), (2, -1)", "(1, 1), (2, 1)", "main-3's q^2 correction flipped"),
+    ("src/qident/identities.py", "(0, 1, -1)", "(0, 1, 1)", "main-3's q^2 correction flipped"),
+    ("src/qident/identities.py", "TruncatedSeries(correction, order)", "TruncatedSeries(correction[:1], order)", "a correction cut to its constant term: main-3's q and q^2 dropped"),
     ("src/qident/identities.py", "(0,) * case.first + side.coeffs[case.first :]", "side.coeffs", "verify compares the sides below a case's first n"),
     ("src/qident/identities.py", "lhs, rhs = case.lhs(order).truncate(order), case.rhs(order).truncate(order)", "lhs, rhs = case.lhs(order), case.rhs(order)", "verify does not truncate: a short side is compared, not refused"),
     ("src/qident/identities.py", "- case.first + 1", "+ 1", "verify's checked count not offset by the first n"),

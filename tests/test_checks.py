@@ -68,6 +68,7 @@ TYPE_SITES = [
     ("first-mismatch-int", lambda v: TruncatedSeries([1, 2, 3]).first_mismatch(v), 3, "other must be TruncatedSeries, got int"),
     ("verify-case", lambda v: verify(v, 200), "main-1", "case must be IdentityCase, got str"),
     ("side-values-shift", lambda v: side_values([[("DE1", v)]], 5), True, "shift must be int, got bool"),
+    ("side-values-term", lambda v: side_values(v, 5), [("DE1", 0)], "term must be tuple, got str"),
     ("find-case-id", find_case, 3, "case_id must be str, got int"),
     ("verify-relation-kind", lambda v: verify_relation(v, 10), ["main-1"], "kind must be str, got list"),
     ("monomial-shifted", lambda v: QMonomial(1, 2).shifted(v), True, "shift must be int, got bool"),

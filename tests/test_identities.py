@@ -1,4 +1,5 @@
 import re
+import sys
 from dataclasses import replace
 
 import pytest
@@ -284,11 +285,15 @@ def test_failing_relation_counts_up_to_mismatch(monkeypatch):
 
 
 @pytest.mark.parametrize("use_oracle", [False, True])
-@pytest.mark.parametrize("order", [2, 200, 1000])
-@pytest.mark.parametrize("kind", RELATIONS)
+@pytest.mark.parametrize(
+    "kind, order",
+    [(kind, order) for kind, r in RELATIONS.items() for order in sorted({r.first_n, r.first_n + 1, 2, 200, 1000})],
+)
 def test_every_relation_holds_on_both_routes(kind, order, use_oracle):
     # The theorems and ped-eq-4regular as well as cor1..cor4, each from the
-    # generating functions and from part-by-part counts.
+    # generating functions and from part-by-part counts, at its first n and
+    # the next too: there main-3's correction (0, 1, -1) is longer than the
+    # series it corrects.
     report = verify_relation(kind, order, use_oracle=use_oracle)
     assert report.passed, report.mismatch
     assert report.checked == order - RELATIONS[kind].first_n + 1
@@ -424,11 +429,14 @@ def test_verify_relation_refuses_a_non_bool_use_oracle_before_counting(monkeypat
 @pytest.mark.parametrize("use_oracle", [False, True])
 def test_side_values_sums_each_side_at_every_n(use_oracle):
     # DE1 at n = 0..6 is 0, 1, 1, 2, 2, 4, 5: a term reads it at n + shift, 0 below
-    # n = 0, and a side with no terms sums to 0 at every n.
-    sides = [[("DE1", 0)], [("DE1", 1), ("DE1", -2)], []]
+    # n = 0, and a side with no terms sums to 0 at every n.  A shift below -order
+    # reads 0 at every n, with no more than order + 1 zeros made: [0] * sys.maxsize
+    # would raise MemoryError.
+    sides = [[("DE1", 0)], [("DE1", 1), ("DE1", -2)], [], [("DE1", -sys.maxsize)]]
     assert identities.side_values(sides, 5, use_oracle=use_oracle) == [
         [0, 1, 1, 2, 2, 4],
         [1, 1, 2, 3, 5, 7],
+        [0, 0, 0, 0, 0, 0],
         [0, 0, 0, 0, 0, 0],
     ]
 
