@@ -110,29 +110,30 @@ class VerificationReport:
     """Outcome of comparing both sides of a case up to a truncation order.
 
     ``mismatch`` is (exponent, lhs coefficient, rhs coefficient) for the
-    smallest disagreeing exponent; it is present exactly when status is
-    "fail".  Status "error" means a side could not be built, so nothing was
-    compared; ``error`` then reads "<id>: <message>" and ``checked`` is 0.
-    ``checked`` counts the coefficients (for a case) or values of n (for a
-    relation) compared, up to and including a mismatch; on a pass or a fail
-    it is at least 1, because an order that would compare nothing is refused.
+    smallest disagreeing exponent.  ``error`` reads "<id>: <message>" when a
+    side could not be built, so nothing was compared and ``checked`` is 0.
+    A report holds at most one of the two, and a ``ValueError`` refuses
+    both.  ``status`` is derived from them: "error" when ``error`` is set,
+    "fail" when ``mismatch`` is, and "pass" otherwise.  ``checked`` counts
+    the coefficients (for a case) or values of n (for a relation) compared,
+    up to and including a mismatch; on a pass or a fail it is at least 1,
+    because an order that would compare nothing is refused.
     """
 
     id: str
     order: int
-    status: str
     mismatch: Optional[Tuple[int, int, int]]
     elapsed: float
     error: Optional[str] = None
     checked: int = 0
 
     def __post_init__(self):
-        if self.status not in ("pass", "fail", "error"):
-            raise ValueError(f"bad status {self.status!r}")
-        if (self.status == "fail") != (self.mismatch is not None):
-            raise ValueError("mismatch must be present exactly on failure")
-        if (self.status == "error") != (self.error is not None):
-            raise ValueError("error text must be present exactly on error")
+        if self.mismatch is not None and self.error is not None:
+            raise ValueError("a report holds a mismatch or an error, not both")
+
+    @property
+    def status(self) -> str:
+        return "error" if self.error is not None else "fail" if self.mismatch is not None else "pass"
 
     @property
     def passed(self) -> bool:
@@ -145,13 +146,16 @@ class VerificationReport:
 def side_values(sides: Sequence[Sequence[Term]], order: int, use_oracle: bool = False) -> List[List[int]]:
     """Each side's sum of its terms at every n = 0..order.  Each family the sides name is counted once,
     for n = 0..order + its largest shift, from its generating function or, with ``use_oracle``, one
-    part-by-part count_oracle_table.  A non-bool use_oracle, a negative or non-int order, a non-int
-    shift or an unknown family is refused, in that order, before anything is counted."""
+    part-by-part count_oracle_table.  A non-bool use_oracle, a negative or non-int order, a term that
+    is no (family, shift) tuple, a non-int shift or an unknown family is refused, in that order, before
+    anything is counted."""
     check_type("use_oracle", use_oracle, bool)  # a truthy "no" would count part by part
     check_int("order", order, 0)
     reach: Dict[str, int] = {}
     for term in (term for terms in sides for term in terms):
         check_type("term", term, tuple)  # a flat list of terms would fail to unpack a family name
+        if len(term) != 2:
+            raise ValueError(f"term must be a (family, shift) pair, got {term!r}")
         family, shift = term
         check_int("shift", shift)
         if family not in FAMILY_SPECS:
@@ -402,23 +406,23 @@ def verify(case: IdentityCase, order: int) -> VerificationReport:
     and an order below ``case.first``, which would compare nothing, with a
     ``ValueError``, both before anything is built.  Builds ``case.lhs(order)``,
     then ``case.rhs(order)``; any failure, a side known to a lower order than
-    asked for included, is a status "error" report whose text is "<id>:
-    <message>".  Then compares the coefficients of q^first..q^order;
-    ``checked`` counts them through the mismatch or the order.
+    asked for included, is a status "error" report whose ``error`` is "<id>:
+    <message>".  Then compares the coefficients of q^first..q^order: the
+    first clash is the ``mismatch`` of a "fail" report, and none is a
+    "pass".  ``checked`` counts them through the mismatch or the order.
     """
     _check_range(case, order)
     start = perf_counter()
     try:
         lhs, rhs = case.lhs(order).truncate(order), case.rhs(order).truncate(order)
     except Exception as exc:
-        return VerificationReport(case.id, order, "error", None, perf_counter() - start, f"{case.id}: {exc}")
+        return VerificationReport(case.id, order, None, perf_counter() - start, f"{case.id}: {exc}")
     # Below q^first the case claims nothing, so both sides read 0 there.
     lhs, rhs = (TruncatedSeries((0,) * case.first + side.coeffs[case.first :], order) for side in (lhs, rhs))
     mismatch = lhs.first_mismatch(rhs)
     elapsed = perf_counter() - start
-    status = "pass" if mismatch is None else "fail"
     checked = (order if mismatch is None else mismatch[0]) - case.first + 1
-    return VerificationReport(case.id, order, status, mismatch, elapsed, checked=checked)
+    return VerificationReport(case.id, order, mismatch, elapsed, checked=checked)
 
 
 def verify_relation(kind: str, order: int, use_oracle: bool = False) -> VerificationReport:

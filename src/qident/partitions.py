@@ -26,10 +26,11 @@ partition nor keeping a memo.
 - :func:`count_oracle_table` counts every n up to a bound part by part,
   straight from the spec's rules, and enumerates nothing: a knapsack over
   the allowed part sizes in ascending order, in which an even part that may
-  be used once is added for descending n, and the partitions whose largest
-  part is an odd k are read off as the count after k less the count
-  before it.  It shares no counting code with the walk or the builders, so
-  the tests check each against the others.  Its time grows as O(n^2); the
+  be used once is added for descending n.  Once an odd k is added, the
+  partitions of n whose largest part is k are read off the same table
+  T: T[n - k] of them hold k at least once, and T[n - 2k] at least twice.
+  It shares no counting code with the walk or the builders, so the tests
+  check each against the others.  Its time grows as O(n^2); the
   benchmark's ``oracle-40`` workload measures it.
 
 Families, keyed as the CLI spells them.  Each is a :class:`ConstraintSpec`
@@ -292,33 +293,30 @@ def count_oracle_table(up_to: int, spec: ConstraintSpec) -> List[int]:
     number of partitions of n into the sizes taken so far.  Taking k adds
     T[n - k] to T[n]: for descending n when k is an even part that may be
     used only once, for ascending n otherwise.  When the largest part must
-    be odd, each odd k also adds the partitions whose largest part is k:
-    T after k less T before it, of which T-before[n - k] hold k exactly
-    once.  It shares no counting code with :func:`count_oracle`, which the
-    tests check it against, nor with the ``gf_*`` builders.  Its time
-    grows as O(up_to^2); the benchmark's ``oracle-40`` workload measures it.
+    be odd, each odd k then adds the partitions whose largest part is k:
+    taking one k off leaves a partition of n - k into the sizes taken so far,
+    so T[n - k] of them hold k at least once, and T[n - 2k] (0 when n < 2k)
+    at least twice.  It shares no counting code with :func:`count_oracle`,
+    which the tests check it against, nor with the ``gf_*`` builders.  Its
+    time grows as O(up_to^2); the benchmark's ``oracle-40`` workload
+    measures it.
     """
     check_type("spec", spec, ConstraintSpec)
     check_int("up_to", up_to, 0)
     table = [1] + [0] * up_to
-    odd_largest = spec.largest != "any"
-    counts = [0] * (up_to + 1) if odd_largest else table
-    # Of the partitions of n with largest part k (the table after k less the
-    # table before it), before[n - k] hold k once: the weights pick the ones
-    # the largest-part rule counts.
-    new, once = {"any": (1, 0), "odd": (1, 0), "odd_exactly_one": (0, 1), "odd_at_least_two": (1, -1)}[spec.largest]
+    counts = [0] * (up_to + 1) if spec.largest != "any" else table
+    # The weights on table[n - k] (largest part k) and table[n - 2k] (k at
+    # least twice) pick the partitions the largest-part rule counts.
+    one, two = {"any": (1, 0), "odd": (1, 0), "odd_at_least_two": (0, 1), "odd_exactly_one": (1, -1)}[spec.largest]
     for k in range(spec.min_part, up_to + 1):
         if spec.regular_modulus is not None and k % spec.regular_modulus == 0:
             continue
-        largest = odd_largest and k % 2 == 1
-        if largest:
-            before = table[:]
         # Descending n reads only counts without k, so k is used at most once.
         for n in range(up_to, k - 1, -1) if spec.distinct_even and k % 2 == 0 else range(k, up_to + 1):
             table[n] += table[n - k]
-        if largest:
+        if spec.largest != "any" and k % 2 == 1:
             for n in range(k, up_to + 1):
-                counts[n] += new * (table[n] - before[n]) + once * before[n - k]
+                counts[n] += one * table[n - k] + (two * table[n - 2 * k] if n >= 2 * k else 0)
     return counts
 
 

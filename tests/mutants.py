@@ -55,6 +55,7 @@ MUTANTS = [
     ("src/qident/identities.py", "zip(zeros, *(", "zip(*(", "side_values returns no values for a side with no terms"),
     ("src/qident/identities.py", "[0] * min(-s, order + 1)", "[0] * -s", "side_values pads a negative shift with |shift| zeros, not at most order + 1"),
     ("src/qident/identities.py", 'check_type("term", term, tuple)  #', "#", "side_values takes a flat term list and fails to unpack a family name"),
+    ("src/qident/identities.py", "if len(term) != 2:", "if False:", "side_values takes a term of the wrong length and fails to unpack it"),
     ("src/qident/identities.py", 'check_type("case_id", case_id, str)\n', "", "find_case takes a non-str id and returns None"),
     ("src/qident/identities.py", 'check_type("kind", kind, str)  #', "#", "verify_relation takes a list and fails its lookup as unhashable"),
     ("src/qident/cli.py", "except ValueError", "except KeyError", "main lets the library's refusal escape as a traceback"),
@@ -62,8 +63,10 @@ MUTANTS = [
     ("src/qident/partitions.py", "(QMonomial(-1, 2), 2, None)", "(QMonomial(-1, 2), 2, 1250)", "gf_ped's numerator cut to 1250 factors, short from q^2502"),
     # -- the part-by-part counts
     ("src/qident/partitions.py", "range(up_to, k - 1, -1) if", "range(k, up_to + 1) if", "the knapsack's descending pass: an even part repeats"),
-    ("src/qident/partitions.py", '"odd_at_least_two": (1, -1)', '"odd_at_least_two": (1, 0)', "the knapsack's at_least_two weight without its subtraction"),
-    ("src/qident/partitions.py", '"any": (1, 0), "odd": (1, 0)', '"any": (1, 0), "odd": (0, 1)', "the knapsack's odd weight counts only a largest part that appears once"),
+    ("src/qident/partitions.py", '"odd_exactly_one": (1, -1)', '"odd_exactly_one": (1, 0)', "the knapsack's exactly_one weight without its subtraction"),
+    ("src/qident/partitions.py", '"any": (1, 0), "odd": (1, 0)', '"any": (1, 0), "odd": (0, 1)', "the knapsack's odd weight counts only a largest part that appears twice"),
+    ("src/qident/partitions.py", "two * table[n - 2 * k]", "two * table[n - k]", "the knapsack's at-least-two read takes one k off, not two"),
+    ("src/qident/partitions.py", "if n >= 2 * k else 0", "if True else 0", "the knapsack's at-least-two read unguarded: below 2k it wraps to the end of the table"),
     ("src/qident/partitions.py", "k - 1 if spec.distinct_even and k % 2 == 0 else k", "k", "the walks let an even part repeat"),
     ("src/qident/partitions.py", "near[r] + is_part[r]", "near[r] + 0", "count_oracle's part-r-alone leaf dropped"),
     ("src/qident/partitions.py", "total, m = full[r] if r <= c else near[r],", "total, m = near[r],", "a node adds near where full applies: its part r alone dropped"),
@@ -83,6 +86,8 @@ MUTANTS = [
     ("src/qident/partitions.py", "range(n // copies", "range(n", "a head larger than n is listed with a negative budget"),
     # -- the statements and the comparison
     ("src/qident/identities.py", "(0, 1, -1)", "(0, 1, 1)", "main-3's q^2 correction flipped"),
+    ("src/qident/identities.py", "if self.mismatch is not None and self.error is not None:", "if False:", "a report takes both a mismatch and an error"),
+    ("src/qident/identities.py", '"error" if self.error is not None else "fail" if self.mismatch is not None else "pass"', '"pass" if self.mismatch is None else "error" if self.error is not None else "fail"', "status tests the mismatch before the error, so an error report reads pass"),
     ("src/qident/identities.py", "TruncatedSeries(correction, order)", "TruncatedSeries(correction[:1], order)", "a correction cut to its constant term: main-3's q and q^2 dropped"),
     ("src/qident/identities.py", "(0,) * case.first + side.coeffs[case.first :]", "side.coeffs", "verify compares the sides below a case's first n"),
     ("src/qident/identities.py", "lhs, rhs = case.lhs(order).truncate(order), case.rhs(order).truncate(order)", "lhs, rhs = case.lhs(order), case.rhs(order)", "verify does not truncate: a short side is compared, not refused"),

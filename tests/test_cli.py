@@ -215,8 +215,8 @@ def test_print_reports_machine_record(capsys):
     # The golden files cut elapsed_ms, so its rounding to whole milliseconds is pinned here.
     _print_reports(
         [
-            identities.VerificationReport("some-id", 100, "pass", None, 0.01234),
-            identities.VerificationReport("other-id", 60, "fail", (50, 1, 2), 0.002),
+            identities.VerificationReport("some-id", 100, None, 0.01234),
+            identities.VerificationReport("other-id", 60, (50, 1, 2), 0.002),
         ],
         machine=True,
     )

@@ -245,14 +245,16 @@ def test_relation_builder_failure_becomes_error_report(monkeypatch):
 
 
 def test_report_field_coupling():
-    with pytest.raises(ValueError):
-        VerificationReport("x", 5, "pass", (1, 0, 1), 0.0)
-    with pytest.raises(ValueError):
-        VerificationReport("x", 5, "fail", None, 0.0)
-    with pytest.raises(ValueError):
-        VerificationReport("x", 5, "error", None, 0.0)  # error text required
-    with pytest.raises(ValueError):
-        VerificationReport("x", 5, "bogus", None, 0.0)
+    # A report stores no status: it is read off the mismatch and the error, and a report holds at most one.
+    with pytest.raises(ValueError, match="^a report holds a mismatch or an error, not both$"):
+        VerificationReport("x", 5, (1, 0, 1), 0.0, "x: boom")
+    shapes = [
+        (VerificationReport("x", 5, None, 0.0, checked=6), "pass"),
+        (VerificationReport("x", 5, (1, 0, 1), 0.0, checked=2), "fail"),
+        (VerificationReport("x", 5, None, 0.0, "x: boom"), "error"),
+    ]
+    for report, status in shapes:
+        assert (report.status, report.passed) == (status, status == "pass")
 
 
 def test_reports_count_what_they_checked():
@@ -461,6 +463,8 @@ def test_side_values_refuses_a_non_bool_use_oracle_before_counting(monkeypatch, 
         ([[("DE1", 0)]], 2.0, TypeError, "order must be int, got float"),
         ([[("DE1", 0), ("bogus", 0)]], 3000, ValueError, "unknown family 'bogus'; expected one of DE1, DE2, DE3, ped, regular4, regular4min2"),
         ([[("DE1", 0)], [("bogus", 0)]], 3000, ValueError, "unknown family 'bogus'; expected one of DE1, DE2, DE3, ped, regular4, regular4min2"),
+        ([[("DE1", 0), ("DE1", 0, 1)]], 5, ValueError, "term must be a (family, shift) pair, got ('DE1', 0, 1)"),
+        ([[("DE1", 0), ("DE1",)]], 5, ValueError, "term must be a (family, shift) pair, got ('DE1',)"),
     ],
 )
 def test_side_values_refuses_bad_input_before_counting(monkeypatch, use_oracle, sides, order, error, message):
